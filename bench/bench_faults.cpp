@@ -16,8 +16,8 @@
  *     and let the RetryPolicy double it per TimedOut attempt until the
  *     run completes.
  *
- * The containment check runs down both interpreter paths (predecoded
- * and legacy).  Flags: --json <path> (standard bench envelope; the
+ * The containment check runs down both interpreters (threaded and
+ * legacy).  Flags: --json <path> (standard bench envelope; the
  * per-run fault counters land in workloads[] together with the per-job
  * `latency` block, the experiment scalars in metrics.*), --threads N,
  * --metrics <path> (Prometheus-style text exposition of the telemetry
@@ -93,11 +93,12 @@ main(int argc, char **argv)
     // --- 1. Containment: one poisoned program among 64 -------------------
     const std::size_t victim = 17;
     bool contained_both_paths = true;
-    for (const bool predecode : {true, false}) {
-        set_predecode_enabled(predecode);
+    for (const SimBackend backend :
+         {SimBackend::Threaded, SimBackend::Legacy}) {
+        set_sim_backend(backend);
         auto jobs = make_jobs(spec, samples);
-        // Plans resolve their decoded image at build time; the reference
-        // run must use the same path as the poisoned run.
+        // Plans resolve their compiled image at build time; the
+        // reference run must use the same backend as the poisoned run.
         runtime::Scheduler ref_sched(sched_options());
         const auto ref = ref_sched.run(jobs);
 
@@ -124,14 +125,14 @@ main(int argc, char **argv)
         contained_both_paths = contained_both_paths && ok;
 
         print_header(std::string("Containment (") +
-                         (predecode ? "predecode" : "legacy") + " path)",
+                         std::string(sim_backend_name(backend)) + " path)",
                      {"healthy identical", "victim status", "fault",
                       "attempts"});
         print_row({std::to_string(identical) + "/63",
                    std::string(lane_status_name(vr.status)),
                    std::string(fault_code_name(vr.fault.code)),
                    std::to_string(vr.attempts)});
-        if (predecode) {
+        if (backend == SimBackend::Threaded) {
             WorkloadPerf p;
             p.name = "Trigger (1 poisoned / 64)";
             attach_sim(p, rep.total, rep.wall_cycles, rep.waves[0].jobs);
@@ -156,7 +157,7 @@ main(int argc, char **argv)
             }
         }
     }
-    set_predecode_enabled(true);
+    set_sim_backend(SimBackend::Threaded);
 
     // --- 2. Transient faults: forced traps recovered by retry ------------
     {

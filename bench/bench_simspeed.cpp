@@ -1,19 +1,18 @@
 /**
  * @file
- * Host simulation speed: the three interpreter tiers — threaded-code,
- * predecoded, and the legacy decode-per-step loop
- * (docs/PERFORMANCE.md, "Backend tiers").
+ * Host simulation speed: the two interpreters — the threaded-code
+ * engine and the legacy decode-per-step reference
+ * (docs/PERFORMANCE.md, "Two interpreters, one ISA").
  *
  * This bench tracks the *simulator's* performance trajectory, not the
  * modeled hardware's: it runs the Figure 13 CSV workload (scaled up so
  * the interpreter loop dominates host time) through the wave scheduler
  * serially, once per backend, and reports host MB/s for each.
- * Simulated counters are asserted bit-identical between the tiers —
- * the same invariant tests/test_predecode.cpp and
- * tests/test_threaded.cpp pin per kernel.
+ * Simulated counters are asserted bit-identical between the two — the
+ * same invariant tests/test_threaded.cpp pins per kernel.
  *
- * The threaded tier pays a one-time compile (DecodedProgram lowering to
- * the flat micro-op stream): `compile_seconds` measures a cold build,
+ * The threaded tier pays a one-time compile (Program -> DecodedProgram
+ * -> flat micro-op stream): `compile_seconds` measures a cold build,
  * and the amortization study converts it into the input bytes a lane
  * must stream before the faster loop has paid for the compile — with
  * the shared image cache, the whole multi-wave run pays it once.
@@ -27,9 +26,9 @@
  * model) — to show chunking cost is O(jobs), not O(bytes).
  *
  * Flags: --json <path> (BENCH_simspeed.json schema: the standard bench
- * envelope plus metrics.sim_host_mbps_threaded / _predecode / _legacy,
- * .threaded_speedup (threaded vs predecode), .predecode_speedup
- * (predecode vs legacy), .compile_seconds / .compile_amortize_kib, the
+ * envelope plus metrics.sim_host_mbps_threaded / _legacy,
+ * .threaded_speedup (threaded vs legacy), .compile_seconds /
+ * .compile_amortize_kib, the
  * phase breakdown metrics.host_{setup,simulate,harvest}_seconds /
  * .host_setup_share, and the setup study
  * metrics.host_setup_{arena,copy}_seconds / .setup_speedup),
@@ -103,8 +102,7 @@ main(int argc, char **argv)
         const int reps = 5; // best-of-5 absorbs host scheduling noise
         for (int i = 0; i < reps; ++i) {
             // Rebuild the jobs inside the toggle so the plans' resolved
-            // images (JobPlan::decoded/compiled) reflect the tier under
-            // test.
+            // image (JobPlan::compiled) reflects the tier under test.
             const auto jobs = runtime::chunk_jobs(
                 spec, runtime::ArenaSlice::borrow(data), chunk,
                 runtime::align_after_delim('\n'));
@@ -125,37 +123,29 @@ main(int argc, char **argv)
         return r;
     };
 
-    // Warm every tier (image caches, page faults) before timing.
+    // Warm both tiers (image caches, page faults) before timing.
     measure(SimBackend::Threaded);
-    measure(SimBackend::Predecode);
     measure(SimBackend::Legacy);
     const auto thr = measure(SimBackend::Threaded);
-    const auto pre = measure(SimBackend::Predecode);
     const auto leg = measure(SimBackend::Legacy);
     set_sim_backend(SimBackend::Threaded); // restore default for finish()
 
-    if (thr.total != pre.total || thr.wall != pre.wall ||
-        pre.total != leg.total || pre.wall != leg.wall)
+    if (thr.total != leg.total || thr.wall != leg.wall)
         throw UdpError("bench_simspeed: simulated counters diverge "
-                       "between interpreter tiers");
+                       "between interpreters");
 
-    const double pre_speedup =
-        leg.host_mbps > 0 ? pre.host_mbps / leg.host_mbps : 0;
     const double thr_speedup =
-        pre.host_mbps > 0 ? thr.host_mbps / pre.host_mbps : 0;
+        leg.host_mbps > 0 ? thr.host_mbps / leg.host_mbps : 0;
 
     print_header("Host simulation speed (serial, CSV x20000 rows)",
                  {"backend", "host MB/s", "host s/run", "sim cycles"});
     print_row({"threaded", fmt(thr.host_mbps), fmt(thr.host_seconds, 4),
                fmt(double(thr.wall), 0)});
-    print_row({"predecode", fmt(pre.host_mbps), fmt(pre.host_seconds, 4),
-               fmt(double(pre.wall), 0)});
     print_row({"legacy", fmt(leg.host_mbps), fmt(leg.host_seconds, 4),
                fmt(double(leg.wall), 0)});
-    std::printf("\nthreaded speedup:  %.2fx over predecode (host time; "
-                "simulated counters bit-identical)\n"
-                "predecode speedup: %.2fx over legacy\n",
-                thr_speedup, pre_speedup);
+    std::printf("\nthreaded speedup: %.2fx over legacy (host time; "
+                "simulated counters bit-identical)\n",
+                thr_speedup);
 
     // --- Compile cost and its amortization -------------------------------
     // A cold threaded-code build: Program -> DecodedProgram -> flat
@@ -165,17 +155,17 @@ main(int argc, char **argv)
     double compile_s = 0;
     for (int i = 0; i < 5; ++i) {
         const auto t0 = Clock::now();
-        const CompiledProgram cold(*spec.program, nullptr);
+        const CompiledProgram cold(*spec.program);
         const double s =
             std::chrono::duration<double>(Clock::now() - t0).count();
         if (i == 0 || s < compile_s)
             compile_s = s;
     }
     // Input bytes at which the faster loop has repaid the compile:
-    // compile_s == bytes * (1/thr_rate - 1/pre_rate).
+    // compile_s == bytes * (1/thr_rate - 1/leg_rate).
     const double rate_gain =
-        thr.host_seconds > 0 && pre.host_seconds > 0
-            ? (pre.host_seconds - thr.host_seconds) / double(data.size())
+        thr.host_seconds > 0 && leg.host_seconds > 0
+            ? (leg.host_seconds - thr.host_seconds) / double(data.size())
             : 0;
     const double amortize_kib =
         rate_gain > 0 ? compile_s / rate_gain / 1024.0 : 0;
@@ -272,10 +262,8 @@ main(int argc, char **argv)
     rec.add_metric("input_bytes", double(data.size()));
     rec.add_metric("sim_cycles", double(thr.wall));
     rec.add_metric("sim_host_mbps_threaded", thr.host_mbps);
-    rec.add_metric("sim_host_mbps_predecode", pre.host_mbps);
     rec.add_metric("sim_host_mbps_legacy", leg.host_mbps);
     rec.add_metric("threaded_speedup", thr_speedup);
-    rec.add_metric("predecode_speedup", pre_speedup);
     rec.add_metric("compile_seconds", compile_s);
     rec.add_metric("compile_amortize_kib", amortize_kib);
     rec.add_metric("host_setup_seconds", thr.setup_seconds);

@@ -342,10 +342,9 @@ MetricsRecorder::finish() const
         probe.set_sim_threads(sim_threads_option());
         w.field("sim_threads", probe.resolved_sim_threads());
     }
-    // Which interpreter tier produced these host-time numbers
-    // (docs/PERFORMANCE.md; simulated counters are tier-independent).
-    // `predecode` is the legacy boolean alias of the same toggle.
-    w.field("predecode", predecode_enabled());
+    // Which interpreter produced these host-time numbers
+    // (docs/PERFORMANCE.md; simulated counters are interpreter-
+    // independent).
     w.field("backend", std::string(sim_backend_name(sim_backend())));
 
     LaneStats total;

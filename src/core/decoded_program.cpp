@@ -1,20 +1,18 @@
 /**
  * @file
- * DecodedProgram construction and the shared decode cache.
+ * DecodedProgram construction and the backend switch.
  */
 #include "decoded_program.hpp"
 
 #include <atomic>
 #include <cstdlib>
-#include <mutex>
-#include <unordered_map>
 
 namespace udp {
 
 namespace {
 
 /// Non-throwing decode: reserved transition kind 7 becomes the invalid
-/// sentinel instead of an exception, because a predecode pass visits
+/// sentinel instead of an exception, because the decode pass visits
 /// every word — including garbage the interpreter would never fetch.
 Transition
 decode_transition_lenient(Word raw)
@@ -174,7 +172,7 @@ DecodedProgram::DecodedProgram(const Program &prog)
 }
 
 // ---------------------------------------------------------------------------
-// Backend switch and the shared cache.
+// Backend switch.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -189,7 +187,6 @@ sim_backend_name(SimBackend b)
 {
     switch (b) {
       case SimBackend::Legacy: return "legacy";
-      case SimBackend::Predecode: return "predecode";
       case SimBackend::Threaded: return "threaded";
     }
     return "<bad>";
@@ -201,17 +198,9 @@ sim_backend()
     int v = g_backend.load(std::memory_order_relaxed);
     if (v == 0) {
         SimBackend b = SimBackend::Threaded;
-        if (const char *env = std::getenv("UDP_SIM_BACKEND")) {
-            const std::string_view s(env);
-            if (s == "legacy")
-                b = SimBackend::Legacy;
-            else if (s == "predecode")
-                b = SimBackend::Predecode;
-            else if (s == "threaded")
-                b = SimBackend::Threaded;
-        } else if (std::getenv("UDP_SIM_NO_PREDECODE")) {
-            b = SimBackend::Legacy; // the PR 3 spelling of "legacy"
-        }
+        if (const char *env = std::getenv("UDP_SIM_BACKEND");
+            env && std::string_view(env) == "legacy")
+            b = SimBackend::Legacy;
         v = 1 + static_cast<int>(b);
         g_backend.store(v, std::memory_order_relaxed);
     }
@@ -222,43 +211,6 @@ void
 set_sim_backend(SimBackend b)
 {
     g_backend.store(1 + static_cast<int>(b), std::memory_order_relaxed);
-}
-
-bool
-predecode_enabled()
-{
-    return sim_backend() != SimBackend::Legacy;
-}
-
-void
-set_predecode_enabled(bool on)
-{
-    set_sim_backend(on ? SimBackend::Predecode : SimBackend::Legacy);
-}
-
-std::shared_ptr<const DecodedProgram>
-shared_decoded(const Program &prog)
-{
-    static std::mutex mu;
-    static std::unordered_map<std::uint64_t,
-                              std::shared_ptr<const DecodedProgram>>
-        cache;
-
-    const std::uint64_t key = program_fingerprint(prog);
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        const auto it = cache.find(key);
-        if (it != cache.end())
-            return it->second;
-    }
-    // Build outside the lock: decode cost scales with the image, and
-    // concurrent builders of the same program are harmless (the first
-    // one inserted wins; both results are equivalent).
-    auto dec = std::make_shared<const DecodedProgram>(prog);
-    std::lock_guard<std::mutex> lk(mu);
-    if (cache.size() >= 128)
-        cache.clear(); // crude bound; lanes re-decode after a burst
-    return cache.emplace(key, std::move(dec)).first->second;
 }
 
 } // namespace udp

@@ -1,34 +1,25 @@
 /**
  * @file
- * Predecoded program images: decode once, run many.
+ * Decoded program images: the lowering IR of the threaded-code tier.
  *
- * The packed 32-bit transition and action words of a `Program` are cheap
- * to decode once, but the interpreter used to decode them on *every*
- * simulated dispatch — and all 64 lanes of a wave repeat that identical
- * work on the same read-only image.  A `DecodedProgram` expands the whole
- * image up front:
+ * A `DecodedProgram` expands a `Program`'s packed words once:
  *
  *  - every dispatch word as a decoded `Transition`;
- *  - every action word as a decoded `Action` (micro-op stream);
+ *  - every action word as a decoded `Action`;
  *  - per state: the signature, the auxiliary-chain walk results the
- *    interpreter would recompute per step (the `common` override, the
- *    DFA and NFA signature-miss fallbacks with their exact
+ *    reference interpreter recomputes per step (the `common` override,
+ *    the DFA and NFA signature-miss fallbacks with their exact
  *    dispatch-read charge, and the epsilon activation list);
  *  - a dense slot→state table replacing `Program::find_state`.
  *
- * A DecodedProgram is immutable after construction and self-contained
- * (it never aliases the source Program), so one instance is safely
- * shared read-only across all 64 lanes, across waves, and across host
- * simulation threads.  `shared_decoded()` is the process-wide cache
- * keyed by program content; the runtime's KernelSpec/JobPlan path
- * threads its result through to the lanes so a 64-lane wave decodes the
- * program exactly once.
+ * `CompiledProgram` (threaded_program.hpp) owns one and lowers it into
+ * its op stream and arc tables; `ThreadedEngine::run_nfa` runs NFA mode
+ * directly on its per-state eps/miss-nfa tables.  Decoding is lenient:
+ * words that do not decode become sentinels that fault only when
+ * fetched, exactly when the reference would.
  *
- * Predecoding is purely a host-performance layer: simulated cycles,
- * dispatch reads, misses and stalls are charged bit-identically to the
- * decode-per-step interpreter (pinned by tests/test_predecode.cpp).
- * `UDP_SIM_NO_PREDECODE=1` (or `set_predecode_enabled(false)`) keeps the
- * legacy path available as the equivalence reference.
+ * This header also holds the process-wide interpreter switch
+ * (`SimBackend`).
  */
 #pragma once
 
@@ -42,9 +33,9 @@
 namespace udp {
 
 /// Sentinel stored for a dispatch word that does not decode (reserved
-/// transition kind 7).  The legacy path throws only if such a word is
-/// actually fetched; the fast path re-decodes the raw word on fetch to
-/// raise the identical error.
+/// transition kind 7).  The reference throws only if such a word is
+/// actually fetched; the threaded engine re-decodes the raw word on
+/// fetch to raise the identical error.
 inline constexpr TransitionType kInvalidTransitionType =
     static_cast<TransitionType>(7);
 
@@ -53,8 +44,8 @@ inline constexpr TransitionType kInvalidTransitionType =
 inline constexpr Opcode kInvalidOpcode = static_cast<Opcode>(0x7F);
 
 /**
- * Per-state predecoded metadata: everything `Lane::step` used to derive
- * from StateMeta plus per-step auxiliary-chain scans.
+ * Per-state decoded metadata: everything `Lane::step` derives from
+ * StateMeta plus per-step auxiliary-chain scans.
  */
 struct DecodedState {
     std::uint32_t base = 0;         ///< full word address of the state
@@ -69,7 +60,8 @@ struct DecodedState {
 
     /// DFA signature-miss fallback: first majority/default hit of the
     /// chain walk.  `miss_reads` is the exact number of dispatch-word
-    /// reads the legacy walk charges (including the terminating word).
+    /// reads the reference walk charges (including the terminating
+    /// word).
     bool has_miss = false;
     std::uint8_t miss_reads = 0;
     Transition miss{};
@@ -86,7 +78,7 @@ struct DecodedState {
 };
 
 /**
- * The predecoded image.  Built once per program; immutable after.
+ * The decoded image.  Built once per program; immutable after.
  */
 class DecodedProgram
 {
@@ -130,51 +122,34 @@ class DecodedProgram
 };
 
 /// 64-bit content fingerprint of a program (images, directory, init
-/// configuration) — the identity key of the shared decode cache.
+/// configuration) — the identity key of the shared compiled-image cache.
 std::uint64_t program_fingerprint(const Program &prog);
 
 /**
- * Process-wide decoded-image cache: returns the shared DecodedProgram
- * for `prog`, building it on first use.  Keyed by content fingerprint,
- * so 64 lanes loading the same program (or a copy of it) share one
- * image, and a mutated program gets a fresh one.  Thread-safe.
- */
-std::shared_ptr<const DecodedProgram> shared_decoded(const Program &prog);
-
-/**
- * Host interpreter tier (docs/PERFORMANCE.md, "Backend tiers").  Every
- * tier produces bit-identical simulated results; they differ only in
- * host speed:
- *  - Legacy: decode-per-step reference interpreter;
- *  - Predecode: shared DecodedProgram fast path;
- *  - Threaded: flat threaded-code micro-op stream compiled from the
- *    DecodedProgram (core/threaded_program.hpp).
+ * Host interpreter (docs/PERFORMANCE.md, "Two interpreters, one
+ * ISA").  Both produce bit-identical simulated results; they differ
+ * only in host speed:
+ *  - Legacy: the decode-per-step reference interpreter;
+ *  - Threaded: the flat threaded-code op stream and arc tables
+ *    (core/threaded_program.hpp).
+ * A lane with a tracer or profiler attached runs the reference under
+ * either setting.
  */
 enum class SimBackend : std::uint8_t {
     Legacy = 0,
-    Predecode = 1,
-    Threaded = 2,
+    Threaded = 1,
 };
 
-/// Stable lower-case backend name ("legacy", "predecode", "threaded").
+/// Stable lower-case backend name ("legacy", "threaded").
 std::string_view sim_backend_name(SimBackend b);
 
 /// The active backend.  Defaults to Threaded; the UDP_SIM_BACKEND
-/// environment variable (legacy|predecode|threaded) overrides the
-/// default, and the older UDP_SIM_NO_PREDECODE=1 still selects Legacy
-/// (both read once, on first query).
+/// environment variable (legacy|threaded) overrides the default (read
+/// once, on first query; other values keep the default).
 SimBackend sim_backend();
 
 /// Process-wide override of the environment default (benches and the
 /// equivalence tests toggle this around whole runs).
 void set_sim_backend(SimBackend b);
-
-/// Whether lanes predecode on load: sim_backend() != Legacy.  Kept as
-/// the PR 3 API surface — the differential tests toggle this pair.
-bool predecode_enabled();
-
-/// set_sim_backend(Predecode) when `on`, set_sim_backend(Legacy)
-/// otherwise — the PR 3 two-way toggle, now a view over the tiers.
-void set_predecode_enabled(bool on);
 
 } // namespace udp

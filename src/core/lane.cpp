@@ -1,22 +1,17 @@
 /**
  * @file
- * UDP lane interpreter: dispatch unit, stream-buffer/prefetch unit, and
- * action unit semantics.
+ * UDP lane: the reference interpreter (dispatch unit, stream-buffer/
+ * prefetch unit, action unit) and the run entries.
  *
- * Two host-side interpreter paths produce bit-identical simulated
- * results (stats, outputs, trace/profile streams — see
- * tests/test_predecode.cpp):
- *
- *  - the fast path: runs over a shared read-only `DecodedProgram`
- *    (transitions, micro-op streams and auxiliary-chain walks expanded
- *    once per program), with the inner loops instantiated twice so the
- *    tracer/profiler hooks vanish from the uninstrumented variant;
- *  - the legacy path (`UDP_SIM_NO_PREDECODE=1`): decodes every packed
- *    word at dispatch time, exactly as the original interpreter did.
- *
- * The action unit is one template (`exec_actions_impl`) shared by both
- * paths, so the ~50 opcode semantics cannot drift between them; only
- * the micro-op *source* differs.
+ * The reference decodes every packed word at dispatch time
+ * (`step`, `run_steps_legacy`, `run_nfa_legacy`).  Its action unit
+ * lowers each decoded word with the compiler's helper and calls the
+ * same op handler the threaded engine's op stream calls, so every
+ * opcode's semantics are written once (core/threaded_program.cpp).
+ * The tracer and profiler hooks live only here: a lane with either
+ * attached always runs the reference, and a bare lane with a compiled
+ * image runs `ThreadedEngine`.  Simulated results are bit-identical
+ * either way (tests/test_threaded.cpp).
  */
 #include "lane.hpp"
 
@@ -25,40 +20,7 @@
 #include "threaded_program.hpp"
 #include "trace.hpp"
 
-#include <algorithm>
-
 namespace udp {
-
-namespace {
-
-/// CRC32-C (Castagnoli) byte-step table, built on first use.
-const std::array<Word, 256> &
-crc32c_table()
-{
-    static const std::array<Word, 256> table = [] {
-        std::array<Word, 256> t{};
-        for (Word i = 0; i < 256; ++i) {
-            Word c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0x82F63B78u ^ (c >> 1) : (c >> 1);
-            t[i] = c;
-        }
-        return t;
-    }();
-    return table;
-}
-
-/// Snappy-style multiplicative hash (Section 3.2.5 "hash action").
-Word
-hash_mix(Word v, unsigned table_log2)
-{
-    const Word h = v * 0x1E35A7BDu;
-    if (table_log2 == 0 || table_log2 >= 32)
-        return h;
-    return h >> (32 - table_log2);
-}
-
-} // namespace
 
 Lane::Lane(unsigned id, LocalMemory &mem) : id_(id), mem_(mem)
 {
@@ -67,41 +29,14 @@ Lane::Lane(unsigned id, LocalMemory &mem) : id_(id), mem_(mem)
 }
 
 void
-Lane::load(const Program &prog)
-{
-    load(prog, nullptr, nullptr);
-}
-
-void
 Lane::load(const Program &prog,
-           std::shared_ptr<const DecodedProgram> decoded)
-{
-    load(prog, std::move(decoded), nullptr);
-}
-
-void
-Lane::load(const Program &prog,
-           std::shared_ptr<const DecodedProgram> decoded,
            std::shared_ptr<const CompiledProgram> compiled)
 {
     prog_ = &prog;
-    const SimBackend backend = sim_backend();
-    compiled_ = nullptr;
-    if (backend == SimBackend::Legacy) {
-        decoded_ = nullptr;
-    } else {
-        if (backend == SimBackend::Threaded)
-            compiled_ = compiled ? std::move(compiled)
-                                 : shared_compiled(prog);
-        // The decoded image stays bound on the threaded backend too:
-        // NFA mode and the instrumented loops run on it.
-        if (decoded)
-            decoded_ = std::move(decoded);
-        else if (compiled_)
-            decoded_ = compiled_->decoded_shared();
-        else
-            decoded_ = shared_decoded(prog);
-    }
+    if (sim_backend() == SimBackend::Threaded)
+        compiled_ = compiled ? std::move(compiled) : shared_compiled(prog);
+    else
+        compiled_ = nullptr;
     reset();
 }
 
@@ -149,7 +84,6 @@ Lane::reset()
     out_bit_count_ = 0;
     accepts_.clear();
     cur_state_ = 0;
-    resume_ds_ = nullptr;
     resume_cs_ = ThreadedEngine::kNoResume;
     started_ = false;
     halted_ = false;
@@ -161,6 +95,10 @@ Lane::reset()
 void
 Lane::hard_reset()
 {
+    // Drop the program binding first: reset() must not read a program
+    // the previous batch's owner may already have freed.
+    prog_ = nullptr;
+    compiled_ = nullptr;
     window_base_ = 0;
     trap_cycle_ = 0;
     sb_.attach(BytesView{});
@@ -189,7 +127,6 @@ LaneStatus
 Lane::trap(FaultCode code, std::string detail)
 {
     halted_ = true;
-    resume_ds_ = nullptr;
     resume_cs_ = ThreadedEngine::kNoResume;
     halt_status_ = code == FaultCode::WatchdogTimeout
                        ? LaneStatus::TimedOut
@@ -213,7 +150,7 @@ LaneStatus
 Lane::run_guarded(Body &&body)
 {
     // The conversion boundary: tagged interpreter errors become the
-    // lane's fault record here, on both the fast and legacy paths.  An
+    // lane's fault record here, on both interpreters.  An
     // untagged UdpError reaching this frame is a defensive fallback
     // (every lane-reachable site carries a code); anything else — a
     // host-side bug — keeps unwinding.
@@ -508,498 +445,72 @@ Lane::step(const StateMeta &meta)
     return res;
 }
 
-/**
- * Fast-path dispatch over a predecoded state.  The per-step `common`
- * scan, the signature-miss chain walk and the labeled-slot decode all
- * collapse into precomputed fields; the charged counters are exactly
- * those of `step()` above.
- */
-template <bool Instrumented>
-Lane::StepResult
-Lane::step_fast(const DecodedState &ds)
-{
-    StepResult res;
-    const DecodedProgram &dec = *decoded_;
-    const std::size_t base = ds.base;
-
-    Transition taken;
-    bool have = false;
-
-    if (ds.has_common) {
-        if (!ds.reg_source) {
-            if (sb_.exhausted(symbol_bits_)) {
-                res.status = LaneStatus::Done;
-                return res;
-            }
-            fetch_symbol_bits(symbol_bits_);
-            res.consumed_symbol = true;
-        }
-        ++stats_.dispatches;
-        ++stats_.cycles;
-        ++stats_.dispatch_reads;
-        if constexpr (Instrumented) {
-            if (tracer_)
-                tracer_->record(id_, TraceEventKind::Dispatch,
-                                stats_.cycles,
-                                static_cast<std::uint32_t>(base),
-                                last_symbol_);
-        }
-        taken = ds.common;
-        have = true;
-    } else {
-        Word sym;
-        const unsigned width = symbol_bits_;
-        if (ds.reg_source) {
-            const Word mask =
-                width >= 32 ? ~Word{0} : ((Word{1} << width) - 1);
-            sym = regs_[kRegDispatch] & mask;
-            last_symbol_ = sym;
-        } else {
-            if (sb_.exhausted(width)) {
-                res.status = LaneStatus::Done;
-                return res;
-            }
-            sym = fetch_symbol_bits(width);
-            res.consumed_symbol = true;
-        }
-
-        ++stats_.dispatches;
-        ++stats_.cycles;
-        if constexpr (Instrumented) {
-            if (tracer_)
-                tracer_->record(id_, TraceEventKind::Dispatch,
-                                stats_.cycles,
-                                static_cast<std::uint32_t>(base), sym);
-        }
-        const std::size_t slot = base + sym;
-        if (slot < dec.dispatch_words() && sym <= ds.max_symbol) {
-            ++stats_.dispatch_reads;
-            const Transition &t = dec.transition(slot);
-            if (t.type == kInvalidTransitionType)
-                decode_transition(prog_->dispatch[slot]); // throws
-            if (t.signature == ds.signature &&
-                (t.type == TransitionType::Labeled ||
-                 t.type == TransitionType::Refill ||
-                 t.type == TransitionType::Flagged)) {
-                taken = t;
-                have = true;
-            }
-        }
-
-        if (!have) {
-            ++stats_.sig_misses;
-            ++stats_.cycles;
-            if constexpr (Instrumented) {
-                if (tracer_)
-                    tracer_->record(id_, TraceEventKind::SigMiss,
-                                    stats_.cycles,
-                                    static_cast<std::uint32_t>(base),
-                                    sym);
-            }
-            // The legacy walk charges one dispatch read per aux word
-            // examined; the precomputed count is that exact number.
-            stats_.dispatch_reads += ds.miss_reads;
-            if (ds.has_miss) {
-                taken = ds.miss;
-                have = true;
-            }
-        }
-    }
-
-    if (!have) {
-        res.status = LaneStatus::Reject;
-        return res;
-    }
-
-    if (taken.type == TransitionType::Refill) {
-        const unsigned nbits = taken.attach >> 5;
-        if (nbits != 0) {
-            sb_.refill(nbits);
-            stats_.stream_bits -= nbits;
-        }
-    }
-
-    std::size_t act;
-    if (attach_addr(taken, act)) {
-        const LaneStatus st = exec_actions_impl<Instrumented, true>(act);
-        if (st != LaneStatus::Running) {
-            res.status = st;
-            return res;
-        }
-    }
-
-    res.took_transition = true;
-    res.next_base = taken.target;
-    return res;
-}
-
 // ---------------------------------------------------------------------------
 // Action unit.
 // ---------------------------------------------------------------------------
 
 /**
- * The action-chain interpreter, shared by both paths so opcode
- * semantics cannot drift.  `Predecoded` selects the micro-op source
- * (DecodedProgram stream vs per-word decode); `Instrumented` compiles
- * the tracer/profiler hooks out of the fast uninstrumented loop.
+ * The reference action unit: fetch and decode one word at a time, lower
+ * it exactly as the compiler does, and run the op's handler — the same
+ * function the compiled op stream calls.  Fetch faults are raised here,
+ * before the charges a decoded word would incur; the tracer and
+ * profiler hooks wrap each op.
  */
-template <bool Instrumented, bool Predecoded>
 LaneStatus
-Lane::exec_actions_impl(std::size_t addr)
+Lane::exec_actions(std::size_t addr)
 {
     const auto &img = prog_->actions;
-    for (;;) {
-        if (addr >= img.size())
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
-                                "Lane: action fetch out of range");
-        ++stats_.dispatch_reads;
-        Action decoded_word;
-        const Action *ap;
-        if constexpr (Predecoded) {
-            const Action &pa = decoded_->action(addr);
-            if (pa.op == kInvalidOpcode)
-                decode_action(img[addr]); // throws the legacy error
-            ap = &pa;
-        } else {
-            decoded_word = decode_action(img[addr]);
-            ap = &decoded_word;
-        }
-        const Action &a = *ap;
-        ++stats_.actions;
-        ++stats_.cycles;
-        if constexpr (Instrumented) {
+    const auto nops = static_cast<std::uint32_t>(img.size());
+    ThreadedCtx c;
+    try {
+        for (;;) {
+            if (addr >= img.size())
+                throw UdpFaultError(FaultCode::FetchOutOfRange,
+                                    "Lane: action fetch out of range");
+            ++stats_.dispatch_reads;
+            const Action a = decode_action(img[addr]);
+            ++stats_.actions;
+            ++stats_.cycles;
             if (tracer_)
                 tracer_->record(id_, TraceEventKind::Action, stats_.cycles,
                                 static_cast<std::uint32_t>(addr),
                                 static_cast<std::uint32_t>(a.op));
-        }
-        // Extra cycles charged inside the switch (loop ops, stalls) are
-        // attributed to this opcode via the delta from here.
-        const Cycles act_start = Instrumented ? stats_.cycles : 0;
-
-        const Word rs = (a.src == kRegStreamIdx)
-                            ? static_cast<Word>(sb_.pos_bytes())
-                            : regs_[a.src];
-        const Word rr = (a.ref == kRegStreamIdx)
-                            ? static_cast<Word>(sb_.pos_bytes())
-                            : regs_[a.ref];
-        auto wr = [&](Word v) { set_reg(a.dst, v); };
-
-        switch (a.op) {
-          case Opcode::Addi: wr(rs + static_cast<Word>(a.imm)); break;
-          case Opcode::Subi: wr(rs - static_cast<Word>(a.imm)); break;
-          case Opcode::Andi: wr(rs & static_cast<Word>(a.imm)); break;
-          case Opcode::Ori: wr(rs | static_cast<Word>(a.imm)); break;
-          case Opcode::Xori: wr(rs ^ static_cast<Word>(a.imm)); break;
-          case Opcode::Shli: wr(rs << (a.imm & 31)); break;
-          case Opcode::Shri: wr(rs >> (a.imm & 31)); break;
-          case Opcode::Sari:
-            wr(static_cast<Word>(static_cast<std::int32_t>(rs) >>
-                                 (a.imm & 31)));
-            break;
-          case Opcode::Movi: wr(static_cast<Word>(a.imm)); break;
-          case Opcode::Lui:
-            wr((regs_[a.dst] & 0xFFFFu) |
-               (static_cast<Word>(a.imm) << 16));
-            break;
-          case Opcode::Cmpeqi: wr(rs == static_cast<Word>(a.imm)); break;
-          case Opcode::Cmplti:
-            wr(static_cast<std::int32_t>(rs) < a.imm);
-            break;
-          case Opcode::Cmpltui:
-            wr(rs < static_cast<Word>(a.imm));
-            break;
-          case Opcode::Muli: wr(rs * static_cast<Word>(a.imm)); break;
-
-          case Opcode::Add: wr(rr + rs); break;
-          case Opcode::Sub: wr(rr - rs); break;
-          case Opcode::And: wr(rr & rs); break;
-          case Opcode::Or: wr(rr | rs); break;
-          case Opcode::Xor: wr(rr ^ rs); break;
-          case Opcode::Shl: wr(rr << (rs & 31)); break;
-          case Opcode::Shr: wr(rr >> (rs & 31)); break;
-          case Opcode::Mov: wr(rs); break;
-          case Opcode::Not: wr(~rs); break;
-          case Opcode::Neg: wr(0u - rs); break;
-          case Opcode::Mul: wr(rr * rs); break;
-          case Opcode::Min: wr(std::min(rr, rs)); break;
-          case Opcode::Max: wr(std::max(rr, rs)); break;
-          case Opcode::Cmpeq: wr(rr == rs); break;
-          case Opcode::Cmplt: wr(rr < rs); break;
-          case Opcode::Select: wr(regs_[a.dst] ? rr : rs); break;
-
-          case Opcode::Ldw:
-            wr(mem_read32(rs + static_cast<Word>(a.imm)));
-            break;
-          case Opcode::Stw:
-            mem_write32(rs + static_cast<Word>(a.imm), regs_[a.dst]);
-            break;
-          case Opcode::Ldb:
-            wr(mem_read8(rs + static_cast<Word>(a.imm)));
-            break;
-          case Opcode::Stb:
-            mem_write8(rs + static_cast<Word>(a.imm),
-                       static_cast<std::uint8_t>(regs_[a.dst]));
-            break;
-          case Opcode::Bininc: {
-            const Word addr_b = rs * 4 + static_cast<Word>(a.imm);
-            mem_write32(addr_b, mem_read32(addr_b) + 1);
-            break;
-          }
-
-          case Opcode::Setss:
-            if (a.imm < 1 || a.imm > 32)
-                throw UdpFaultError(FaultCode::BadAction,
-                                    "Lane: setss width must be 1..32");
-            symbol_bits_ = static_cast<unsigned>(a.imm);
-            break;
-          case Opcode::Setssr:
-            if (rs < 1 || rs > 32)
-                throw UdpFaultError(FaultCode::BadAction,
-                                    "Lane: setssr width must be 1..32");
-            symbol_bits_ = rs;
-            break;
-          case Opcode::Setbase:
-            if (a.dst == 0)
-                window_base_ = rs + static_cast<Word>(a.imm);
-            else
-                dispatch_base_ = rs + static_cast<Word>(a.imm);
-            break;
-          case Opcode::Setab:
-            action_base_ = rs + static_cast<Word>(a.imm);
-            action_scale_ = static_cast<unsigned>(a.imm1);
-            break;
-          case Opcode::Skip:
-            sb_.skip(static_cast<std::uint64_t>(a.imm));
-            stats_.stream_bits += static_cast<std::uint64_t>(a.imm);
-            break;
-          case Opcode::Refill:
-            sb_.refill(static_cast<std::uint64_t>(a.imm));
-            stats_.stream_bits -= static_cast<std::uint64_t>(a.imm);
-            break;
-          case Opcode::Peek:
-            wr(sb_.exhausted(static_cast<unsigned>(a.imm))
-                   ? 0u
-                   : sb_.peek(static_cast<unsigned>(a.imm)));
-            break;
-          case Opcode::Read:
-            // An action-unit read; does not disturb the dispatch unit's
-            // latched symbol (Lastsym).
-            stats_.stream_bits += static_cast<unsigned>(a.imm);
-            wr(sb_.read(static_cast<unsigned>(a.imm)));
-            break;
-          case Opcode::Tell:
-            wr(static_cast<Word>(sb_.pos_bits()));
-            break;
-          case Opcode::Lastsym:
-            wr(last_symbol_);
-            break;
-          case Opcode::Setstream: {
-            const std::uint64_t bit_pos = std::uint64_t{rs} +
-                                          static_cast<std::uint64_t>(a.imm);
-            const std::uint64_t old = sb_.pos_bits();
-            sb_.seek_bits(bit_pos);
-            stats_.stream_bits += bit_pos - old; // net consumption delta
-            break;
-          }
-
-          case Opcode::Emitlut: {
-            const Word entry =
-                rs + ((static_cast<Word>(a.imm) << 8) | last_symbol_) * 16;
-            const std::uint8_t count = mem_read8(entry);
-            if (count > 15)
-                throw UdpFaultError(
-                    FaultCode::BadAction,
-                    "Lane: emitlut entry count exceeds 15");
-            ++stats_.cycles; // table fetch pipeline stage
-            for (unsigned i = 0; i < count; ++i)
-                out_byte(mem_.read8(mem_translate(entry + 1 + i)));
-            ++stats_.mem_reads; // one 8-byte-wide entry fetch
-            if constexpr (Instrumented) {
-                if (tracer_)
-                    tracer_->record(id_, TraceEventKind::MemRead,
-                                    stats_.cycles, entry, 0);
-            }
-            break;
-          }
-          case Opcode::Hash:
-            wr(hash_mix(rs, static_cast<unsigned>(a.imm)));
-            break;
-          case Opcode::Hash2:
-            wr(hash_mix(rr ^ (rs * 0x85EBCA6Bu), 0));
-            break;
-          case Opcode::Loopcmp: {
-            const Word bound = regs_[a.dst];
-            Word n = 0;
-            while (n < bound && mem_read8(rr + n) == mem_read8(rs + n))
-                ++n;
-            // The byte loop above charged per-byte refs; model the 8-byte
-            // datapath by charging ceil cycles instead of per-byte ones.
-            stats_.cycles += ceil_div(std::max<Word>(n, 1), 8) - 1;
-            wr(n);
-            break;
-          }
-          case Opcode::Loopcpy: {
-            const Word n = regs_[a.dst];
-            // Forward byte order: overlapping copies replicate the prefix
-            // (LZ77 semantics required by Snappy decode).
-            for (Word i = 0; i < n; ++i)
-                mem_write8(rr + i, mem_read8(rs + i));
-            stats_.cycles += n ? ceil_div(n, 8) - 1 : 0;
-            break;
-          }
-          case Opcode::Loopcpyo: {
-            const Word n = regs_[a.dst];
-            for (Word i = 0; i < n; ++i)
-                out_byte(mem_read8(rs + i));
-            stats_.cycles += n ? ceil_div(n, 8) - 1 : 0;
-            break;
-          }
-          case Opcode::Crc:
-            wr(crc32c_table()[(regs_[a.dst] ^ rs) & 0xFF] ^
-               (regs_[a.dst] >> 8));
-            break;
-
-          case Opcode::Outb: out_byte(static_cast<std::uint8_t>(rs)); break;
-          case Opcode::Outw:
-            out_byte(static_cast<std::uint8_t>(rs));
-            out_byte(static_cast<std::uint8_t>(rs >> 8));
-            out_byte(static_cast<std::uint8_t>(rs >> 16));
-            out_byte(static_cast<std::uint8_t>(rs >> 24));
-            break;
-          case Opcode::Outbits:
-            out_bits(rs, static_cast<unsigned>(a.imm));
-            break;
-          case Opcode::Outflush: out_flush(); break;
-          case Opcode::Outi:
-            out_byte(static_cast<std::uint8_t>(a.imm));
-            break;
-          case Opcode::Outbitsr:
-            if (regs_[a.dst] >= 1 && regs_[a.dst] <= 32)
-                out_bits(rs, regs_[a.dst]);
-            else if (regs_[a.dst] != 0)
-                throw UdpFaultError(FaultCode::BadAction,
-                                    "Lane: outbitsr width must be 0..32");
-            break;
-
-          case Opcode::Accept:
-            ++stats_.accepts;
-            if constexpr (Instrumented) {
-                if (tracer_)
+            // Extra cycles the op charges (loop ops, stalls) are
+            // attributed to it via the delta from here.
+            const Cycles act_start = stats_.cycles;
+            const CompiledOp o = ThreadedEngine::lower(
+                a, img[addr], static_cast<std::uint32_t>(addr), nops);
+            const OpExit e = o.fn(*this, c, o);
+            ThreadedEngine::flush(*this, c);
+            if (tracer_) {
+                if (a.op == Opcode::Accept)
                     tracer_->record(id_, TraceEventKind::Accept,
+                                    stats_.cycles, o.imm_w, 0);
+                else if (a.op == Opcode::Emitlut) // the wide entry fetch
+                    tracer_->record(id_, TraceEventKind::MemRead,
                                     stats_.cycles,
-                                    static_cast<std::uint32_t>(a.imm), 0);
+                                    ThreadedEngine::emitlut_entry(*this, o),
+                                    0);
             }
-            if (accepts_.size() < accept_capacity_) {
-                accepts_.push_back(
-                    {sb_.pos_bits(), static_cast<Word>(a.imm)});
-            }
-            break;
-          case Opcode::Halt:
-            if constexpr (Instrumented) {
-                if (profiler_)
-                    profiler_->record_action(a.op, 1);
-            }
-            return LaneStatus::Done;
-          case Opcode::Fail:
-            if constexpr (Instrumented) {
-                if (profiler_)
-                    profiler_->record_action(a.op, 1);
-            }
-            return LaneStatus::Reject;
-          case Opcode::Gotoact:
-            if constexpr (Instrumented) {
-                if (profiler_)
-                    profiler_->record_action(a.op, 1);
-            }
-            addr = static_cast<std::size_t>(a.imm);
-            continue; // `last` is irrelevant on a taken goto
-          case Opcode::Nop: break;
-
-          default:
-            throw UdpFaultError(FaultCode::UnimplementedOpcode,
-                                "Lane: unimplemented opcode");
-        }
-
-        if constexpr (Instrumented) {
             if (profiler_)
                 profiler_->record_action(a.op,
                                          1 + (stats_.cycles - act_start));
+            if (e != OpExit::Next)
+                return e == OpExit::Done ? LaneStatus::Done
+                                         : LaneStatus::Reject;
+            if (o.last)
+                return LaneStatus::Running;
+            addr = o.next;
         }
-        if (a.last)
-            return LaneStatus::Running;
-        ++addr;
+    } catch (...) {
+        ThreadedEngine::flush(*this, c); // the fault record reads stats_
+        throw;
     }
-}
-
-LaneStatus
-Lane::exec_actions(std::size_t addr)
-{
-    return exec_actions_impl<true, false>(addr);
 }
 
 // ---------------------------------------------------------------------------
 // Run loops.
 // ---------------------------------------------------------------------------
-
-template <bool Instrumented>
-LaneStatus
-Lane::advance_one(const DecodedState &ds)
-{
-    StepResult r;
-    if constexpr (Instrumented) {
-        if (profiler_) {
-            // Everything the step charges (dispatch, miss penalty,
-            // attached actions, stalls) is attributed to this state.
-            const Cycles c0 = stats_.cycles;
-            const std::uint64_t m0 = stats_.sig_misses;
-            const std::uint64_t s0 = stats_.stall_cycles;
-            r = step_fast<Instrumented>(ds);
-            if (stats_.cycles != c0) // zero delta = end-of-stream probe
-                profiler_->record_state(
-                    static_cast<std::uint32_t>(cur_state_),
-                    stats_.cycles - c0, stats_.sig_misses - m0,
-                    stats_.stall_cycles - s0);
-        } else {
-            r = step_fast<Instrumented>(ds);
-        }
-    } else {
-        r = step_fast<Instrumented>(ds);
-    }
-    if (r.status != LaneStatus::Running) {
-        halted_ = true;
-        halt_status_ = r.status;
-        return r.status;
-    }
-    if (!r.took_transition) {
-        halted_ = true;
-        halt_status_ = LaneStatus::Reject;
-        return LaneStatus::Reject;
-    }
-    // 12-bit targets are window-relative; rebase into the current
-    // dispatch window (Setbase may have moved it during actions).
-    cur_state_ = dispatch_base_ + r.next_base;
-    return LaneStatus::Running;
-}
-
-template <bool Instrumented>
-LaneStatus
-Lane::run_steps_fast(std::uint64_t n)
-{
-    const DecodedProgram &dec = *decoded_;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const DecodedState *ds = dec.state_at(cur_state_);
-        if (!ds)
-            throw UdpFaultError(
-                FaultCode::BadDispatch,
-                "Lane: dispatch into unknown state base " +
-                    std::to_string(cur_state_));
-        const LaneStatus st = advance_one<Instrumented>(*ds);
-        if (st != LaneStatus::Running)
-            return st;
-    }
-    return LaneStatus::Running;
-}
 
 LaneStatus
 Lane::run_steps_legacy(std::uint64_t n)
@@ -1055,17 +566,12 @@ Lane::run_steps(std::uint64_t n)
         cur_state_ = prog_->entry;
         started_ = true;
     }
-    resume_ds_ = nullptr; // step_once owns the carry-over
-    resume_cs_ = ThreadedEngine::kNoResume;
+    resume_cs_ = ThreadedEngine::kNoResume; // step_once owns the carry-over
     return run_guarded([&] {
-        if (compiled_ && !tracer_ && !profiler_) {
-            std::int32_t carry = ThreadedEngine::kNoResume;
-            return ThreadedEngine::run_steps_body(*this, n, carry);
-        }
-        if (!decoded_)
+        if (!fast_path())
             return run_steps_legacy(n);
-        return (tracer_ || profiler_) ? run_steps_fast<true>(n)
-                                      : run_steps_fast<false>(n);
+        std::int32_t carry = ThreadedEngine::kNoResume;
+        return ThreadedEngine::run_steps_body(*this, n, carry);
     });
 }
 
@@ -1082,38 +588,19 @@ Lane::step_once()
     if (!started_) {
         cur_state_ = prog_->entry;
         started_ = true;
-        resume_ds_ = nullptr;
         resume_cs_ = ThreadedEngine::kNoResume;
     }
     return run_guarded([&] {
-        if (compiled_ && !tracer_ && !profiler_) {
-            const LaneStatus st =
-                ThreadedEngine::run_steps_body(*this, 1, resume_cs_);
-            // An unknown next state leaves a negative carry and faults
-            // on the *next* step, exactly like the decoded path.
-            if (st != LaneStatus::Running)
-                resume_cs_ = ThreadedEngine::kNoResume;
-            return st;
-        }
-        if (!decoded_)
+        if (!fast_path()) {
+            resume_cs_ = ThreadedEngine::kNoResume;
             return run_steps_legacy(1);
-        const DecodedState *ds = resume_ds_;
-        if (!ds) {
-            ds = decoded_->state_at(cur_state_);
-            if (!ds)
-                throw UdpFaultError(
-                    FaultCode::BadDispatch,
-                    "Lane: dispatch into unknown state base " +
-                        std::to_string(cur_state_));
         }
-        const LaneStatus st = (tracer_ || profiler_)
-                                  ? advance_one<true>(*ds)
-                                  : advance_one<false>(*ds);
-        // An unknown next state stays null here and faults on the *next*
-        // step, exactly when the legacy path would notice it.
-        resume_ds_ = (st == LaneStatus::Running)
-                         ? decoded_->state_at(cur_state_)
-                         : nullptr;
+        const LaneStatus st =
+            ThreadedEngine::run_steps_body(*this, 1, resume_cs_);
+        // An unknown next state leaves a negative carry and faults on
+        // the *next* step, exactly when the reference would notice it.
+        if (st != LaneStatus::Running)
+            resume_cs_ = ThreadedEngine::kNoResume;
         return st;
     });
 }
@@ -1145,179 +632,10 @@ Lane::run_nfa(std::uint64_t max_cycles)
 {
     if (!prog_)
         throw UdpError("Lane: no program loaded");
-    resume_ds_ = nullptr;
     return run_guarded([&] {
-        if (!decoded_)
-            return run_nfa_legacy(max_cycles);
-        return (tracer_ || profiler_) ? run_nfa_fast<true>(max_cycles)
-                                      : run_nfa_fast<false>(max_cycles);
+        return fast_path() ? ThreadedEngine::run_nfa(*this, max_cycles)
+                           : run_nfa_legacy(max_cycles);
     });
-}
-
-/**
- * Fast NFA executor: the epsilon-closure and fallback chain decodes are
- * unified on the predecoded per-state chains (DecodedState::epsilons /
- * miss_nfa), so DFA and NFA modes read the same tables and cannot
- * drift.  Charging mirrors run_nfa_legacy bit for bit.
- */
-template <bool Instrumented>
-LaneStatus
-Lane::run_nfa_fast(std::uint64_t max_cycles)
-{
-    const DecodedProgram &dec = *decoded_;
-
-    // Active-state set with epsilon closure on activation. Frontier order
-    // is deterministic; duplicates are suppressed with a stamp array.
-    // Active entries are full word addresses.
-    std::vector<std::size_t> active{prog_->entry};
-    std::vector<std::size_t> next;
-    std::vector<std::uint32_t> stamp(dec.dispatch_words(), 0);
-    std::uint32_t generation = 0;
-
-    auto close = [&](std::vector<std::size_t> &set) {
-        ++generation;
-        for (auto b : set)
-            stamp[b] = generation;
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            const DecodedState *ds = dec.state_at(set[i]);
-            if (!ds)
-                throw UdpFaultError(
-                    FaultCode::BadDispatch,
-                    "Lane: NFA activation of unknown state");
-            for (const Transition *t = dec.eps_begin(*ds),
-                                  *e = dec.eps_end(*ds);
-                 t != e; ++t) {
-                const std::size_t tgt = dispatch_base_ + t->target;
-                if (stamp[tgt] == generation)
-                    continue;
-                // Epsilon activation costs one dispatch cycle.
-                ++stats_.cycles;
-                ++stats_.dispatches;
-                ++stats_.dispatch_reads;
-                if constexpr (Instrumented) {
-                    if (tracer_)
-                        tracer_->record(
-                            id_, TraceEventKind::Dispatch, stats_.cycles,
-                            static_cast<std::uint32_t>(tgt), 0);
-                    if (profiler_)
-                        profiler_->record_state(
-                            static_cast<std::uint32_t>(tgt), 1, 0, 0);
-                }
-                stamp[tgt] = generation;
-                set.push_back(tgt);
-                std::size_t act;
-                if (attach_addr(*t, act))
-                    exec_actions_impl<Instrumented, true>(act);
-            }
-        }
-    };
-
-    close(active);
-    const unsigned width = symbol_bits_;
-
-    while (!active.empty() && stats_.cycles < max_cycles) {
-        if (trap_cycle_ != 0 && stats_.cycles >= trap_cycle_)
-            return trap(FaultCode::ForcedTrap,
-                        "Lane: forced trap (fault injection)");
-        if (sb_.exhausted(width))
-            return LaneStatus::Done;
-        const Word sym = fetch_symbol_bits(width);
-
-        next.clear();
-        ++generation;
-        for (const auto cur : active) {
-            const DecodedState *dsp = dec.state_at(cur);
-            if (!dsp)
-                throw UdpFaultError(
-                    FaultCode::BadDispatch,
-                    "Lane: NFA dispatch into unknown state");
-            const DecodedState &ds = *dsp;
-            const std::size_t base = ds.base;
-
-            Cycles prof_c0 = 0;
-            std::uint64_t prof_m0 = 0, prof_s0 = 0;
-            if constexpr (Instrumented) {
-                prof_c0 = stats_.cycles;
-                prof_m0 = stats_.sig_misses;
-                prof_s0 = stats_.stall_cycles;
-            }
-
-            ++stats_.dispatches;
-            ++stats_.cycles;
-            if constexpr (Instrumented) {
-                if (tracer_)
-                    tracer_->record(id_, TraceEventKind::Dispatch,
-                                    stats_.cycles,
-                                    static_cast<std::uint32_t>(base),
-                                    sym);
-            }
-
-            Transition taken;
-            bool have = false;
-            const std::size_t slot = base + sym;
-            if (slot < dec.dispatch_words() && sym <= ds.max_symbol) {
-                ++stats_.dispatch_reads;
-                const Transition &t = dec.transition(slot);
-                if (t.type == kInvalidTransitionType)
-                    decode_transition(prog_->dispatch[slot]); // throws
-                if (t.signature == ds.signature &&
-                    (t.type == TransitionType::Labeled ||
-                     t.type == TransitionType::Refill)) {
-                    taken = t;
-                    have = true;
-                }
-            }
-            if (!have) {
-                ++stats_.sig_misses;
-                ++stats_.cycles;
-                if constexpr (Instrumented) {
-                    if (tracer_)
-                        tracer_->record(id_, TraceEventKind::SigMiss,
-                                        stats_.cycles,
-                                        static_cast<std::uint32_t>(base),
-                                        sym);
-                }
-                stats_.dispatch_reads += ds.miss_nfa_reads;
-                if (ds.has_miss_nfa) {
-                    taken = ds.miss_nfa;
-                    have = true;
-                }
-            }
-            if (have) {
-                const std::size_t tgt = dispatch_base_ + taken.target;
-                if (stamp[tgt] != generation) {
-                    stamp[tgt] = generation;
-                    next.push_back(tgt);
-                    // Activation happens once per step; arc actions fire
-                    // with the first arc that activates the target.
-                    std::size_t act;
-                    if (attach_addr(taken, act))
-                        exec_actions_impl<Instrumented, true>(act);
-                }
-            }
-            // `have == false`: this activation dies, after charging the
-            // dispatch + miss cycles profiled below.
-            if constexpr (Instrumented) {
-                if (profiler_)
-                    profiler_->record_state(
-                        static_cast<std::uint32_t>(base),
-                        stats_.cycles - prof_c0,
-                        stats_.sig_misses - prof_m0,
-                        stats_.stall_cycles - prof_s0);
-            }
-        }
-        close(next);
-        // close() bumps the generation; re-stamp for the swap below is
-        // unnecessary since `next` is already duplicate-free.
-        active.swap(next);
-    }
-    if (active.empty())
-        return LaneStatus::Reject;
-    // Loop exit with live activations means the watchdog fired, not a
-    // clean end of stream.
-    return trip_watchdog("Lane: NFA cycle budget (" +
-                         std::to_string(max_cycles) +
-                         ") exhausted before completion");
 }
 
 LaneStatus
@@ -1330,6 +648,15 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
     std::vector<std::size_t> next;
     std::vector<std::uint32_t> stamp(prog_->dispatch.size(), 0);
     std::uint32_t generation = 0;
+
+    // Whether `tgt` is already active this generation.  A target past
+    // the image is no state's base: fault before indexing the stamps.
+    auto seen = [&](std::size_t tgt) {
+        if (tgt >= stamp.size())
+            throw UdpFaultError(FaultCode::BadDispatch,
+                                "Lane: NFA activation of unknown state");
+        return stamp[tgt] == generation;
+    };
 
     auto close = [&](std::vector<std::size_t> &set) {
         ++generation;
@@ -1348,8 +675,7 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
                     decode_transition(prog_->dispatch[base - k]);
                 const std::size_t tgt = dispatch_base_ + t.target;
                 if (t.signature == sig &&
-                    t.type == TransitionType::Epsilon &&
-                    stamp[tgt] != generation) {
+                    t.type == TransitionType::Epsilon && !seen(tgt)) {
                     // Epsilon activation costs one dispatch cycle.
                     ++stats_.cycles;
                     ++stats_.dispatches;
@@ -1440,7 +766,7 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
             }
             if (have) {
                 const std::size_t tgt = dispatch_base_ + taken.target;
-                if (stamp[tgt] != generation) {
+                if (!seen(tgt)) {
                     stamp[tgt] = generation;
                     next.push_back(tgt);
                     // Activation happens once per step; arc actions fire

@@ -19,13 +19,14 @@
  *     epsilon activation (UAP-style NFA execution); cycle cost scales with
  *     the number of dispatches, as on the real hardware.
  *
- * Host-side interpretation runs on one of two paths (docs/PERFORMANCE.md):
- *   - the fast path over a shared read-only `DecodedProgram` (the
- *     default), with instrumented/uninstrumented inner-loop variants so
- *     detached tracer/profiler hooks cost nothing per cycle;
- *   - the legacy decode-per-step path (`UDP_SIM_NO_PREDECODE=1`), kept
- *     as the bit-identical equivalence reference.
- * Simulated counters and event streams never depend on the path taken.
+ * Host-side interpretation runs on one of two interpreters
+ * (docs/PERFORMANCE.md):
+ *   - `ThreadedEngine` over a shared compiled image (the default), for
+ *     any lane with no tracer or profiler attached;
+ *   - the decode-per-step reference in lane.cpp, for the Legacy backend
+ *     and for every lane with a tracer or profiler attached.
+ * Both call the same op handlers, and simulated counters never depend
+ * on the interpreter taken.
  */
 #pragma once
 
@@ -44,8 +45,6 @@ namespace udp {
 
 class Tracer;          // trace.hpp
 class Profiler;        // profile.hpp
-class DecodedProgram;  // decoded_program.hpp
-struct DecodedState;
 class CompiledProgram; // threaded_program.hpp
 class ThreadedEngine;  // threaded_program.hpp
 
@@ -84,30 +83,22 @@ class Lane
      */
     Lane(unsigned id, LocalMemory &mem);
 
-    /// Bind the program (kept by reference; caller owns it).  Fetches
-    /// the shared predecoded/compiled images from the process-wide
-    /// caches as the active backend requires (see sim_backend()).
-    void load(const Program &prog);
-
-    /// Bind the program together with an already-resolved predecoded
-    /// image (the runtime's JobPlan path, which looks it up once per
-    /// job instead of once per lane).  `decoded` may be null.
+    /// Bind the program (kept by reference; caller owns it).  Under the
+    /// Threaded backend (see sim_backend()) the lane also binds its
+    /// compiled image: `compiled` when given (the runtime's JobPlan
+    /// path, which resolves it once per job), else the process-wide
+    /// cache's.  The Legacy backend binds none.
     void load(const Program &prog,
-              std::shared_ptr<const DecodedProgram> decoded);
-
-    /// Bind the program with both shared images pre-resolved (the
-    /// runtime's JobPlan path under the Threaded backend).  Either may
-    /// be null; images the active backend does not need are dropped.
-    void load(const Program &prog,
-              std::shared_ptr<const DecodedProgram> decoded,
-              std::shared_ptr<const CompiledProgram> compiled);
-
-    /// The predecoded image in use (null on the legacy path).
-    const DecodedProgram *decoded() const { return decoded_.get(); }
+              std::shared_ptr<const CompiledProgram> compiled = nullptr);
 
     /// The threaded-code image in use (null unless the Threaded
     /// backend was active at load()).
     const CompiledProgram *compiled() const { return compiled_.get(); }
+
+    /// Whether the run entries take ThreadedEngine: a compiled image is
+    /// bound and neither a tracer nor a profiler is attached.  Otherwise
+    /// they run the reference interpreter.
+    bool fast_path() const { return compiled_ && !tracer_ && !profiler_; }
 
     /// Attach the input stream (not copied).
     void set_input(BytesView data);
@@ -131,8 +122,8 @@ class Lane
     LaneStatus run_steps(std::uint64_t n);
 
     /// Resumable single dispatch step: exactly `run_steps(1)`, but the
-    /// decoded entry of the next state is carried across calls so
-    /// lockstep rounds skip the per-call state lookup.
+    /// threaded engine carries the next state's compiled index across
+    /// calls so lockstep rounds skip the per-call state lookup.
     LaneStatus step_once();
 
     /// Execute in NFA mode (multi-state activation via epsilon).
@@ -176,11 +167,13 @@ class Lane
     /// Reset registers, stats, output and stream position.
     void reset();
 
-    /// Full architectural reset between job batches: reset() plus the
-    /// window base, dispatch window and attached input, so a reassigned
-    /// lane cannot observe any state from the previous wave.  Run
-    /// configuration (tracer, profiler, arbiter, accept capacity) and
-    /// the program binding survive, as for reset().
+    /// Full architectural reset between job batches: drops the program
+    /// binding (program and compiled image), then reset() plus the
+    /// window base, dispatch window, forced trap and attached input, so
+    /// a reassigned lane cannot observe any state from the previous
+    /// wave — nor read its program, which may be freed by now.  Run
+    /// configuration (tracer, profiler, arbiter, accept capacity)
+    /// survives.  load() a program before the next run.
     void hard_reset();
 
     /// Hook invoked for each memory reference: (bank, is_write) -> stalls.
@@ -197,8 +190,9 @@ class Lane
     Profiler *profiler() const { return profiler_; }
 
   private:
-    /// The threaded-code backend is the lane's inner loop when a
-    /// compiled image is bound (core/threaded_program.hpp).
+    /// The threaded-code engine is the lane's inner loop whenever
+    /// fast_path() holds, and its op handlers are every opcode's
+    /// semantics on both interpreters (core/threaded_program.hpp).
     friend class ThreadedEngine;
 
     // Dispatch outcome for one step of one active state.
@@ -209,36 +203,16 @@ class Lane
         LaneStatus status = LaneStatus::Running;
     };
 
-    /// Legacy decode-per-step dispatch: fetch+check the labeled slot,
-    /// walk the aux chain, fire actions.
+    /// Reference decode-per-step dispatch: fetch+check the labeled
+    /// slot, walk the aux chain, fire actions.
     StepResult step(const StateMeta &meta);
-
-    /// Fast-path dispatch over the predecoded state.  `Instrumented`
-    /// compiles the tracer/profiler hooks in or out of the loop.
-    template <bool Instrumented>
-    StepResult step_fast(const DecodedState &ds);
-
-    /// One fast-path step plus halt/transition bookkeeping and profiler
-    /// attribution (shared by run_steps_fast and step_once).
-    template <bool Instrumented>
-    LaneStatus advance_one(const DecodedState &ds);
-
-    template <bool Instrumented>
-    LaneStatus run_steps_fast(std::uint64_t n);
-
-    template <bool Instrumented>
-    LaneStatus run_nfa_fast(std::uint64_t max_cycles);
 
     LaneStatus run_steps_legacy(std::uint64_t n);
     LaneStatus run_nfa_legacy(std::uint64_t max_cycles);
 
-    /// Execute the action chain at action-memory word address `addr`.
-    /// `Predecoded` selects the micro-op source (decoded image vs
-    /// per-word decode); both charge identical simulated costs.
-    template <bool Instrumented, bool Predecoded>
-    LaneStatus exec_actions_impl(std::size_t addr);
-
-    /// Legacy entry (runtime instrumentation checks, per-word decode).
+    /// Reference action unit: execute the action chain at action-memory
+    /// word address `addr`, decoding one word at a time and running the
+    /// threaded engine's op handlers; carries the tracer/profiler hooks.
     LaneStatus exec_actions(std::size_t addr);
 
     /// Record `fault_`, halt the lane and return the terminal status
@@ -270,9 +244,7 @@ class Lane
     unsigned id_;
     LocalMemory &mem_;
     const Program *prog_ = nullptr;
-    std::shared_ptr<const DecodedProgram> decoded_; ///< null = legacy path
     std::shared_ptr<const CompiledProgram> compiled_; ///< threaded backend
-    const DecodedState *resume_ds_ = nullptr; ///< step_once carry-over
     std::int32_t resume_cs_ = -2; ///< threaded step_once carry-over
                                   ///< (ThreadedEngine::kNoResume)
     StreamBuffer sb_;

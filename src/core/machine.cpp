@@ -136,27 +136,6 @@ Machine::collect(Cycles wall)
     return res;
 }
 
-void
-Machine::rethrow_collected_faults(const MachineResult &res) const
-{
-    // Deprecated pre-trap-model behavior (set_rethrow_faults): one
-    // exception carrying *every* lane fault, lowest lane first — the
-    // old harness rethrew only the first collected exception.
-    std::string msg;
-    FaultCode first = FaultCode::None;
-    for (const LaneFault &f : res.faults) {
-        if (f.code == FaultCode::None)
-            continue;
-        if (first == FaultCode::None)
-            first = f.code;
-        else
-            msg += "; ";
-        msg += f.describe();
-    }
-    if (first != FaultCode::None)
-        throw UdpFaultError(first, msg);
-}
-
 MachineResult
 Machine::run_parallel(std::uint64_t max_cycles_per_lane)
 {
@@ -187,15 +166,14 @@ Machine::run_parallel(std::uint64_t max_cycles_per_lane)
         threads, static_cast<unsigned>(std::max<std::size_t>(
                      runnable.size(), 1)));
     if (threads <= 1) {
-        // Batch the block-eligible lanes (threaded image bound, DFA
-        // mode, no per-lane instrumentation or observer hooks) through
-        // the struct-of-arrays runner; everything else runs per-lane.
+        // Batch the block-eligible lanes (on the threaded engine, DFA
+        // mode, no observer hook) through the struct-of-arrays runner;
+        // everything else runs per-lane.
         LaneBlock blk;
         std::vector<std::size_t> rest;
         for (const std::size_t i : runnable) {
             Lane &ln = *lanes_[i];
-            if (!run_observer_ && !jobs_[i].nfa_mode && ln.compiled() &&
-                !ln.tracer() && !ln.profiler()) {
+            if (!run_observer_ && !jobs_[i].nfa_mode && ln.fast_path()) {
                 blk.add(&ln, static_cast<std::uint32_t>(i),
                         std::min(max_cycles_per_lane,
                                  jobs_[i].max_cycles),
@@ -246,8 +224,6 @@ Machine::run_parallel(std::uint64_t max_cycles_per_lane)
         wall = std::max(wall, lanes_[i]->stats().cycles);
     MachineResult res = collect(wall);
     res.status = std::move(status);
-    if (rethrow_faults_)
-        rethrow_collected_faults(res);
     return res;
 }
 
@@ -277,8 +253,8 @@ Machine::run_lockstep(std::uint64_t max_rounds)
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
             if (done[i])
                 continue;
-            // step_once caches the decoded entry of the next state
-            // between rounds, so lockstep skips the per-round lookup.
+            // step_once carries the next state's compiled index between
+            // rounds, so lockstep skips the per-round lookup.
             const LaneStatus st = lanes_[i]->step_once();
             if (st != LaneStatus::Running) {
                 done[i] = true;
@@ -305,8 +281,6 @@ Machine::run_lockstep(std::uint64_t max_rounds)
 
     MachineResult res = collect(wall);
     res.status = std::move(status);
-    if (rethrow_faults_)
-        rethrow_collected_faults(res);
     return res;
 }
 

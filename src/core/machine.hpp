@@ -159,19 +159,6 @@ class Machine
     /// Run with per-round shared bank arbitration.
     MachineResult run_lockstep(std::uint64_t max_rounds = ~std::uint64_t{0});
 
-    /**
-     * Legacy escape hatch: when enabled, run_parallel/run_lockstep
-     * rethrow after a run with any faulted lane — one UdpFaultError
-     * describing *every* lane fault (lowest lane first), not just the
-     * first as the pre-trap-model harness did.
-     *
-     * @deprecated Inspect MachineResult::faults instead; rethrowing
-     * forfeits the containment contract (docs/ROBUSTNESS.md).
-     */
-    [[deprecated("inspect MachineResult::faults instead")]]
-    void set_rethrow_faults(bool on) { rethrow_faults_ = on; }
-    bool rethrow_faults() const { return rethrow_faults_; }
-
     /// Energy of the last run, in joules (see run_energy_joules).
     double last_run_energy_j() const { return last_energy_j_; }
 
@@ -192,7 +179,6 @@ class Machine
 
   private:
     MachineResult collect(Cycles wall);
-    void rethrow_collected_faults(const MachineResult &res) const;
 
     LocalMemory mem_;
     VectorRegFile vregs_;
@@ -200,7 +186,6 @@ class Machine
     std::vector<JobSpec> jobs_;
     UdpCostModel cost_;
     unsigned sim_threads_ = 0; ///< 0 = resolve from UDP_SIM_THREADS
-    bool rethrow_faults_ = false; ///< deprecated pre-trap-model behavior
     double last_energy_j_ = 0.0;
     Tracer *tracer_ = nullptr;
     Profiler *profiler_ = nullptr;

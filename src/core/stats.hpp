@@ -43,7 +43,7 @@ struct LaneStats {
     std::uint64_t output_bytes = 0;
     std::uint64_t accepts = 0;
 
-    /// Field-wise equality (the predecode equivalence contract).
+    /// Field-wise equality (the interpreter equivalence contract).
     bool operator==(const LaneStats &) const = default;
 
     void add(const LaneStats &o) {

@@ -1,16 +1,17 @@
 /**
  * @file
- * Threaded-code backend: the CompiledProgram lowering pass, the op
- * handler table, the single-lane resumable engine and the LaneBlock
- * batch runner.
+ * Threaded-code backend: the op handlers (the ISA's one semantic
+ * definition), the CompiledProgram lowering pass, the single-lane
+ * resumable engine, the LaneBlock batch runner and the NFA executor.
  *
- * Equivalence discipline: every counter charge, fault message and
- * side-effect order below is transcribed from the reference interpreter
- * in lane.cpp (`step_fast` / `exec_actions_impl`).  The chain walker
- * charges the fetch costs unconditionally and the two trap ops
- * (undecodable word, out-of-range fetch) *undo* the charges the legacy
- * path would not have made before throwing the identical error —
- * keeping the hot loop free of per-op bounds and validity checks.
+ * Equivalence discipline: every dispatch charge, fault message and
+ * side-effect order in the engine is transcribed from the reference
+ * interpreter in lane.cpp (`step`, `run_nfa_legacy`), whose action unit
+ * runs these same handlers.  The chain walker charges the fetch costs
+ * unconditionally and the two trap ops (undecodable word, out-of-range
+ * fetch) *undo* the charges the reference would not have made before
+ * throwing the identical error — keeping the hot loop free of per-op
+ * bounds and validity checks.
  */
 #include "threaded_program.hpp"
 
@@ -24,8 +25,7 @@ namespace udp {
 
 namespace {
 
-/// CRC32-C (Castagnoli) byte-step table — same contents as the lane
-/// interpreter's (the polynomial is the contract, not the object).
+/// CRC32-C (Castagnoli) byte-step table, built on first use.
 const std::array<Word, 256> &
 crc32c_table()
 {
@@ -57,9 +57,10 @@ hash_mix(Word v, unsigned table_log2)
 // ---------------------------------------------------------------------------
 // Op handlers.
 //
-// Each handler is one lowered `case` of Lane::exec_actions_impl's switch.
-// They are members of a struct nested in ThreadedEngine so they inherit
-// its friend access to Lane and StreamBuffer.
+// Each handler is the semantics of one opcode, shared by the compiled op
+// stream and the reference action unit (Lane::exec_actions).  They are
+// members of a struct nested in ThreadedEngine so they inherit its
+// friend access to Lane and StreamBuffer.
 // ---------------------------------------------------------------------------
 
 #define UDP_THREADED_OP(name)                                              \
@@ -260,9 +261,11 @@ struct ThreadedEngine::Ops {
     }
 
     // --- Specialized ---
+    static Word lut_entry(const Lane &ln, const CompiledOp &o) {
+        return rs(ln, o) + ((o.imm_w << 8) | ln.last_symbol_) * 16;
+    }
     UDP_THREADED_OP(emitlut) {
-        const Word entry =
-            rs(ln, o) + ((o.imm_w << 8) | ln.last_symbol_) * 16;
+        const Word entry = lut_entry(ln, o);
         const std::uint8_t count = ln.mem_read8(entry);
         if (count > 15)
             throw UdpFaultError(FaultCode::BadAction,
@@ -368,18 +371,18 @@ struct ThreadedEngine::Ops {
     // --- Trap ops ---
 
     /// Undecodable action word.  The chain walker charged the fetch
-    /// unconditionally; the legacy path throws after charging only the
+    /// unconditionally; the reference throws after charging only the
     /// dispatch read, so undo the action/cycle charges then re-decode
     /// the raw word to raise the identical error.
     UDP_THREADED_OP(invalid) {
         --c.actions;
         --c.cycles;
-        decode_action(o.raw); // throws the legacy error
+        decode_action(o.raw); // throws the reference's error
         throw UdpFaultError(FaultCode::BadAction,
                             "Lane: undecodable action word");
     }
 
-    /// Out-of-range fetch sentinel: the legacy path throws before any
+    /// Out-of-range fetch sentinel: the reference throws before any
     /// charge, so undo all three.
     UDP_THREADED_OP(oob) {
         --c.dispatch_reads;
@@ -389,7 +392,7 @@ struct ThreadedEngine::Ops {
                             "Lane: action fetch out of range");
     }
 
-    /// Defined-but-unhandled opcode (legacy `default:` — charges stay).
+    /// Defined-but-unhandled opcode (charges stay).
     UDP_THREADED_OP(unimpl) {
         throw UdpFaultError(FaultCode::UnimplementedOpcode,
                             "Lane: unimplemented opcode");
@@ -478,35 +481,64 @@ ThreadedEngine::Ops::table()
     return t;
 }
 
-OpFn
-ThreadedEngine::op_fn(Opcode op)
+CompiledOp
+ThreadedEngine::lower(const Action &a, Word raw, std::uint32_t addr,
+                      std::uint32_t nops)
 {
-    return Ops::table()[static_cast<std::size_t>(op) & 127];
+    CompiledOp o;
+    o.raw = raw;
+    if (a.op == kInvalidOpcode) {
+        o.fn = &Ops::invalid;
+        o.op = kInvalidOpcode;
+        o.last = 1;
+        o.next = nops;
+        return o;
+    }
+    o.fn = Ops::table()[static_cast<std::size_t>(a.op) & 127];
+    o.op = a.op;
+    o.dst = a.dst;
+    o.ref = a.ref;
+    o.src = a.src;
+    o.imm = a.imm;
+    o.imm_w = static_cast<Word>(a.imm);
+    o.imm1 = static_cast<std::uint8_t>(a.imm1);
+    if (a.op == Opcode::Gotoact) {
+        // The jump is the `next` link; out-of-range targets fall on
+        // the sentinel, raising the fetch fault at the right moment.
+        const std::size_t t = static_cast<std::size_t>(a.imm);
+        o.next = t < nops ? static_cast<std::uint32_t>(t) : nops;
+        o.last = 0;
+    } else {
+        o.last = a.last ? 1 : 0;
+        o.next = addr + 1; // == sentinel for the final word
+    }
+    return o;
 }
 
-OpFn
-ThreadedEngine::invalid_fn()
+CompiledOp
+ThreadedEngine::trap_sentinel(std::uint32_t nops)
 {
-    return &Ops::invalid;
+    CompiledOp s;
+    s.fn = &Ops::oob;
+    s.op = kInvalidOpcode;
+    s.last = 1;
+    s.next = nops;
+    return s;
 }
 
-OpFn
-ThreadedEngine::oob_fn()
+Word
+ThreadedEngine::emitlut_entry(const Lane &ln, const CompiledOp &o)
 {
-    return &Ops::oob;
+    return Ops::lut_entry(ln, o);
 }
 
 // ---------------------------------------------------------------------------
 // CompiledProgram: the lowering pass.
 // ---------------------------------------------------------------------------
 
-CompiledProgram::CompiledProgram(const Program &prog,
-                                 std::shared_ptr<const DecodedProgram> dec)
-    : decoded_(std::move(dec))
+CompiledProgram::CompiledProgram(const Program &prog) : decoded_(prog)
 {
-    if (!decoded_)
-        decoded_ = std::make_shared<const DecodedProgram>(prog);
-    const DecodedProgram &d = *decoded_;
+    const DecodedProgram &d = decoded_;
 
     fingerprint_ = d.fingerprint();
     init_dispatch_base_ = prog.init_dispatch_base;
@@ -530,42 +562,11 @@ CompiledProgram::CompiledProgram(const Program &prog,
 
     // Lower every action word into the flat op stream; one extra trap
     // sentinel terminates it so the chain walker needs no bounds check.
-    ops_.resize(std::size_t{nops_} + 1);
-    for (std::uint32_t a = 0; a < nops_; ++a) {
-        const Action &act = d.action(a);
-        CompiledOp &o = ops_[a];
-        o.raw = prog.actions[a];
-        if (act.op == kInvalidOpcode) {
-            o.fn = ThreadedEngine::invalid_fn();
-            o.op = kInvalidOpcode;
-            o.last = 1;
-            o.next = nops_;
-            continue;
-        }
-        o.fn = ThreadedEngine::op_fn(act.op);
-        o.op = act.op;
-        o.dst = act.dst;
-        o.ref = act.ref;
-        o.src = act.src;
-        o.imm = act.imm;
-        o.imm_w = static_cast<Word>(act.imm);
-        o.imm1 = static_cast<std::uint8_t>(act.imm1);
-        if (act.op == Opcode::Gotoact) {
-            // The jump is the `next` link; out-of-range targets fall on
-            // the sentinel, raising the fetch fault at the right moment.
-            const std::size_t t = static_cast<std::size_t>(act.imm);
-            o.next = t < nops_ ? static_cast<std::uint32_t>(t) : nops_;
-            o.last = 0;
-        } else {
-            o.last = act.last ? 1 : 0;
-            o.next = a + 1; // == sentinel for the final word
-        }
-    }
-    CompiledOp &s = ops_[nops_];
-    s.fn = ThreadedEngine::oob_fn();
-    s.op = kInvalidOpcode;
-    s.last = 1;
-    s.next = nops_;
+    ops_.reserve(std::size_t{nops_} + 1);
+    for (std::uint32_t a = 0; a < nops_; ++a)
+        ops_.push_back(
+            ThreadedEngine::lower(d.action(a), prog.actions[a], a, nops_));
+    ops_.push_back(ThreadedEngine::trap_sentinel(nops_));
 
     // Pass 1: the base -> compiled-index map (bases are unique; the
     // DecodedProgram constructor validated them).
@@ -716,7 +717,7 @@ ThreadedEngine::exec_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
     for (;;) {
         const CompiledOp &o = ops[ix];
         // Fetch charges, unconditional: the trap ops undo what the
-        // legacy path would not have charged.
+        // reference would not have charged.
         ++c.dispatch_reads;
         ++c.actions;
         ++c.cycles;
@@ -885,7 +886,6 @@ ThreadedEngine::run_block(LaneBlock &blk)
                     ln.cur_state_ = ln.prog_->entry;
                     ln.started_ = true;
                 }
-                ln.resume_ds_ = nullptr;
                 ln.resume_cs_ = kNoResume;
                 const std::uint64_t chunk =
                     blk.trap_at[k] != 0 ? 1 : 1024;
@@ -920,6 +920,146 @@ ThreadedEngine::run_block(LaneBlock &blk)
     }
 }
 
+LaneStatus
+ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
+{
+    const CompiledProgram &cp = *ln.compiled_;
+    const DecodedProgram &dec = cp.decoded();
+    const Program &prog = *ln.prog_;
+    LaneStats &st = ln.stats_;
+    ThreadedCtx c;
+    c.ops = cp.ops();
+    c.nops = cp.op_count();
+    c.sentinel = cp.sentinel();
+
+    // Arc actions run on the op stream; their counters are flushed
+    // once per input symbol, so the watchdog and trap checks at the top
+    // of the step loop always read complete stats.
+    const auto fire = [&](const Transition &t) {
+        std::size_t act;
+        if (ln.attach_addr(t, act))
+            exec_chain(ln, c,
+                       act < c.nops ? static_cast<std::uint32_t>(act)
+                                    : c.sentinel);
+    };
+
+    // Active-state set with epsilon closure on activation. Frontier order
+    // is deterministic; duplicates are suppressed with a stamp array.
+    // Active entries are full word addresses.
+    std::vector<std::size_t> active{prog.entry};
+    std::vector<std::size_t> next;
+    std::vector<std::uint32_t> stamp(dec.dispatch_words(), 0);
+    std::uint32_t generation = 0;
+
+    // Whether `tgt` is already active this generation.  A target past
+    // the image is no state's base: fault before indexing the stamps.
+    const auto seen = [&](std::size_t tgt) {
+        if (tgt >= stamp.size())
+            throw UdpFaultError(FaultCode::BadDispatch,
+                                "Lane: NFA activation of unknown state");
+        return stamp[tgt] == generation;
+    };
+
+    const auto close = [&](std::vector<std::size_t> &set) {
+        ++generation;
+        for (auto b : set)
+            stamp[b] = generation;
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const DecodedState *ds = dec.state_at(set[i]);
+            if (!ds)
+                throw UdpFaultError(
+                    FaultCode::BadDispatch,
+                    "Lane: NFA activation of unknown state");
+            for (const Transition *t = dec.eps_begin(*ds),
+                                  *e = dec.eps_end(*ds);
+                 t != e; ++t) {
+                const std::size_t tgt = ln.dispatch_base_ + t->target;
+                if (seen(tgt))
+                    continue;
+                // Epsilon activation costs one dispatch cycle.
+                ++st.cycles;
+                ++st.dispatches;
+                ++st.dispatch_reads;
+                stamp[tgt] = generation;
+                set.push_back(tgt);
+                fire(*t);
+            }
+        }
+    };
+
+    try {
+        close(active);
+        flush(ln, c);
+        const unsigned width = ln.symbol_bits_;
+
+        while (!active.empty() && st.cycles < max_cycles) {
+            if (ln.trap_cycle_ != 0 && st.cycles >= ln.trap_cycle_)
+                return ln.trap(FaultCode::ForcedTrap,
+                               "Lane: forced trap (fault injection)");
+            if (ln.sb_.exhausted(width))
+                return LaneStatus::Done;
+            st.stream_bits += width;
+            const Word sym = ln.last_symbol_ = read_sym(ln.sb_, width);
+
+            next.clear();
+            ++generation;
+            for (const auto cur : active) {
+                const DecodedState *ds = dec.state_at(cur);
+                if (!ds)
+                    throw UdpFaultError(
+                        FaultCode::BadDispatch,
+                        "Lane: NFA dispatch into unknown state");
+                ++st.dispatches;
+                ++st.cycles;
+
+                const Transition *taken = nullptr;
+                const std::size_t slot = std::size_t{ds->base} + sym;
+                if (slot < dec.dispatch_words() && sym <= ds->max_symbol) {
+                    ++st.dispatch_reads;
+                    const Transition &t = dec.transition(slot);
+                    if (t.type == kInvalidTransitionType)
+                        decode_transition(prog.dispatch[slot]); // throws
+                    if (t.signature == ds->signature &&
+                        (t.type == TransitionType::Labeled ||
+                         t.type == TransitionType::Refill))
+                        taken = &t;
+                }
+                if (!taken) {
+                    ++st.sig_misses;
+                    ++st.cycles;
+                    st.dispatch_reads += ds->miss_nfa_reads;
+                    if (ds->has_miss_nfa)
+                        taken = &ds->miss_nfa;
+                }
+                // No arc: this activation dies after its charges.
+                if (!taken)
+                    continue;
+                const std::size_t tgt = ln.dispatch_base_ + taken->target;
+                if (!seen(tgt)) {
+                    stamp[tgt] = generation;
+                    next.push_back(tgt);
+                    // Activation happens once per step; arc actions fire
+                    // with the first arc that activates the target.
+                    fire(*taken);
+                }
+            }
+            close(next);
+            flush(ln, c);
+            active.swap(next);
+        }
+    } catch (...) {
+        flush(ln, c); // the fault record reads stats_.cycles at trap time
+        throw;
+    }
+    if (active.empty())
+        return LaneStatus::Reject;
+    // Loop exit with live activations means the watchdog fired, not a
+    // clean end of stream.
+    return ln.trip_watchdog("Lane: NFA cycle budget (" +
+                            std::to_string(max_cycles) +
+                            ") exhausted before completion");
+}
+
 void
 LaneBlock::add(Lane *ln, std::uint32_t lane_slot, std::uint64_t cycles,
                Cycles trap_cycle)
@@ -952,11 +1092,10 @@ shared_compiled(const Program &prog)
         if (it != cache.end())
             return it->second;
     }
-    // Build outside the lock (same discipline as shared_decoded): the
-    // lowering cost scales with the image, and concurrent builders of
-    // the same program are harmless.
-    auto cp = std::make_shared<const CompiledProgram>(prog,
-                                                      shared_decoded(prog));
+    // Build outside the lock: the lowering cost scales with the image,
+    // and concurrent builders of the same program are harmless (the
+    // first one inserted wins; both results are equivalent).
+    auto cp = std::make_shared<const CompiledProgram>(prog);
     std::lock_guard<std::mutex> lk(mu);
     if (cache.size() >= 128)
         cache.clear(); // crude bound; lanes recompile after a burst

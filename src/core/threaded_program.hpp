@@ -2,36 +2,40 @@
  * @file
  * Threaded-code execution backend: compile once, dispatch flat.
  *
- * The predecoded fast path (decoded_program.hpp) removed per-step
- * decode, but still pays a per-micro-op `switch` in the action unit and
- * walks per-state structures per dispatch.  This layer lowers a
- * `DecodedProgram` once more, into a `CompiledProgram`:
+ * A `CompiledProgram` lowers a program's `DecodedProgram` (its
+ * lowering IR, decoded_program.hpp) into:
  *
- *  - every action word becomes a `CompiledOp`: a function-pointer
- *    handler plus pre-extracted operands and a pre-resolved successor
- *    index, laid out in one contiguous stream (chains and Gotoact
- *    targets are just `next` links — no switch, no bounds check in the
- *    hot loop; out-of-range fetches land on a trap sentinel op);
- *  - every (state, symbol) pair becomes a `ResolvedArc`: the labeled
- *    slot probe, signature check, auxiliary miss walk and attach
- *    resolution collapse into one table entry holding the exact
- *    counter charges and the *compiled index* of the next state — no
- *    per-step pointer chasing.
+ *  - a flat op stream: every action word becomes a `CompiledOp`, a
+ *    function-pointer handler plus pre-extracted operands and a
+ *    pre-resolved successor index (chains and Gotoact targets are just
+ *    `next` links — no switch, no bounds check in the hot loop;
+ *    out-of-range fetches land on a trap sentinel op);
+ *  - dense arc tables: every (state, symbol) pair becomes a
+ *    `ResolvedArc`, where the labeled slot probe, signature check,
+ *    auxiliary miss walk and attach resolution collapse into one entry
+ *    holding the exact counter charges and the *compiled index* of the
+ *    next state.
+ *
+ * The op handlers are the ISA's only semantic definition: the reference
+ * interpreter's action unit (Lane::exec_actions) lowers each word it
+ * decodes with the same `ThreadedEngine::lower` and calls the same
+ * handler.
  *
  * One compiled image is shared read-only by all 64 lanes and across
- * waves via `shared_compiled()`, the same content-fingerprint cache
- * discipline as `shared_decoded()`.
+ * waves via `shared_compiled()`, a content-fingerprint cache.
  *
  * `ThreadedEngine` interprets the compiled image for a single lane
- * (resumable, `step_once`-compatible) or for a whole `LaneBlock` — the
+ * (resumable, `step_once`-compatible), for a whole `LaneBlock` — the
  * struct-of-arrays batch of resident lanes that `Machine::run_parallel`
- * steps in lockstep chunks on one host thread.
+ * steps in lockstep chunks on one host thread — and in NFA mode, over
+ * the decoded per-state epsilon and miss tables.
  *
- * Like predecoding, this tier is purely host-performance: simulated
- * counters, outputs, accepts, faults and trap cycles are bit-identical
- * to both interpreter paths (pinned by tests/test_threaded.cpp).
- * Select tiers with UDP_SIM_BACKEND=legacy|predecode|threaded or
- * `set_sim_backend()` (decoded_program.hpp).
+ * This tier is purely host-performance: simulated counters, outputs,
+ * accepts, faults and trap cycles are bit-identical to the reference
+ * (pinned by tests/test_threaded.cpp).  Select it with
+ * UDP_SIM_BACKEND=legacy|threaded or `set_sim_backend()`
+ * (decoded_program.hpp); a lane with a tracer or profiler attached
+ * always runs the reference.
  */
 #pragma once
 
@@ -123,14 +127,13 @@ struct CompiledState {
 
 /**
  * The threaded-code image.  Built once per program from its
- * DecodedProgram; immutable after, so one instance is safely shared
- * read-only across lanes, waves and host threads.
+ * DecodedProgram, which it owns; immutable after, so one instance is
+ * safely shared read-only across lanes, waves and host threads.
  */
 class CompiledProgram
 {
   public:
-    CompiledProgram(const Program &prog,
-                    std::shared_ptr<const DecodedProgram> dec);
+    explicit CompiledProgram(const Program &prog);
 
     const CompiledOp *ops() const { return ops_.data(); }
     /// Real action words; ops()[op_count()] is the trap sentinel.
@@ -154,11 +157,9 @@ class CompiledProgram
     bool dyn_action() const { return dyn_action_; }
     std::uint32_t init_dispatch_base() const { return init_dispatch_base_; }
 
-    /// The decoded image this was lowered from (kept alive for the NFA
-    /// executor and the instrumented loops, which run on it).
-    const std::shared_ptr<const DecodedProgram> &decoded_shared() const {
-        return decoded_;
-    }
+    /// The decoded image this was lowered from (the NFA executor runs
+    /// on its per-state tables).
+    const DecodedProgram &decoded() const { return decoded_; }
 
     /// Content fingerprint of the source program (the cache key).
     std::uint64_t fingerprint() const { return fingerprint_; }
@@ -173,7 +174,7 @@ class CompiledProgram
     std::vector<CompiledState> states_;
     std::vector<ResolvedArc> arcs_;
     std::vector<std::int32_t> slot_state_; ///< base -> index into states_
-    std::shared_ptr<const DecodedProgram> decoded_;
+    DecodedProgram decoded_;
     std::uint64_t fingerprint_ = 0;
     std::uint32_t nops_ = 0;
     std::uint32_t init_dispatch_base_ = 0;
@@ -185,9 +186,9 @@ class CompiledProgram
 
 /**
  * Process-wide compiled-image cache: the shared CompiledProgram for
- * `prog`, built (via `shared_decoded`) on first use.  Keyed by content
- * fingerprint, same sharing/lifetime discipline as shared_decoded().
- * Thread-safe.
+ * `prog`, built on first use.  Keyed by content fingerprint, so 64 lanes
+ * loading the same program (or a copy of it) share one image, and a
+ * mutated program gets a fresh one.  Thread-safe.
  */
 std::shared_ptr<const CompiledProgram> shared_compiled(const Program &prog);
 
@@ -218,9 +219,9 @@ struct LaneBlock {
 
 /**
  * The threaded-code interpreter.  A friend of Lane/StreamBuffer: it
- * *is* the lane's inner loop for the Threaded backend, entered from
- * Lane::run_steps / Lane::step_once (single lane, resumable) or from
- * Machine::run_parallel (LaneBlock batches).
+ * *is* the lane's inner loop whenever Lane::fast_path() holds, entered
+ * from Lane::run_steps / Lane::step_once (single lane, resumable),
+ * Lane::run_nfa, or Machine::run_parallel (LaneBlock batches).
  */
 class ThreadedEngine
 {
@@ -240,17 +241,35 @@ class ThreadedEngine
     /// bit for bit.  Fills LaneBlock::status.
     static void run_block(LaneBlock &blk);
 
-    /// Handler lookup for the compiler (CompiledProgram's ctor).
-    static OpFn op_fn(Opcode op);
-    static OpFn invalid_fn(); ///< undecodable word: fetch-time re-decode
-    static OpFn oob_fn();     ///< out-of-range fetch trap sentinel
+    /// NFA mode (Lane::run_nfa) over the decoded per-state epsilon and
+    /// miss tables, arc actions running on the op stream.  Call inside
+    /// Lane::run_guarded.
+    static LaneStatus run_nfa(Lane &ln, std::uint64_t max_cycles);
+
+    /// Lower the action word `raw` (decoded as `a`) at address `addr` of
+    /// an `nops`-word action image into its op: handler, operands and
+    /// successor link (Gotoact targets past the image point at `nops`).
+    /// CompiledProgram's constructor and the reference action unit
+    /// (Lane::exec_actions) both lower through here, so each opcode's
+    /// semantics are written once, in its handler.
+    static CompiledOp lower(const Action &a, Word raw, std::uint32_t addr,
+                            std::uint32_t nops);
+    /// The out-of-range fetch trap op that terminates a compiled stream.
+    static CompiledOp trap_sentinel(std::uint32_t nops);
+
+    /// Fold the context's local counters into the lane's stats and zero
+    /// them.
+    static void flush(Lane &ln, ThreadedCtx &c);
+
+    /// The LUT entry address an Emitlut op reads (the reference action
+    /// unit's tracer hook reports it after the op ran).
+    static Word emitlut_entry(const Lane &ln, const CompiledOp &o);
 
   private:
     struct Ops; // the op handler table (threaded_program.cpp)
 
     static LaneStatus exec_chain(Lane &ln, ThreadedCtx &c,
                                  std::uint32_t ix);
-    static void flush(Lane &ln, ThreadedCtx &c);
     static Word read_sym(StreamBuffer &sb, unsigned width);
 };
 

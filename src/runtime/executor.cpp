@@ -35,7 +35,7 @@ stage_job(Machine &m, unsigned lane, ByteAddr window_base,
         m.stage(window_base + s.offset, s.data);
     }
     Lane &ln = m.lane(lane);
-    ln.load(*plan.program, plan.decoded, plan.compiled);
+    ln.load(*plan.program, plan.compiled);
     ln.set_input(plan.input);
     ln.set_window_base(window_base);
     // Single-lane runs are always "attempt 1" of the plan's trap window.

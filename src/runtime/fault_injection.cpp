@@ -51,18 +51,13 @@ FaultInjector::own_program(JobPlan &plan)
 }
 
 void
-FaultInjector::refresh_decoded(JobPlan &plan)
+FaultInjector::refresh_compiled(JobPlan &plan)
 {
-    // The shared images are keyed by program content; after a mutation
-    // the plan must not keep running the stale (clean) ones.
-    const SimBackend backend = sim_backend();
-    plan.compiled = backend == SimBackend::Threaded
+    // The shared image is keyed by program content; after a mutation
+    // the plan must not keep running the stale (clean) one.
+    plan.compiled = sim_backend() == SimBackend::Threaded
                         ? shared_compiled(*plan.program)
                         : nullptr;
-    plan.decoded = backend == SimBackend::Legacy
-                       ? nullptr
-                       : (plan.compiled ? plan.compiled->decoded_shared()
-                                        : shared_decoded(*plan.program));
 }
 
 void
@@ -71,7 +66,7 @@ FaultInjector::poison_program(JobPlan &plan)
     auto owned = own_program(plan);
     for (Word &w : owned->dispatch)
         w = kPoisonDispatchWord;
-    refresh_decoded(plan);
+    refresh_compiled(plan);
 }
 
 void
@@ -81,7 +76,7 @@ FaultInjector::poison_dispatch_word(JobPlan &plan, std::size_t slot)
     if (slot >= owned->dispatch.size())
         throw UdpError("FaultInjector: dispatch slot out of range");
     owned->dispatch[slot] = kPoisonDispatchWord;
-    refresh_decoded(plan);
+    refresh_compiled(plan);
 }
 
 void
@@ -91,7 +86,7 @@ FaultInjector::poison_action_word(JobPlan &plan, std::size_t addr)
     if (addr >= owned->actions.size())
         throw UdpError("FaultInjector: action address out of range");
     owned->actions[addr] = kPoisonActionWord;
-    refresh_decoded(plan);
+    refresh_compiled(plan);
 }
 
 std::size_t
@@ -103,7 +98,7 @@ FaultInjector::flip_program_bit(JobPlan &plan)
     const std::size_t slot = next_below(owned->dispatch.size());
     const unsigned bit = static_cast<unsigned>(next_below(32));
     owned->dispatch[slot] ^= Word{1u} << bit;
-    refresh_decoded(plan);
+    refresh_compiled(plan);
     return slot;
 }
 

@@ -10,7 +10,7 @@
  * faults — in tests, in bench_faults, under any thread count.
  *
  * Program mutations copy-on-write: the plan gets its own mutated
- * `Program` (and a freshly resolved predecoded image, keyed by the new
+ * `Program` (and a freshly resolved compiled image, keyed by the new
  * content fingerprint), so other plans sharing the original program are
  * untouched — which is exactly what the containment proof measures.
  *
@@ -40,9 +40,9 @@ class FaultInjector
 
     /**
      * Overwrite every dispatch word with a reserved-transition-type
-     * encoding: the decoded image still builds (lenient sentinels), but
-     * the very first dispatch faults with FaultCode::BadDispatch on
-     * both interpreter paths.  The guaranteed-fault probe.
+     * encoding: the compiled image still builds (lenient sentinels),
+     * but the very first dispatch faults with FaultCode::BadDispatch on
+     * both interpreters.  The guaranteed-fault probe.
      */
     void poison_program(JobPlan &plan);
 
@@ -78,9 +78,9 @@ class FaultInjector
 
   private:
     /// Copy-on-write: give `plan` its own Program and re-resolve the
-    /// predecoded image after mutation.
+    /// compiled image after mutation.
     std::shared_ptr<Program> own_program(JobPlan &plan);
-    void refresh_decoded(JobPlan &plan);
+    void refresh_compiled(JobPlan &plan);
 
     std::uint64_t state_;
 };

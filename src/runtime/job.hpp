@@ -31,7 +31,6 @@
  */
 #pragma once
 
-#include "core/decoded_program.hpp"
 #include "core/lane.hpp"
 #include "core/threaded_program.hpp"
 #include "core/program.hpp"
@@ -66,11 +65,9 @@ struct MemExtract {
 struct JobPlan {
     std::string name;
     std::shared_ptr<const Program> program;
-    /// Shared predecoded image of `program`, resolved once per job (not
-    /// once per lane) by KernelSpec::make_job; null on the legacy path.
-    std::shared_ptr<const DecodedProgram> decoded;
-    /// Shared threaded-code image (core/threaded_program.hpp), resolved
-    /// the same way; null unless the Threaded backend is active.
+    /// Shared threaded-code image of `program` (core/threaded_program.hpp),
+    /// resolved once per job (not once per lane) by KernelSpec::make_job;
+    /// null unless the Threaded backend is active.
     std::shared_ptr<const CompiledProgram> compiled;
     /// Stream contents: a non-owning view pinned by its InputArena.
     /// Assigning a `Bytes` materializes a private arena (one move).

@@ -19,15 +19,11 @@ KernelSpec::make_job(ArenaSlice input) const
     JobPlan p;
     p.name = name;
     p.program = program;
-    // Resolve the shared images once per job; every lane the scheduler
-    // assigns this job to reuses them without a cache lookup.
-    const SimBackend backend = sim_backend();
-    p.compiled = backend == SimBackend::Threaded ? shared_compiled(*program)
-                                                 : nullptr;
-    p.decoded = backend == SimBackend::Legacy
-                    ? nullptr
-                    : (p.compiled ? p.compiled->decoded_shared()
-                                  : shared_decoded(*program));
+    // Resolve the shared image once per job; every lane a single-job
+    // run stages this job on reuses it without a cache lookup.
+    p.compiled = sim_backend() == SimBackend::Threaded
+                     ? shared_compiled(*program)
+                     : nullptr;
     p.input = std::move(input);
     p.window_bytes = window_bytes;
     p.nfa_mode = nfa_mode;

@@ -14,6 +14,7 @@
 #include "baselines/histogram.hpp"
 #include "core/decoded_program.hpp"
 #include "core/machine.hpp"
+#include "core/threaded_program.hpp"
 #include "kernels/histogram.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injection.hpp"
@@ -28,13 +29,17 @@ namespace {
 
 using namespace kernels;
 
-/// Restore the default interpreter path when a test exits early.
-struct PredecodeGuard {
-    ~PredecodeGuard() { set_predecode_enabled(true); }
+/// Restore the default interpreter when a test exits early.
+struct BackendGuard {
+    ~BackendGuard() { set_sim_backend(SimBackend::Threaded); }
 };
 
+/// Both interpreters, the default first.
+constexpr SimBackend kBackends[] = {SimBackend::Threaded,
+                                    SimBackend::Legacy};
+
 /// Run `prog` over `input` on a fresh lane and expect a trap with
-/// `code`, on whichever interpreter path is currently enabled.
+/// `code`, on whichever interpreter is currently selected.
 void
 expect_fault(const Program &prog, const Bytes &input, FaultCode code)
 {
@@ -82,7 +87,7 @@ TEST(Malformed, DecoderErrorsCarryFaultCodes)
 
 TEST(Malformed, CorpusFaultsWithRightCodeOnBothPaths)
 {
-    PredecodeGuard guard;
+    BackendGuard guard;
     const Bytes input(16, 'a');
 
     struct Case {
@@ -132,9 +137,9 @@ TEST(Malformed, CorpusFaultsWithRightCodeOnBothPaths)
 
     for (const auto &c : corpus) {
         SCOPED_TRACE(c.name);
-        for (const bool predecode : {true, false}) {
-            SCOPED_TRACE(predecode ? "predecode" : "legacy");
-            set_predecode_enabled(predecode);
+        for (const SimBackend backend : kBackends) {
+            SCOPED_TRACE(sim_backend_name(backend));
+            set_sim_backend(backend);
             expect_fault(c.prog, input, c.expect);
         }
     }
@@ -144,7 +149,7 @@ TEST(Malformed, OversizedEmitlutEntryFaults)
 {
     // An EMITLUT table entry claiming more than 15 bytes is a corrupt
     // table, not a crash: BadAction on both paths.
-    PredecodeGuard guard;
+    BackendGuard guard;
     ProgramBuilder b;
     const StateId s = b.add_state();
     b.on_symbol(s, 'a', s,
@@ -153,9 +158,9 @@ TEST(Malformed, OversizedEmitlutEntryFaults)
     const Program prog = b.build();
     const Bytes input(4, 'a');
 
-    for (const bool predecode : {true, false}) {
-        SCOPED_TRACE(predecode ? "predecode" : "legacy");
-        set_predecode_enabled(predecode);
+    for (const SimBackend backend : kBackends) {
+        SCOPED_TRACE(sim_backend_name(backend));
+        set_sim_backend(backend);
         LocalMemory mem;
         Lane lane(0, mem);
         lane.load(prog);
@@ -301,19 +306,19 @@ TEST(FaultInjection, ProgramMutationsCopyOnWrite)
     // Job 0 got its own mutated copy; job 1 still runs the clean image.
     EXPECT_NE(jobs[0].program.get(), shared_before.get());
     EXPECT_EQ(jobs[1].program.get(), shared_before.get());
-    // The predecoded image was re-resolved for the mutated content.
-    ASSERT_NE(jobs[0].decoded, nullptr);
-    EXPECT_NE(jobs[0].decoded.get(), jobs[1].decoded.get());
-    EXPECT_EQ(jobs[0].decoded->fingerprint(),
+    // The compiled image was re-resolved for the mutated content.
+    ASSERT_NE(jobs[0].compiled, nullptr);
+    EXPECT_NE(jobs[0].compiled.get(), jobs[1].compiled.get());
+    EXPECT_EQ(jobs[0].compiled->fingerprint(),
               program_fingerprint(*jobs[0].program));
 }
 
 TEST(FaultInjection, ContainmentAcrossBackendsAndPaths)
 {
-    PredecodeGuard guard;
-    for (const bool predecode : {true, false}) {
-        SCOPED_TRACE(predecode ? "predecode" : "legacy");
-        set_predecode_enabled(predecode);
+    BackendGuard guard;
+    for (const SimBackend backend : kBackends) {
+        SCOPED_TRACE(sim_backend_name(backend));
+        set_sim_backend(backend);
         for (const unsigned threads : {1u, 8u}) {
             SCOPED_TRACE("threads=" + std::to_string(threads));
             auto jobs = detail::histogram_jobs(16);

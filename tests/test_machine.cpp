@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace udp {
 namespace {
 
@@ -224,39 +226,49 @@ TEST(MachineFailure, RunParallelContainsOneFaultyLane)
     }
 }
 
-TEST(MachineFailure, DeprecatedRethrowHatchSurfacesEveryFault)
+TEST(MachineFailure, ReassignDropsEveryLanesPreviousProgram)
 {
-    ProgramBuilder b;
-    const StateId s = b.add_state();
-    b.on_symbol(s, 'a', s);
-    b.set_entry(s);
-    const Program good_prog = b.build();
-    Program bad_prog = good_prog;
-    for (Word &w : bad_prog.dispatch)
-        w = Word{7u} << 8;
-
-    const Bytes input(8, 'a');
+    // Machine::assign hard-resets all 64 lanes between batches, and the
+    // previous batch's programs may already be freed by then: the reset
+    // must drop each lane's program binding, never read through it.  A
+    // lane the new batch leaves idle then has no program at all.
+    const auto looping_program = [] {
+        ProgramBuilder b;
+        const StateId s = b.add_state();
+        b.on_symbol(s, 'a', s);
+        b.set_entry(s);
+        return b.build();
+    };
+    const Bytes input(16, 'a');
     Machine m;
-    std::vector<JobSpec> jobs(4);
-    for (unsigned i = 0; i < jobs.size(); ++i) {
-        jobs[i].program = i >= 2 ? &bad_prog : &good_prog;
-        jobs[i].input = input;
-        jobs[i].window_base = i * kBankBytes;
-    }
+    {
+        const auto first = std::make_unique<Program>(looping_program());
+        std::vector<JobSpec> jobs(4);
+        for (unsigned i = 0; i < jobs.size(); ++i) {
+            jobs[i].program = first.get();
+            jobs[i].input = input;
+            jobs[i].window_base = i * kBankBytes;
+        }
+        m.assign(std::move(jobs));
+        ASSERT_EQ(m.run_parallel().status[3], LaneStatus::Done);
+    } // the first batch's program is freed here
+
+    const Program second = looping_program();
+    std::vector<JobSpec> jobs(1);
+    jobs[0].program = &second;
+    jobs[0].input = input;
     m.assign(std::move(jobs));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    m.set_rethrow_faults(true);
-#pragma GCC diagnostic pop
-    try {
-        m.run_parallel();
-        FAIL() << "expected the rethrow hatch to throw";
-    } catch (const UdpFaultError &e) {
-        EXPECT_EQ(e.code(), FaultCode::BadDispatch);
-        // Both faulty lanes are reported, not just the first.
-        const std::string what = e.what();
-        EXPECT_NE(what.find("lane 2"), std::string::npos);
-        EXPECT_NE(what.find("lane 3"), std::string::npos);
+    EXPECT_EQ(m.run_parallel().status[0], LaneStatus::Done);
+    for (unsigned i = 1; i < 4; ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        try {
+            m.lane(i).run();
+            FAIL() << "expected an idle lane to have no program";
+        } catch (const UdpError &e) {
+            EXPECT_NE(std::string(e.what()).find("no program loaded"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
