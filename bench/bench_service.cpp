@@ -70,16 +70,29 @@ elapsed_s(std::chrono::steady_clock::time_point since)
         .count();
 }
 
+/// Service options publishing into `reg`.  The Service feeds `reg`
+/// through its own RegistryTelemetry, so the bench-wide --metrics sink
+/// over the same registry is dropped: each event must count once.
+service::ServiceOptions
+service_options(runtime::MetricRegistry &reg)
+{
+    service::ServiceOptions so;
+    so.sched = sched_options();
+    std::erase_if(so.sched.sinks, [&reg](runtime::TelemetrySink *s) {
+        auto *rt = dynamic_cast<runtime::RegistryTelemetry *>(s);
+        return rt && &rt->registry() == &reg;
+    });
+    so.registry = &reg;
+    return so;
+}
+
 /// Closed-loop capacity probe: one unthrottled tenant, `jobs` jobs,
 /// measured from first submission to last completion.
 double
 calibrate_capacity(const std::vector<runtime::JobPlan> &corpus,
                    runtime::MetricRegistry &reg, unsigned jobs)
 {
-    service::ServiceOptions so;
-    so.sched = sched_options();
-    so.registry = &reg;
-    service::Service svc(so);
+    service::Service svc(service_options(reg));
     service::TenantOptions topt;
     topt.name = "calibrate";
     topt.rate_jobs_per_s = 0; // no refill...
@@ -124,10 +137,8 @@ run_scenario(const std::vector<runtime::JobPlan> &corpus,
              double arrival_rate, double token_rate, double window,
              std::uint64_t seed)
 {
-    service::ServiceOptions so;
-    so.sched = sched_options();
+    service::ServiceOptions so = service_options(reg);
     so.sched.retry.max_attempts = 2;
-    so.registry = &reg;
     service::Service svc(so);
 
     std::vector<service::ServiceClient> clients;

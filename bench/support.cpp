@@ -102,9 +102,7 @@ fmt(double v, int prec)
 namespace {
 
 unsigned g_sim_threads = 0;
-runtime::TelemetrySink *g_telemetry = nullptr;
-runtime::SpanTracer *g_spans = nullptr;
-runtime::FlightRecorder *g_recorder = nullptr;
+std::vector<runtime::TelemetrySink *> g_sinks;
 Tracer *g_lane_tracer = nullptr;
 std::string g_postmortem_dir;
 
@@ -127,30 +125,6 @@ sim_threads_option()
     return g_sim_threads;
 }
 
-runtime::TelemetrySink *
-bench_telemetry()
-{
-    return g_telemetry;
-}
-
-void
-set_bench_telemetry(runtime::TelemetrySink *sink)
-{
-    g_telemetry = sink;
-}
-
-runtime::SpanTracer *
-bench_spans()
-{
-    return g_spans;
-}
-
-runtime::FlightRecorder *
-bench_recorder()
-{
-    return g_recorder;
-}
-
 Tracer *
 bench_lane_tracer()
 {
@@ -168,9 +142,7 @@ sched_options()
 {
     runtime::SchedulerOptions opts;
     opts.threads = g_sim_threads;
-    opts.telemetry = g_telemetry;
-    opts.spans = g_spans;
-    opts.recorder = g_recorder;
+    opts.sinks = g_sinks;
     opts.lane_tracer = g_lane_tracer;
     opts.postmortem.dir = g_postmortem_dir;
     if (!g_postmortem_dir.empty())
@@ -258,29 +230,22 @@ MetricsRecorder::MetricsRecorder(std::string bench, int argc, char **argv)
             postmortem_dir_ = argv[++i];
         }
     }
-    // Attach the registry sink to every sched_options() Scheduler only
-    // when asked for — the default run stays telemetry-free.
+    // Attach sinks to every sched_options() Scheduler only when asked
+    // for — the default run stays observer-free.
     if (!metrics_path_.empty())
-        set_bench_telemetry(&sink_);
+        g_sinks.push_back(&sink_);
     if (!trace_path_.empty()) {
         lane_tracer_ = std::make_unique<Tracer>(kBenchTraceRing);
         spans_ = std::make_unique<runtime::SpanTracer>();
-        recorder_ = std::make_unique<runtime::FlightRecorder>();
         g_lane_tracer = lane_tracer_.get();
-        g_spans = spans_.get();
-        g_recorder = recorder_.get();
+        g_sinks.push_back(spans_.get());
     }
     g_postmortem_dir = postmortem_dir_;
 }
 
 MetricsRecorder::~MetricsRecorder()
 {
-    if (bench_telemetry() == &sink_)
-        set_bench_telemetry(nullptr);
-    if (g_spans == spans_.get())
-        g_spans = nullptr;
-    if (g_recorder == recorder_.get())
-        g_recorder = nullptr;
+    g_sinks.clear();
     if (g_lane_tracer == lane_tracer_.get())
         g_lane_tracer = nullptr;
     g_postmortem_dir.clear();
@@ -295,7 +260,7 @@ MetricsRecorder::finish() const
         // events out after everything already on the timeline before
         // exporting.
         if (lane_tracer_) {
-            spans_->begin_schedule(0);
+            spans_->on_schedule(0);
             spans_->absorb_lane_events(*lane_tracer_, 0);
             lane_tracer_->clear();
         }

@@ -80,31 +80,21 @@ void set_sim_threads(unsigned n);
 unsigned sim_threads_option();
 
 /**
- * The bench-wide telemetry sink (telemetry.hpp), attached to every
- * Scheduler via sched_options().  nullptr unless `--metrics <path>`
- * was given, preserving the zero-overhead default.
+ * The bench-wide lane tracer (core/trace.hpp), attached to every
+ * Scheduler via sched_options().  nullptr unless `--trace <path>` was
+ * given (the zero-overhead default).  Benches that drive a Machine
+ * directly (outside the Scheduler) attach it themselves;
+ * MetricsRecorder::finish() absorbs whatever is left in its rings
+ * before writing the merged trace file.
  */
-runtime::TelemetrySink *bench_telemetry();
-void set_bench_telemetry(runtime::TelemetrySink *sink);
-
-/**
- * The bench-wide span tracer / flight recorder / lane tracer
- * (spantrace.hpp, core/trace.hpp), attached to every Scheduler via
- * sched_options().  All nullptr unless `--trace <path>` was given
- * (same zero-overhead default as --metrics).  Benches that drive a
- * Machine directly (outside the Scheduler) attach `bench_lane_tracer()`
- * themselves; MetricsRecorder::finish() absorbs whatever is left in
- * its rings before writing the merged trace file.
- */
-runtime::SpanTracer *bench_spans();
-runtime::FlightRecorder *bench_recorder();
 Tracer *bench_lane_tracer();
 
 /// The --postmortem directory ("" when the flag was absent).
 const std::string &bench_postmortem_dir();
 
-/// Scheduler options every bench run starts from (threads, telemetry,
-/// span tracing and post-mortem capture prefilled from the flags).
+/// Scheduler options every bench run starts from (threads, the
+/// MetricsRecorder's sinks, lane tracer and post-mortem capture
+/// prefilled from the flags).
 runtime::SchedulerOptions sched_options();
 
 /// Record a scheduled multi-lane run on `p`: real 64-lane throughput
@@ -131,15 +121,17 @@ void attach_sim(WorkloadPerf &p, const LaneStats &total, Cycles wall,
  *
  * Also parses `--threads N` (host simulation threads, see
  * set_sim_threads) — the resolved count lands in the JSON as the
- * top-level `sim_threads` field — and `--metrics <path>`: a
- * MetricRegistry + RegistryTelemetry sink is attached to every
- * Scheduler the bench runs (via sched_options()) and `finish()` dumps
- * the full registry as a Prometheus-style text exposition at <path>
- * (docs/OBSERVABILITY.md; validated by tools/check_exposition.py).
+ * top-level `sim_threads` field — and the observer flags, each of
+ * which adds to the `SchedulerOptions::sinks` of every Scheduler the
+ * bench runs through sched_options():
  *
- * `--trace <path>` attaches a SpanTracer + FlightRecorder + lane
- * Tracer to every Scheduler and `finish()` writes the merged
- * runtime+lane Chrome trace there (validated by tools/check_trace.py).
+ * `--metrics <path>` adds a RegistryTelemetry sink over registry(),
+ * which `finish()` dumps as a Prometheus-style text exposition at
+ * <path> (docs/OBSERVABILITY.md; validated by
+ * tools/check_exposition.py).
+ * `--trace <path>` adds a SpanTracer and attaches a lane Tracer;
+ * `finish()` writes the merged runtime+lane Chrome trace there
+ * (validated by tools/check_trace.py).
  * `--postmortem <dir>` enables post-mortem capture: every faulted run
  * writes a structured FaultReport JSON into <dir>
  * (docs/OBSERVABILITY.md "Tracing & post-mortems").
@@ -179,7 +171,6 @@ class MetricsRecorder
     // --trace machinery, created only when the flag is present.
     std::unique_ptr<Tracer> lane_tracer_;
     std::unique_ptr<runtime::SpanTracer> spans_;
-    std::unique_ptr<runtime::FlightRecorder> recorder_;
 };
 
 /// Wall-clock MB/s of `fn` over `bytes` of input (repeats for stability).

@@ -152,13 +152,8 @@ Machine::run_parallel(std::uint64_t max_cycles_per_lane)
         Lane &ln = *lanes_[i];
         const std::uint64_t budget =
             std::min(max_cycles_per_lane, jobs_[i].max_cycles);
-        const unsigned id = static_cast<unsigned>(i);
-        if (run_observer_)
-            run_observer_->on_lane_start(id);
         status[i] = jobs_[i].nfa_mode ? ln.run_nfa(budget)
                                       : ln.run(budget);
-        if (run_observer_)
-            run_observer_->on_lane_end(id, status[i], ln.stats().cycles);
     };
 
     unsigned threads = resolved_sim_threads();
@@ -167,13 +162,13 @@ Machine::run_parallel(std::uint64_t max_cycles_per_lane)
                      runnable.size(), 1)));
     if (threads <= 1) {
         // Batch the block-eligible lanes (on the threaded engine, DFA
-        // mode, no observer hook) through the struct-of-arrays runner;
-        // everything else runs per-lane.
+        // mode) through the struct-of-arrays runner; everything else
+        // runs per-lane.
         LaneBlock blk;
         std::vector<std::size_t> rest;
         for (const std::size_t i : runnable) {
             Lane &ln = *lanes_[i];
-            if (!run_observer_ && !jobs_[i].nfa_mode && ln.fast_path()) {
+            if (!jobs_[i].nfa_mode && ln.fast_path()) {
                 blk.add(&ln, static_cast<std::uint32_t>(i),
                         std::min(max_cycles_per_lane,
                                  jobs_[i].max_cycles),

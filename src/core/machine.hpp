@@ -72,29 +72,6 @@ struct MachineResult {
     }
 };
 
-/**
- * Observer for lane-run lifecycle in `run_parallel`.
- *
- * Callbacks fire on the thread that simulates the lane — a pool worker
- * under the threaded backend — immediately before the lane starts and
- * after it returns.  Implementations must therefore be safe to call
- * concurrently from multiple threads (the runtime FlightRecorder keeps
- * one ring per worker thread for exactly this reason).  `run_lockstep`
- * interleaves all lanes on the host thread and does not emit these
- * events.  With no observer attached (the default) the hook is a single
- * predicted-not-taken branch per lane run.
- */
-class RunObserver
-{
-  public:
-    virtual ~RunObserver() = default;
-    /// Lane `lane` is about to run on the calling thread.
-    virtual void on_lane_start(unsigned lane) = 0;
-    /// Lane `lane` finished with `status` after `cycles` simulated cycles.
-    virtual void on_lane_end(unsigned lane, LaneStatus status,
-                             Cycles cycles) = 0;
-};
-
 /// The 64-lane UDP.
 class Machine
 {
@@ -171,12 +148,6 @@ class Machine
     void set_profiler(Profiler *p);
     Profiler *profiler() const { return profiler_; }
 
-    /// Attach a lane-run observer (nullptr detaches; see RunObserver).
-    /// Purely observational: simulated results are bit-identical with
-    /// and without one attached.
-    void set_run_observer(RunObserver *o) { run_observer_ = o; }
-    RunObserver *run_observer() const { return run_observer_; }
-
   private:
     MachineResult collect(Cycles wall);
 
@@ -189,7 +160,6 @@ class Machine
     double last_energy_j_ = 0.0;
     Tracer *tracer_ = nullptr;
     Profiler *profiler_ = nullptr;
-    RunObserver *run_observer_ = nullptr;
 };
 
 } // namespace udp

@@ -4,8 +4,6 @@
  */
 #include "executor.hpp"
 
-#include "telemetry.hpp"
-
 namespace udp::runtime {
 
 void
@@ -95,8 +93,7 @@ harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
 
 JobResult
 run_job_on(Machine &m, unsigned lane, ByteAddr window_base,
-           const JobPlan &plan, std::uint64_t max_cycles,
-           TelemetrySink *telemetry)
+           const JobPlan &plan, std::uint64_t max_cycles)
 {
     stage_job(m, lane, window_base, plan);
     Lane &ln = m.lane(lane);
@@ -105,19 +102,6 @@ run_job_on(Machine &m, unsigned lane, ByteAddr window_base,
     JobResult res = harvest_job(m, lane, window_base, plan, st);
     res.service_cycles = res.stats.cycles;
     res.e2e_cycles = res.stats.cycles; // no queue ahead of a direct run
-    if (telemetry) {
-        JobRunEvent ev;
-        ev.job_name = plan.name;
-        ev.lane = lane;
-        ev.status = res.status;
-        ev.fault = res.fault.code;
-        ev.service_cycles = res.service_cycles;
-        ev.e2e_cycles = res.e2e_cycles;
-        ev.input_bytes =
-            static_cast<std::uint64_t>(res.stats.input_bytes());
-        ev.final_disposition = true;
-        telemetry->on_job_run(ev);
-    }
     return res;
 }
 

@@ -14,8 +14,6 @@
 
 namespace udp::runtime {
 
-class TelemetrySink;
-
 /// Check a plan is self-consistent and its window fits local memory at
 /// `window_base`; throws UdpError otherwise.
 void validate_job(const JobPlan &plan, ByteAddr window_base);
@@ -60,13 +58,11 @@ JobResult harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
  * the status (or call `require_done`) — a run cut short by `max_cycles`
  * is *not* a success.
  *
- * When `telemetry` is non-null the run is reported as one JobRunEvent
- * (wave 0, attempt 1, zero queue wait — a single-lane run starts
- * immediately); null costs one branch (telemetry.hpp).
+ * Latencies are filled as for a job that never queued: zero queue
+ * wait, service and end-to-end both the lane's cycle count.
  */
 JobResult run_job_on(Machine &m, unsigned lane, ByteAddr window_base,
                      const JobPlan &plan,
-                     std::uint64_t max_cycles = ~std::uint64_t{0},
-                     TelemetrySink *telemetry = nullptr);
+                     std::uint64_t max_cycles = ~std::uint64_t{0});
 
 } // namespace udp::runtime

@@ -12,9 +12,9 @@
 
 #include "assembler/disasm.hpp"
 #include "executor.hpp"
-#include "spantrace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
@@ -56,16 +56,9 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/// Detaches the flight recorder from the machine on scope exit, so a
-/// borrowed machine never keeps observing after run() returns (or
-/// throws).
-struct ObserverGuard {
-    Machine *m = nullptr;
-    ~ObserverGuard() {
-        if (m)
-            m->set_run_observer(nullptr);
-    }
-};
+/// Next unreserved trace id.  Each non-empty run() reserves one id per
+/// job, so ids stay unique across every Scheduler in the process.
+std::atomic<std::uint64_t> g_next_trace_id{0};
 
 } // namespace
 
@@ -118,13 +111,9 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
     // Retries serving a backoff delay (RetryPolicy::backoff_waves).
     std::vector<Delayed> delayed;
 
-    if (opts_.spans)
-        opts_.spans->begin_schedule(jobs.size());
-    ObserverGuard observer_guard;
-    if (opts_.recorder) {
-        machine_->set_run_observer(opts_.recorder);
-        observer_guard.m = machine_;
-    }
+    const std::uint64_t trace_base = g_next_trace_id.fetch_add(jobs.size());
+    for (TelemetrySink *sink : opts_.sinks)
+        sink->on_schedule(jobs.size());
     const bool capture_postmortems =
         opts_.postmortem.keep_last > 0 || !opts_.postmortem.dir.empty();
     // Faulted attempts of each job, oldest first, feeding the next
@@ -327,13 +316,12 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
             } else {
                 ++wr.completed;
             }
+            const std::uint64_t trace_id = trace_base + pl.job;
             if (faulted && capture_postmortems) {
-                const std::uint64_t tid =
-                    opts_.spans ? opts_.spans->trace_id(pl.job) : 0;
                 FaultReport fr;
                 fr.job_name = plan.name;
                 fr.job_index = pl.job;
-                fr.trace_id = tid;
+                fr.trace_id = trace_id;
                 fr.wave = wave_index;
                 fr.attempt = pl.attempt;
                 fr.max_attempts = opts_.retry.max_attempts;
@@ -371,10 +359,11 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
                 fault_history[pl.job].push_back({wave_index, pl.attempt,
                                                  jr.status, jr.fault.code,
                                                  jr.fault.cycle});
-            if (opts_.telemetry || opts_.spans || opts_.recorder) {
+            if (!opts_.sinks.empty()) {
                 JobRunEvent ev;
                 ev.job_name = plan.name;
                 ev.job_index = pl.job;
+                ev.trace_id = trace_id;
                 ev.wave = wave_index;
                 ev.attempt = pl.attempt;
                 ev.lane = pl.start_bank;
@@ -389,21 +378,8 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
                 ev.retried = retried_now;
                 ev.quarantined = jr.quarantined;
                 ev.cancelled = jr.cancelled;
-                if (opts_.telemetry)
-                    opts_.telemetry->on_job_run(ev);
-                if (opts_.spans)
-                    opts_.spans->on_job_run(ev);
-                if (opts_.recorder) {
-                    opts_.recorder->record(
-                        FlightEventKind::JobRun, ev.lane,
-                        static_cast<std::uint64_t>(ev.status),
-                        ev.attempt);
-                    if (ev.quarantined)
-                        opts_.recorder->record(
-                            FlightEventKind::Quarantine, ev.lane,
-                            static_cast<std::uint64_t>(ev.fault),
-                            ev.attempt);
-                }
+                for (TelemetrySink *sink : opts_.sinks)
+                    sink->on_job_run(ev);
             }
             // Always the latest attempt's result; a retried job's entry
             // is overwritten when its final attempt lands — its buffers
@@ -427,7 +403,8 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
         report.host_setup_seconds += wr.host_setup_seconds;
         report.host_simulate_seconds += wr.host_simulate_seconds;
         report.host_harvest_seconds += wr.host_harvest_seconds;
-        if (opts_.telemetry || opts_.spans || opts_.recorder) {
+        Tracer *const lane_tracer = machine_->tracer();
+        if (!opts_.sinks.empty()) {
             WaveEvent ev;
             ev.index = wave_index;
             ev.jobs = wr.jobs;
@@ -436,27 +413,19 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
             ev.retried = wr.retried;
             ev.quarantined = wr.quarantined;
             ev.cancelled = wr.cancelled;
+            ev.start_cycle = queue_wait;
             ev.wall_cycles = wr.wall_cycles;
             ev.host_seconds = wr.host_seconds;
-            if (opts_.telemetry)
-                opts_.telemetry->on_wave(ev);
-            if (opts_.spans)
-                opts_.spans->on_wave(ev);
-            if (opts_.recorder)
-                opts_.recorder->record(FlightEventKind::WaveClose,
-                                       wave_index & 0xFF, ev.jobs,
-                                       ev.wall_cycles);
+            ev.lane_tracer = lane_tracer;
+            for (TelemetrySink *sink : opts_.sinks)
+                sink->on_wave(ev);
         }
-        if (opts_.spans) {
-            // Merge this wave's lane micro-events onto the shared
-            // timeline, then clear the rings: lane cycle stamps restart
-            // every wave (Machine::assign hard-resets lanes), so stale
-            // events would rebase against the wrong wave start.
-            if (Tracer *t = machine_->tracer()) {
-                opts_.spans->absorb_lane_events(*t, queue_wait);
-                t->clear();
-            }
-        }
+        // Lane cycle stamps restart every wave (Machine::assign
+        // hard-resets lanes), so once the sinks and post-mortems have
+        // read this wave's rings they are cleared: the next wave's
+        // readers must see only their own wave.
+        if (lane_tracer && (!opts_.sinks.empty() || capture_postmortems))
+            lane_tracer->clear();
         report.waves.push_back(std::move(wr));
         ++wave_index;
     }

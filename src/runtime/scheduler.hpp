@@ -40,9 +40,6 @@
 
 namespace udp::runtime {
 
-class SpanTracer;      // spantrace.hpp
-class FlightRecorder;  // spantrace.hpp
-
 /**
  * Fault recovery policy (docs/ROBUSTNESS.md).  A job whose run ends
  * Faulted or TimedOut is requeued into a later wave until it has been
@@ -147,30 +144,22 @@ struct SchedulerOptions {
     /// JobControl).  nullptr (the default) costs one branch per job and
     /// never changes results.
     JobControl *control = nullptr;
-    /// Lifecycle-event receiver (telemetry.hpp).  nullptr (the default)
-    /// costs one branch per job/wave — the Tracer's zero-overhead
-    /// discipline — and never changes simulated results either way.
-    TelemetrySink *telemetry = nullptr;
-    /// Span tracer (spantrace.hpp): receives the same lifecycle events
-    /// plus wave boundaries, and absorbs the machine Tracer's lane
-    /// micro-events each wave (the Scheduler clears the Tracer per wave
-    /// so run-local cycle stamps rebase onto the shared timeline).
-    /// Same nullptr-default/one-branch/bit-identical contract.
-    SpanTracer *spans = nullptr;
-    /// Flight recorder (spantrace.hpp): attached to the machine as its
-    /// RunObserver for the duration of run(), so lane start/end land in
-    /// per-worker-thread rings; also fed job/wave lifecycle events from
-    /// the scheduling thread.  Same contract.
-    FlightRecorder *recorder = nullptr;
+    /// Lifecycle-event receivers (telemetry.hpp): RegistryTelemetry,
+    /// SpanTracer (spantrace.hpp), ...  Every event goes to each sink
+    /// once, in list order, from the caller's thread.  Empty (the
+    /// default) builds no event; simulated results are bit-identical
+    /// either way.
+    std::vector<TelemetrySink *> sinks{};
     /// Post-mortem capture on faulted runs (postmortem.hpp).  Off by
     /// default (keep_last == 0, empty dir).
     PostmortemPolicy postmortem;
     /// Lane micro-event tracer to attach to the scheduler's machine at
     /// construction (core/trace.hpp) — how benches route one shared
-    /// Tracer into schedulers that own their machines.  The Scheduler
-    /// clears it every wave while `spans` absorbs, and post-mortems snapshot
-    /// the faulting lane's ring from it.  nullptr leaves the machine's
-    /// existing attachment (if any) untouched.
+    /// Tracer into schedulers that own their machines.  Sinks see it in
+    /// every WaveEvent and post-mortems snapshot the faulting lane's
+    /// ring from it; while either reads it the Scheduler clears it after
+    /// every wave, otherwise its rings survive the run.  nullptr leaves
+    /// the machine's existing attachment (if any) untouched.
     Tracer *lane_tracer = nullptr;
 };
 

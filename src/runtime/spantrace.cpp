@@ -1,6 +1,6 @@
 /**
  * @file
- * SpanTracer / FlightRecorder implementation.
+ * SpanTracer implementation.
  */
 #include "spantrace.hpp"
 
@@ -13,10 +13,6 @@
 
 namespace udp::runtime {
 
-// ---------------------------------------------------------------------------
-// SpanTracer.
-// ---------------------------------------------------------------------------
-
 SpanTracer::SpanTracer(std::size_t max_spans, std::size_t max_lane_events)
     : max_spans_(max_spans), max_lane_events_(max_lane_events)
 {
@@ -25,14 +21,11 @@ SpanTracer::SpanTracer(std::size_t max_spans, std::size_t max_lane_events)
 }
 
 void
-SpanTracer::begin_schedule(std::size_t n_jobs)
+SpanTracer::on_schedule(std::size_t /*jobs*/)
 {
     // Lay this run out after everything already on the timeline, so a
     // bench that schedules several times produces one sequential trace.
     run_base_ = timeline_end_;
-    run_wall_ = 0;
-    run_trace_base_ = next_trace_id_;
-    next_trace_id_ += n_jobs;
     ++run_ordinal_;
 }
 
@@ -45,7 +38,7 @@ SpanTracer::on_job_run(const JobRunEvent &e)
     }
     AttemptSpan s;
     s.job_name = std::string(e.job_name);
-    s.trace_id = run_trace_base_ + e.job_index;
+    s.trace_id = e.trace_id;
     s.job_index = e.job_index;
     s.wave = e.wave;
     s.attempt = e.attempt;
@@ -65,21 +58,23 @@ SpanTracer::on_job_run(const JobRunEvent &e)
 void
 SpanTracer::on_wave(const WaveEvent &e)
 {
+    // The wave's lane events are absorbed even when its span is dropped.
+    if (e.lane_tracer)
+        absorb_lane_events(*e.lane_tracer, e.start_cycle);
     if (waves_.size() >= max_spans_) {
         ++dropped_spans_;
         return;
     }
     WaveSpan s;
     s.index = e.index;
-    // 0-based run ordinal (begin_schedule pre-increments; waves seen
-    // before any begin_schedule count as run 0).
+    // 0-based run ordinal (on_schedule pre-increments; waves seen
+    // before any on_schedule count as run 0).
     s.run = run_ordinal_ ? run_ordinal_ - 1 : 0;
     s.jobs = e.jobs;
     s.banks_used = e.banks_used;
-    s.start = run_base_ + run_wall_;
+    s.start = run_base_ + e.start_cycle;
     s.wall = e.wall_cycles;
     s.host_seconds = e.host_seconds;
-    run_wall_ += e.wall_cycles;
     timeline_end_ = std::max(timeline_end_, s.start + s.wall);
     waves_.push_back(s);
 }
@@ -110,8 +105,7 @@ SpanTracer::clear()
     lane_events_.clear();
     dropped_spans_ = 0;
     dropped_lane_events_ = 0;
-    run_base_ = run_wall_ = timeline_end_ = 0;
-    next_trace_id_ = run_trace_base_ = 0;
+    run_base_ = timeline_end_ = 0;
     run_ordinal_ = 0;
 }
 
@@ -408,177 +402,6 @@ SpanTracer::write_file(const std::string &path) const
     write_chrome_trace(os);
     os.flush();
     return bool(os);
-}
-
-// ---------------------------------------------------------------------------
-// FlightRecorder.
-// ---------------------------------------------------------------------------
-
-std::string_view
-flight_event_kind_name(FlightEventKind k)
-{
-    switch (k) {
-      case FlightEventKind::LaneStart: return "lane_start";
-      case FlightEventKind::LaneEnd: return "lane_end";
-      case FlightEventKind::JobRun: return "job_run";
-      case FlightEventKind::WaveClose: return "wave_close";
-      case FlightEventKind::Quarantine: return "quarantine";
-    }
-    return "?";
-}
-
-namespace {
-
-/// Registry of live recorders, so a thread-exit release can tell whether
-/// the recorder its cached slot points at still exists (a TLS holder can
-/// outlive the FlightRecorder it last recorded to).
-std::mutex &
-live_recorders_mu()
-{
-    static std::mutex mu;
-    return mu;
-}
-
-std::set<const void *> &
-live_recorders()
-{
-    static std::set<const void *> live;
-    return live;
-}
-
-} // namespace
-
-/// Per-thread slot cache.  One per thread (thread_local); releases the
-/// slot back to its recorder when the thread exits — under the registry
-/// mutex, so a destroyed recorder is never touched.
-struct FlightRecorderTls {
-    FlightRecorder *owner = nullptr;
-    unsigned slot = 0;
-
-    ~FlightRecorderTls() { release(); }
-
-    void release() {
-        if (!owner)
-            return;
-        std::lock_guard<std::mutex> lk(live_recorders_mu());
-        if (live_recorders().count(owner))
-            owner->release_slot(slot);
-        owner = nullptr;
-    }
-};
-
-namespace {
-thread_local FlightRecorderTls g_flight_tls;
-} // namespace
-
-FlightRecorder::FlightRecorder(std::size_t ring_capacity)
-    : capacity_(ring_capacity)
-{
-    if (capacity_ == 0)
-        throw UdpError("FlightRecorder: ring capacity must be positive");
-    std::lock_guard<std::mutex> lk(live_recorders_mu());
-    live_recorders().insert(this);
-}
-
-FlightRecorder::~FlightRecorder()
-{
-    std::lock_guard<std::mutex> lk(live_recorders_mu());
-    live_recorders().erase(this);
-    // The calling thread's own cached slot would dangle the moment this
-    // returns; drop it (other threads' caches are guarded by the
-    // registry check above).
-    if (g_flight_tls.owner == this)
-        g_flight_tls.owner = nullptr;
-}
-
-unsigned
-FlightRecorder::acquire_slot()
-{
-    std::lock_guard<std::mutex> lk(slots_mu_);
-    for (unsigned i = 0; i < kFlightRecorderSlots; ++i) {
-        if (!slots_[i].in_use) {
-            slots_[i].in_use = true;
-            return i;
-        }
-    }
-    throw UdpError("FlightRecorder: more concurrent recording threads "
-                   "than slots");
-}
-
-void
-FlightRecorder::release_slot(unsigned slot)
-{
-    std::lock_guard<std::mutex> lk(slots_mu_);
-    // Retained events survive the release: the ring keeps the recent
-    // past; only the write cursor ownership moves to the next thread.
-    slots_[slot].in_use = false;
-}
-
-void
-FlightRecorder::record(FlightEventKind kind, unsigned lane,
-                       std::uint64_t a, std::uint64_t b)
-{
-    if (g_flight_tls.owner != this) {
-        // First record from this thread (or it last recorded elsewhere):
-        // claim a slot under the mutex, then cache it.  Everything past
-        // this branch is lock-free.
-        g_flight_tls.release();
-        g_flight_tls.slot = acquire_slot();
-        g_flight_tls.owner = this;
-    }
-    Slot &s = slots_[g_flight_tls.slot];
-    FlightEvent ev;
-    ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    ev.a = a;
-    ev.b = b;
-    ev.kind = kind;
-    ev.lane = static_cast<std::uint8_t>(lane);
-    if (s.buf.size() < capacity_) {
-        s.buf.push_back(ev);
-    } else {
-        s.buf[s.next] = ev;
-        s.next = (s.next + 1) % capacity_;
-    }
-    ++s.total;
-}
-
-void
-FlightRecorder::on_lane_start(unsigned lane)
-{
-    record(FlightEventKind::LaneStart, lane);
-}
-
-void
-FlightRecorder::on_lane_end(unsigned lane, LaneStatus status, Cycles cycles)
-{
-    record(FlightEventKind::LaneEnd, lane,
-           static_cast<std::uint64_t>(status), cycles);
-}
-
-std::vector<FlightEvent>
-FlightRecorder::snapshot() const
-{
-    std::vector<FlightEvent> out;
-    {
-        std::lock_guard<std::mutex> lk(slots_mu_);
-        for (const Slot &s : slots_)
-            out.insert(out.end(), s.buf.begin(), s.buf.end());
-    }
-    std::sort(out.begin(), out.end(),
-              [](const FlightEvent &x, const FlightEvent &y) {
-                  return x.seq < y.seq;
-              });
-    return out;
-}
-
-std::uint64_t
-FlightRecorder::dropped() const
-{
-    std::lock_guard<std::mutex> lk(slots_mu_);
-    std::uint64_t retained = 0;
-    for (const Slot &s : slots_)
-        retained += s.buf.size();
-    return seq_.load(std::memory_order_relaxed) - retained;
 }
 
 } // namespace udp::runtime

@@ -1,51 +1,35 @@
 /**
  * @file
- * Causal runtime tracing: job/wave spans merged with lane micro-events,
- * and an always-cheap flight recorder (docs/OBSERVABILITY.md).
+ * Causal runtime tracing: job/wave spans merged with lane micro-events
+ * (docs/OBSERVABILITY.md).
  *
  * The telemetry layer (PR 6) aggregates; it cannot answer "why was
- * *this* job slow".  This layer records causality:
+ * *this* job slow".  `SpanTracer` records causality: it is a
+ * TelemetrySink that turns Scheduler lifecycle events into nested
+ * spans — job → attempt (retries are sibling attempts) → wave →
+ * lane-run — and interleaves them with the core Tracer's per-lane
+ * micro-events on one shared timeline.  The export is Chrome
+ * `trace_event` JSON (Perfetto-loadable): one file shows the
+ * scheduler's decisions stacked directly above the micro-ops they
+ * caused.  Timestamps are deterministic *simulated* cycles (1 cycle =
+ * 1 ns at the nominal clock); per-wave host seconds ride along in span
+ * args as a secondary clock.
  *
- *  - `SpanTracer` is a TelemetrySink that turns Scheduler/executor
- *    lifecycle events into nested spans — job → attempt (retries are
- *    sibling attempts) → wave → lane-run — and interleaves them with
- *    the core Tracer's per-lane micro-events on one shared timeline.
- *    The export is Chrome `trace_event` JSON (Perfetto-loadable): one
- *    file shows the scheduler's decisions stacked directly above the
- *    micro-ops they caused.  Timestamps are deterministic *simulated*
- *    cycles (1 cycle = 1 ns at the nominal clock); per-wave host
- *    seconds ride along in span args as a secondary clock.
- *
- *  - `FlightRecorder` is a fixed-capacity ring of recent lifecycle
- *    events per worker thread, cheap enough to leave on in production:
- *    recording is lock-free (one relaxed atomic increment plus plain
- *    stores into a thread-owned ring), the hook in `run_parallel` is a
- *    single predicted-not-taken branch when detached, and simulated
- *    results are bit-identical with or without it.
- *
- * Both are purely observational, following the PR 6 sink discipline:
- * nullptr (the default) costs one branch and changes nothing.
+ * Purely observational, following the telemetry sink discipline: a
+ * Scheduler without sinks (the default) builds no event and changes
+ * nothing.
  */
 #pragma once
 
-#include "core/machine.hpp"
 #include "core/trace.hpp"
 #include "runtime/telemetry.hpp"
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace udp::runtime {
-
-// ---------------------------------------------------------------------------
-// Span tracing.
-// ---------------------------------------------------------------------------
 
 /// One attempt of one job, placed on the shared timeline.
 struct AttemptSpan {
@@ -86,13 +70,13 @@ inline constexpr std::size_t kDefaultMaxLaneEvents = std::size_t{1} << 16;
  * lane micro-events.
  *
  * Lifecycle events arrive through the TelemetrySink interface, so a
- * SpanTracer drops into `SchedulerOptions::spans` or `run_job_on`'s
- * telemetry slot unchanged.  Lane cycle stamps are run-local (the
- * Tracer is cleared every wave); `absorb_lane_events` rebases them by
- * the wave's global start cycle so micro-ops land inside their
+ * SpanTracer drops into `SchedulerOptions::sinks` next to any other
+ * sink.  Lane cycle stamps are wave-local (the Scheduler clears the
+ * Tracer every wave); `on_wave` absorbs the wave's lane events rebased
+ * by the wave's global start cycle, so micro-ops land inside their
  * attempt's span.  Successive scheduler runs through one SpanTracer
- * lay out sequentially (`begin_schedule` advances the run base to the
- * current timeline end) and their trace ids stay globally unique.
+ * lay out sequentially (`on_schedule` advances the run base to the
+ * current timeline end); trace ids come from the events.
  *
  * Not thread-safe: lifecycle events are emitted from the scheduler
  * caller's thread (telemetry.hpp); use one SpanTracer per run stream.
@@ -103,17 +87,10 @@ class SpanTracer final : public TelemetrySink
     explicit SpanTracer(std::size_t max_spans = kDefaultMaxSpans,
                         std::size_t max_lane_events = kDefaultMaxLaneEvents);
 
-    /// A scheduler run over `n_jobs` jobs is starting: lay it out after
-    /// everything already recorded and reserve `n_jobs` trace ids.
-    void begin_schedule(std::size_t n_jobs);
-
-    /// Trace id of job `job_index` within the current scheduler run
-    /// (ids stay unique across runs — see begin_schedule).
-    std::uint64_t trace_id(std::size_t job_index) const {
-        return run_trace_base_ + job_index;
-    }
-
-    // TelemetrySink: one attempt harvested / one wave closed.
+    // TelemetrySink: a scheduler run starts (lay it out after
+    // everything already recorded) / one attempt harvested / one wave
+    // closed (its span, plus the lane events of `e.lane_tracer`).
+    void on_schedule(std::size_t jobs) override;
     void on_job_run(const JobRunEvent &e) override;
     void on_wave(const WaveEvent &e) override;
 
@@ -156,116 +133,8 @@ class SpanTracer final : public TelemetrySink
     std::uint64_t dropped_spans_ = 0;
     std::uint64_t dropped_lane_events_ = 0;
     Cycles run_base_ = 0;     ///< global cycle this scheduler run starts at
-    Cycles run_wall_ = 0;     ///< wall cycles of closed waves in this run
     Cycles timeline_end_ = 0; ///< latest global cycle seen
-    std::uint64_t next_trace_id_ = 0;
-    std::uint64_t run_trace_base_ = 0; ///< first trace id of this run
-    unsigned run_ordinal_ = 0;         ///< begin_schedule count
-};
-
-// ---------------------------------------------------------------------------
-// Flight recorder.
-// ---------------------------------------------------------------------------
-
-/// What a flight-recorder entry records.
-enum class FlightEventKind : std::uint8_t {
-    LaneStart = 0, ///< lane run began (RunObserver, worker thread)
-    LaneEnd,       ///< lane run finished; a = status, b = lane cycles
-    JobRun,        ///< attempt harvested; a = status, b = attempt
-    WaveClose,     ///< wave closed; a = jobs, b = wall cycles
-    Quarantine,    ///< job gave up after max attempts; a = fault code
-};
-
-/// Printable kind name ("lane_start", ...).
-std::string_view flight_event_kind_name(FlightEventKind k);
-
-/// One recorded lifecycle event.
-struct FlightEvent {
-    std::uint64_t seq = 0; ///< global order across all threads
-    std::uint64_t a = 0;   ///< kind-specific payload
-    std::uint64_t b = 0;   ///< kind-specific payload
-    FlightEventKind kind = FlightEventKind::LaneStart;
-    std::uint8_t lane = 0; ///< lane (or job slot) the event concerns
-};
-
-/// Default events retained per worker-thread ring.
-inline constexpr std::size_t kDefaultFlightRingCapacity = 256;
-
-/// Worker-thread slots a FlightRecorder can serve concurrently.
-inline constexpr unsigned kFlightRecorderSlots = 64;
-
-/**
- * Always-cheap ring of recent lifecycle events, one ring per recording
- * thread.
- *
- * Thread model: the first record() from a thread claims a slot under a
- * mutex and caches it in a thread_local; every subsequent record() is
- * lock-free — one relaxed fetch_add for the global sequence number plus
- * plain stores into the ring the thread owns.  A thread releases its
- * slot when it exits (the jthread pool is created and joined inside
- * every run_parallel call, so pool slots recycle between runs; the
- * join gives the release a happens-before edge, keeping the threaded
- * backend TSan-clean).  Rings are not cleared on slot reuse: the
- * recorder deliberately keeps the *recent past* across runs.
- *
- * `snapshot()` requires quiescence — no concurrent record() calls — the
- * same contract as the telemetry histograms' perfectly-consistent
- * snapshots.  In the Scheduler that always holds: workers are joined
- * before the wave is harvested.
- *
- * Implements RunObserver, so `Machine::set_run_observer(&recorder)`
- * captures lane start/end on the worker threads themselves.
- */
-class FlightRecorder final : public RunObserver
-{
-  public:
-    explicit FlightRecorder(
-        std::size_t ring_capacity = kDefaultFlightRingCapacity);
-    ~FlightRecorder() override;
-
-    FlightRecorder(const FlightRecorder &) = delete;
-    FlightRecorder &operator=(const FlightRecorder &) = delete;
-
-    /// Record one event from the calling thread.  Lock-free after the
-    /// thread's first call.
-    void record(FlightEventKind kind, unsigned lane, std::uint64_t a = 0,
-                std::uint64_t b = 0);
-
-    // RunObserver: lane runs observed on the executing worker thread.
-    void on_lane_start(unsigned lane) override;
-    void on_lane_end(unsigned lane, LaneStatus status,
-                     Cycles cycles) override;
-
-    /// All retained events merged across thread rings, in global
-    /// (sequence) order.  Requires quiescence.
-    std::vector<FlightEvent> snapshot() const;
-
-    /// Lifetime event count (not capped by the rings).
-    std::uint64_t total() const {
-        return seq_.load(std::memory_order_relaxed);
-    }
-
-    /// Events evicted from rings (total - retained).  Quiescence only.
-    std::uint64_t dropped() const;
-
-    std::size_t ring_capacity() const { return capacity_; }
-
-  private:
-    struct Slot {
-        std::vector<FlightEvent> buf; ///< grows to capacity, then wraps
-        std::size_t next = 0;         ///< overwrite cursor once full
-        std::uint64_t total = 0;
-        bool in_use = false;
-    };
-
-    friend struct FlightRecorderTls;
-    unsigned acquire_slot();
-    void release_slot(unsigned slot);
-
-    std::size_t capacity_;
-    std::atomic<std::uint64_t> seq_{0};
-    mutable std::mutex slots_mu_; ///< guards slot claim/release only
-    std::array<Slot, kFlightRecorderSlots> slots_;
+    unsigned run_ordinal_ = 0; ///< on_schedule count
 };
 
 } // namespace udp::runtime

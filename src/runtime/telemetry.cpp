@@ -445,12 +445,15 @@ RegistryTelemetry::on_job_run(const JobRunEvent &e)
     runs_.add();
     queue_wait_.record(e.queue_wait_cycles);
     service_.record(e.service_cycles);
+    // Faulted means Faulted/TimedOut, as ScheduleReport::faulted_runs
+    // counts it; a Reject completes, as in WaveReport::completed.
     if (e.cancelled)
         jobs_cancelled_.add();
-    else if (e.status == LaneStatus::Done)
-        jobs_completed_.add();
-    else
+    else if (e.status == LaneStatus::Faulted ||
+             e.status == LaneStatus::TimedOut)
         runs_faulted_.add();
+    else
+        jobs_completed_.add();
     if (e.retried)
         retries_.add();
     if (e.quarantined)

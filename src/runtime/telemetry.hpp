@@ -23,13 +23,13 @@
  *    Snapshotable to JSON (via `JsonWriter`) and to a Prometheus-style
  *    text exposition; `merge()` folds one registry into another — the
  *    scale-out primitive for per-shard registries.
- *  - Lifecycle events: the Scheduler and the single-job executor emit
- *    `JobRunEvent` / `WaveEvent` records to an optional
- *    `TelemetrySink`.  `RegistryTelemetry` is the standard sink that
- *    turns those events into registry metrics.  With no sink attached
- *    (the default) the hooks are a single null check — the same
- *    zero-overhead discipline as the core Tracer — and simulated
- *    results are bit-identical either way.
+ *  - Lifecycle events: the Scheduler sends `JobRunEvent` / `WaveEvent`
+ *    records to every `TelemetrySink` in `SchedulerOptions::sinks`.
+ *    `RegistryTelemetry` is the standard sink that turns those events
+ *    into registry metrics; `SpanTracer` (spantrace.hpp) turns them
+ *    into a trace.  With no sink attached (the default) no event is
+ *    built — the same zero-overhead discipline as the core Tracer —
+ *    and simulated results are bit-identical either way.
  */
 #pragma once
 
@@ -49,6 +49,7 @@
 
 namespace udp {
 class JsonWriter;
+class Tracer; // core/trace.hpp
 }
 
 namespace udp::runtime {
@@ -224,16 +225,19 @@ std::string prometheus_name(std::string_view name);
 
 /**
  * One run (attempt) of one job, emitted by the Scheduler as each wave
- * is harvested and by `run_job_on` for single-lane runs.  Latencies are
- * *simulated* cycles, so they are deterministic and thread-count
- * independent: queue-wait is the machine time of every wave that ran
- * before this one (submission happens at t = 0), service is the lane's
- * own cycle count, end-to-end is queue-wait plus the wave's wall (a
- * wave is a barrier — results become visible when it closes).
+ * is harvested.  Latencies are *simulated* cycles, so they are
+ * deterministic and thread-count independent: queue-wait is the
+ * machine time of every wave that ran before this one (submission
+ * happens at t = 0), service is the lane's own cycle count, end-to-end
+ * is queue-wait plus the wave's wall (a wave is a barrier — results
+ * become visible when it closes).
  */
 struct JobRunEvent {
     std::string_view job_name;  ///< JobPlan::name (the kernel's name)
     std::size_t job_index = 0;  ///< submission-order index
+    /// Unique per job across every Scheduler run in the process; shared
+    /// by the job's attempts, its spans and its post-mortems.
+    std::uint64_t trace_id = 0;
     unsigned wave = 0;          ///< wave of this run
     unsigned attempt = 1;       ///< 1-based attempt number
     unsigned lane = 0;          ///< lane the run executed on
@@ -258,8 +262,14 @@ struct WaveEvent {
     unsigned retried = 0;
     unsigned quarantined = 0;
     unsigned cancelled = 0;  ///< runs discarded mid-wave by cancellation
+    Cycles start_cycle = 0;  ///< machine time of the run's earlier waves
     Cycles wall_cycles = 0;
     double host_seconds = 0; ///< host time to stage+simulate+harvest it
+    /// The machine's lane Tracer (nullptr when none is attached), valid
+    /// for the duration of the call.  Its rings hold this wave's
+    /// micro-events, stamped from cycle 0 at `start_cycle`; the
+    /// Scheduler clears them after the sinks ran.
+    const Tracer *lane_tracer = nullptr;
 };
 
 /**
@@ -272,6 +282,8 @@ class TelemetrySink
 {
   public:
     virtual ~TelemetrySink() = default;
+    /// A Scheduler run over `jobs` jobs (> 0) is starting.
+    virtual void on_schedule(std::size_t /*jobs*/) {}
     virtual void on_job_run(const JobRunEvent &e) = 0;
     virtual void on_wave(const WaveEvent &e) = 0;
 };

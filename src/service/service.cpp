@@ -145,7 +145,7 @@ Service::Service(ServiceOptions opts)
     control_ = std::make_unique<runtime::JobControl>(opts_.max_batch_jobs);
 
     runtime::SchedulerOptions sopts = opts_.sched;
-    sopts.telemetry = telemetry_.get();
+    sopts.sinks.push_back(telemetry_.get());
     sopts.control = control_.get();
     if (opts_.keep_postmortems_per_tenant > 0) {
         // In-memory capture must out-survive one batch's worst case so

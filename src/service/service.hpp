@@ -175,8 +175,10 @@ struct ServiceStats {
 /// Service construction knobs.
 struct ServiceOptions {
     /// Scheduler configuration the run loop uses (retry policy, host
-    /// threads, cycle budgets...).  `control`, `telemetry` and
-    /// `postmortem.keep_last` are managed by the service itself.
+    /// threads, cycle budgets...).  `control` and `postmortem.keep_last`
+    /// are managed by the service itself, which also appends its
+    /// registry sink to `sinks`: caller sinks (a SpanTracer, say) still
+    /// see every event.
     runtime::SchedulerOptions sched;
     /// Jobs per Scheduler batch (>= 1; one 64-lane wave by default).
     unsigned max_batch_jobs = kNumLanes;

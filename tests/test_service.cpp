@@ -11,6 +11,7 @@
 #include "runtime/fault_injection.hpp"
 #include "runtime/kernel_spec.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/spantrace.hpp"
 #include "service/service.hpp"
 #include "workloads/generators.hpp"
 
@@ -289,7 +290,7 @@ TEST(Scheduler, CancelMidWaveDiscardsAttempt)
     sink.cancel_job = 1;
     SchedulerOptions o;
     o.control = &control;
-    o.telemetry = &sink;
+    o.sinks = {&sink};
     Scheduler s(o);
     const auto rep = s.run(jobs);
 
@@ -322,7 +323,7 @@ TEST(Scheduler, CancelWhileQueuedForRetryDropsRetry)
     sink.job = 1;
     SchedulerOptions o;
     o.control = &control;
-    o.telemetry = &sink;
+    o.sinks = {&sink};
     o.retry.max_attempts = 3;
     Scheduler s(o);
     const auto rep = s.run(jobs);
@@ -419,6 +420,38 @@ TEST(Service, ResultsBitIdenticalToDirectScheduler)
     }
     // Consumed: the ids are forgotten.
     EXPECT_FALSE(svc.poll(ids[0]).has_value());
+}
+
+TEST(Service, SpanTracerInSinksSeesEveryScheduledRun)
+{
+    // A caller's SpanTracer rides along with the Service's own registry
+    // sink: one attempt span per run the registry counts.
+    SpanTracer spans;
+    ServiceOptions so;
+    so.sched.retry.max_attempts = 2;
+    so.sched.sinks = {&spans};
+    Service svc(so);
+    auto client = svc.client(svc.register_tenant(open_tenant("traced")));
+    auto jobs = trigger_jobs(8);
+    FaultInjector inj(0xF01D);
+    inj.force_trap(jobs[3], 300, 1); // transient: one retry run
+    std::vector<JobId> ids;
+    for (const auto &j : jobs)
+        ids.push_back(client.submit(j));
+    for (const JobId id : ids) {
+        auto out = client.wait(id, 60.0);
+        ASSERT_TRUE(out.has_value());
+        EXPECT_EQ(out->state, JobState::Done);
+    }
+    svc.drain(); // joins the run loop, the SpanTracer's only writer
+
+    std::uint64_t runs = 0;
+    for (const auto &[name, v] : svc.registry().counters())
+        if (name == "scheduler.runs")
+            runs = v;
+    EXPECT_EQ(runs, jobs.size() + 1);
+    EXPECT_EQ(spans.attempts().size(), runs);
+    EXPECT_EQ(spans.waves().size(), svc.stats().waves);
 }
 
 TEST(Service, ShedsWhenOverRate)

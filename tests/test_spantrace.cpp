@@ -1,10 +1,10 @@
 /**
  * @file
  * Causal tracing tests: SpanTracer export (merged scheduler spans +
- * lane micro-events), FlightRecorder ring semantics under threads, and
+ * lane micro-events), the per-lane Tracer rings under threads, and
  * post-mortem FaultReport capture (docs/OBSERVABILITY.md "Tracing &
- * post-mortems").  The SpanTrace and Postmortem suites run under TSan
- * and UBSan in CI.
+ * post-mortems").  The SpanTrace and Postmortem suites run under TSan,
+ * ASan and UBSan in CI.
  */
 #include "assembler/disasm.hpp"
 #include "baselines/histogram.hpp"
@@ -21,12 +21,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 
 using namespace udp;
 using namespace udp::runtime;
@@ -100,7 +98,7 @@ TEST(SpanTrace, SchedulerRunProducesNestedSpans)
     Tracer tracer;
     SpanTracer spans;
     SchedulerOptions opts;
-    opts.spans = &spans;
+    opts.sinks = {&spans};
     opts.lane_tracer = &tracer;
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
@@ -111,13 +109,16 @@ TEST(SpanTrace, SchedulerRunProducesNestedSpans)
     EXPECT_GT(spans.lane_event_count(), 0u);
     EXPECT_EQ(spans.dropped_spans(), 0u);
 
-    // Span invariants on the shared timeline.
+    // Span invariants on the shared timeline.  The run reserved one
+    // block of trace ids, indexed by submission order.
+    const AttemptSpan &first = spans.attempts().front();
+    const std::uint64_t id_base = first.trace_id - first.job_index;
     std::set<std::uint64_t> ids;
     for (const AttemptSpan &a : spans.attempts()) {
         EXPECT_LE(a.submit, a.start);
         EXPECT_LE(a.start + a.service, a.end);
         EXPECT_EQ(a.job_name, jobs[a.job_index].name);
-        EXPECT_EQ(a.trace_id, spans.trace_id(a.job_index));
+        EXPECT_EQ(a.trace_id, id_base + a.job_index);
         EXPECT_TRUE(a.final_disposition); // no faults in this fleet
         ids.insert(a.trace_id);
     }
@@ -145,7 +146,7 @@ TEST(SpanTrace, SequentialRunsLayOutAfterEachOtherWithUniqueIds)
     const auto jobs = trace_fleet(16); // single wave per run
     SpanTracer spans;
     SchedulerOptions opts;
-    opts.spans = &spans;
+    opts.sinks = {&spans};
 
     Scheduler first(opts);
     first.run(jobs);
@@ -208,7 +209,7 @@ TEST(SpanTrace, RingWraparoundCountsDrops)
 TEST(SpanTrace, HostileJobNamesAreEscaped)
 {
     SpanTracer spans;
-    spans.begin_schedule(3);
+    spans.on_schedule(3);
     const char *names[] = {"quote\"inside", "back\\slash",
                            "ctrl\x01\ttab\nnewline"};
     for (unsigned i = 0; i < 3; ++i) {
@@ -241,8 +242,7 @@ TEST(SpanTrace, SpanServiceSumMatchesTelemetryHistogram)
     SpanTracer spans;
     SchedulerOptions opts;
     opts.retry.max_attempts = 3;
-    opts.telemetry = &sink;
-    opts.spans = &spans;
+    opts.sinks = {&sink, &spans};
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
     EXPECT_GT(rep.retries, 0u);
@@ -311,114 +311,41 @@ TEST(SpanTrace, TracerIsIdenticalUnderThreadedBackend)
 TEST(SpanTrace, ResultsBitIdenticalWithAllSinksAttached)
 {
     const auto jobs = trace_fleet(100);
-    Scheduler plain;
+    SchedulerOptions serial;
+    serial.threads = 1;
+    Scheduler plain(serial);
     const ScheduleReport ref = plain.run(jobs);
 
-    Tracer tracer;
-    SpanTracer spans;
-    FlightRecorder recorder;
-    SchedulerOptions opts;
-    opts.threads = 4;
-    opts.spans = &spans;
-    opts.recorder = &recorder;
-    opts.lane_tracer = &tracer;
-    opts.postmortem.keep_last = 4;
-    Scheduler observed(opts);
-    const ScheduleReport rep = observed.run(jobs);
+    // Every sink and capture at once, serial and pooled: the observers
+    // must leave the results exactly as a bare run produces them.
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        MetricRegistry reg;
+        RegistryTelemetry sink(reg);
+        Tracer tracer;
+        SpanTracer spans;
+        SchedulerOptions opts;
+        opts.threads = threads;
+        opts.sinks = {&sink, &spans};
+        opts.lane_tracer = &tracer;
+        opts.postmortem.keep_last = 4;
+        Scheduler observed(opts);
+        const ScheduleReport rep = observed.run(jobs);
 
-    EXPECT_EQ(ref.wall_cycles, rep.wall_cycles);
-    EXPECT_DOUBLE_EQ(ref.energy_j, rep.energy_j);
-    ASSERT_EQ(ref.jobs.size(), rep.jobs.size());
-    for (std::size_t i = 0; i < ref.jobs.size(); ++i)
-        expect_results_eq(ref.jobs[i], rep.jobs[i]);
-}
+        SchedulerOptions bare;
+        bare.threads = threads;
+        Scheduler unobserved(bare);
+        const ScheduleReport none = unobserved.run(jobs);
 
-// --- Flight recorder ------------------------------------------------------
-
-TEST(SpanTrace, FlightRecorderObservesSchedulerLifecycle)
-{
-    const auto jobs = trace_fleet(100);
-    FlightRecorder rec(/*ring_capacity=*/4096);
-    SchedulerOptions opts;
-    opts.threads = 4;
-    opts.recorder = &rec;
-    Scheduler sched(opts);
-    const ScheduleReport rep = sched.run(jobs);
-
-    const auto events = rec.snapshot();
-    ASSERT_FALSE(events.empty());
-    EXPECT_EQ(rec.total(), events.size() + rec.dropped());
-    EXPECT_EQ(rec.dropped(), 0u); // ring big enough for this fleet
-
-    std::uint64_t starts = 0, ends = 0, runs = 0, waves = 0;
-    std::uint64_t last_seq = 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const FlightEvent &e = events[i];
-        if (i > 0)
-            EXPECT_GT(e.seq, last_seq); // strict global order
-        last_seq = e.seq;
-        switch (e.kind) {
-        case FlightEventKind::LaneStart: ++starts; break;
-        case FlightEventKind::LaneEnd:
-            ++ends;
-            EXPECT_GT(e.b, 0u); // lane cycles
-            break;
-        case FlightEventKind::JobRun: ++runs; break;
-        case FlightEventKind::WaveClose: ++waves; break;
-        case FlightEventKind::Quarantine: break;
+        for (const ScheduleReport *r : {&rep, &none}) {
+            EXPECT_EQ(ref.wall_cycles, r->wall_cycles);
+            EXPECT_DOUBLE_EQ(ref.energy_j, r->energy_j);
+            ASSERT_EQ(ref.jobs.size(), r->jobs.size());
+            for (std::size_t i = 0; i < ref.jobs.size(); ++i)
+                expect_results_eq(ref.jobs[i], r->jobs[i]);
         }
+        EXPECT_EQ(spans.attempts().size(), jobs.size());
     }
-    // Worker-thread lane hooks fire once per run; harvest events once
-    // per run; one close per wave.
-    EXPECT_EQ(starts, jobs.size() + rep.retries);
-    EXPECT_EQ(ends, starts);
-    EXPECT_EQ(runs, starts);
-    EXPECT_EQ(waves, rep.waves.size());
-    EXPECT_FALSE(flight_event_kind_name(events[0].kind).empty());
-}
-
-TEST(SpanTrace, FlightRecorderRingKeepsMostRecent)
-{
-    FlightRecorder rec(/*ring_capacity=*/8);
-    for (unsigned i = 0; i < 20; ++i)
-        rec.record(FlightEventKind::JobRun, 0, /*a=*/i);
-    EXPECT_EQ(rec.total(), 20u);
-    EXPECT_EQ(rec.dropped(), 12u);
-    const auto events = rec.snapshot();
-    ASSERT_EQ(events.size(), 8u);
-    for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(events[i].a, 12u + i); // oldest evicted first
-}
-
-TEST(SpanTrace, FlightRecorderConcurrentThreadsKeepExactTotals)
-{
-    // 8 threads, each overflowing its own ring: totals stay exact and
-    // the merged snapshot is seq-sorted (TSan-exercised in CI).  The
-    // barrier after the first record keeps all 8 slots claimed at once —
-    // without it a fast thread can exit and donate its slot (and ring)
-    // to a later thread, which is the intended reuse semantics but not
-    // what this test measures.
-    FlightRecorder rec(/*ring_capacity=*/64);
-    constexpr unsigned kThreads = 8, kPer = 1'000;
-    {
-        std::atomic<unsigned> claimed{0};
-        std::vector<std::jthread> pool;
-        for (unsigned t = 0; t < kThreads; ++t)
-            pool.emplace_back([&rec, &claimed, t] {
-                rec.record(FlightEventKind::LaneEnd, t, 0, 1);
-                claimed.fetch_add(1);
-                while (claimed.load() < kThreads)
-                    std::this_thread::yield();
-                for (unsigned i = 1; i < kPer; ++i)
-                    rec.record(FlightEventKind::LaneEnd, t, i, 1);
-            });
-    }
-    EXPECT_EQ(rec.total(), std::uint64_t{kThreads} * kPer);
-    const auto events = rec.snapshot();
-    EXPECT_EQ(events.size(), std::size_t{kThreads} * 64);
-    EXPECT_EQ(rec.dropped(), std::uint64_t{kThreads} * (kPer - 64));
-    for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_GT(events[i].seq, events[i - 1].seq);
 }
 
 // --- Post-mortem fault reports --------------------------------------------
@@ -430,10 +357,8 @@ TEST(Postmortem, QuarantineCapturesOneReportPerAttempt)
     inj.poison_program(jobs[5]); // BadDispatch on every attempt
 
     Tracer tracer;
-    SpanTracer spans;
     SchedulerOptions opts;
     opts.retry.max_attempts = 3;
-    opts.spans = &spans;
     opts.lane_tracer = &tracer;
     opts.postmortem.keep_last = 8;
     Scheduler sched(opts);
@@ -449,7 +374,7 @@ TEST(Postmortem, QuarantineCapturesOneReportPerAttempt)
         EXPECT_EQ(fr.max_attempts, 3u);
         EXPECT_EQ(fr.status, LaneStatus::Faulted);
         EXPECT_EQ(fr.fault.code, FaultCode::BadDispatch);
-        EXPECT_EQ(fr.trace_id, spans.trace_id(5));
+        EXPECT_EQ(fr.trace_id, pms[0].trace_id); // one job, one id
         // History holds exactly the prior attempts, oldest first.
         ASSERT_EQ(fr.attempt_history.size(), i);
         for (unsigned h = 0; h < i; ++h) {
@@ -491,6 +416,72 @@ TEST(Postmortem, ForcedTrapCapturesRecentRingEvents)
     for (const TraceEvent &ev : fr.recent_events) {
         EXPECT_EQ(ev.lane, fr.lane);
         EXPECT_LE(ev.cycle, fr.fault.cycle);
+    }
+}
+
+TEST(Postmortem, RecentEventsHoldOnlyTheFaultingWave)
+{
+    // Job 70 traps in wave 1 on lane 6, with no span tracer attached.
+    // Lane 6 ran job 6 in wave 0 for far longer than 50 cycles; none of
+    // those events may leak into the wave-1 report.
+    auto jobs = trace_fleet(100);
+    ASSERT_GT(jobs.size(), std::size_t{kNumLanes});
+    FaultInjector inj(3);
+    inj.force_trap(jobs[70], 50, /*attempts=*/1);
+
+    Tracer tracer;
+    SchedulerOptions opts;
+    opts.lane_tracer = &tracer;
+    opts.postmortem.keep_last = 4;
+    Scheduler sched(opts);
+    sched.run(jobs);
+
+    ASSERT_EQ(sched.postmortems().size(), 1u);
+    const FaultReport &fr = sched.postmortems().front();
+    EXPECT_EQ(fr.job_index, 70u);
+    EXPECT_EQ(fr.wave, 1u);
+    ASSERT_FALSE(fr.recent_events.empty());
+    std::size_t after_fault = 0;
+    for (const TraceEvent &ev : fr.recent_events) {
+        EXPECT_EQ(ev.lane, fr.lane);
+        after_fault += ev.cycle > fr.fault.cycle;
+    }
+    EXPECT_EQ(after_fault, 0u) << "of " << fr.recent_events.size();
+}
+
+TEST(Postmortem, TraceIdsAreDistinctAndMatchAttemptSpans)
+{
+    auto jobs = trace_fleet(8);
+    FaultInjector inj(3);
+    inj.force_trap(jobs[2], 50, /*attempts=*/1);
+    inj.force_trap(jobs[5], 50, /*attempts=*/1);
+
+    // Without spans, distinct faulted jobs still get distinct ids.
+    SchedulerOptions bare;
+    bare.postmortem.keep_last = 4;
+    Scheduler unspanned(bare);
+    unspanned.run(jobs);
+    ASSERT_EQ(unspanned.postmortems().size(), 2u);
+    EXPECT_NE(unspanned.postmortems()[0].trace_id,
+              unspanned.postmortems()[1].trace_id);
+
+    // With spans, each report's id is its job's attempt-span id.
+    SpanTracer spans;
+    SchedulerOptions opts;
+    opts.sinks = {&spans};
+    opts.postmortem.keep_last = 4;
+    Scheduler spanned(opts);
+    spanned.run(jobs);
+    ASSERT_EQ(spanned.postmortems().size(), 2u);
+    for (const FaultReport &fr : spanned.postmortems()) {
+        std::size_t matched = 0;
+        for (const AttemptSpan &a : spans.attempts()) {
+            if (a.job_index != fr.job_index)
+                continue;
+            EXPECT_EQ(a.trace_id, fr.trace_id);
+            ++matched;
+        }
+        EXPECT_EQ(matched, 1u) << "job " << fr.job_index;
     }
 }
 

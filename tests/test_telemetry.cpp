@@ -4,6 +4,7 @@
  * snapshots/merge/expositions, concurrent recording, and the scheduler
  * lifecycle instrumentation (docs/OBSERVABILITY.md).
  */
+#include "assembler/builder.hpp"
 #include "baselines/histogram.hpp"
 #include "core/metrics_json.hpp"
 #include "kernels/csv.hpp"
@@ -39,6 +40,21 @@ telemetry_fleet(std::size_t jobs_wanted)
     const std::size_t shard =
         std::max<std::size_t>(1, ceil_div(values, jobs_wanted)) * 8;
     return chunk_jobs(spec, packed, shard);
+}
+
+/// A job that ends Reject: its program has no arc for the second byte.
+JobPlan
+reject_job()
+{
+    ProgramBuilder b;
+    const StateId s = b.add_state();
+    b.on_symbol(s, 'a', s);
+    b.set_entry(s);
+    JobPlan plan;
+    plan.name = "reject";
+    plan.program = std::make_shared<const Program>(b.build());
+    plan.input = Bytes{'a', 'b'};
+    return plan;
 }
 
 /// Value of a named counter, 0 if the registry never made it.
@@ -379,61 +395,82 @@ TEST(Telemetry, SchedulerLifecycleCountsMatchReport)
 {
     // Fault-injected multi-wave run: >64 jobs (2+ waves) with one
     // transient trap, so retries, faults and multi-wave queue-wait all
-    // appear in the registry.
-    auto jobs = telemetry_fleet(100);
-    ASSERT_GT(jobs.size(), std::size_t{kNumLanes});
+    // appear in the registry.  The second fleet adds a run that ends
+    // Reject, which completes rather than faults.
+    auto faulty = telemetry_fleet(100);
+    ASSERT_GT(faulty.size(), std::size_t{kNumLanes});
     FaultInjector inj(7);
-    inj.force_trap(jobs[2], 50, /*attempts=*/1);
+    inj.force_trap(faulty[2], 50, /*attempts=*/1);
+    auto with_reject = faulty;
+    with_reject.push_back(reject_job());
 
-    MetricRegistry reg;
-    RegistryTelemetry sink(reg);
-    SchedulerOptions opts;
-    opts.retry.max_attempts = 3;
-    opts.telemetry = &sink;
-    Scheduler sched(opts);
-    const ScheduleReport rep = sched.run(jobs);
+    for (const std::vector<JobPlan> *fleet : {&faulty, &with_reject}) {
+        const std::vector<JobPlan> &jobs = *fleet;
+        const std::uint64_t rejects = jobs.size() - faulty.size();
+        SCOPED_TRACE(rejects ? "with a Reject run" : "faults only");
 
-    const std::uint64_t runs = jobs.size() + rep.retries;
-    EXPECT_EQ(counter_value(reg, "scheduler.runs"), runs);
-    EXPECT_EQ(counter_value(reg, "scheduler.runs.faulted"),
-              rep.faulted_runs);
-    EXPECT_EQ(counter_value(reg, "scheduler.jobs.completed"),
-              runs - rep.faulted_runs);
-    EXPECT_EQ(counter_value(reg, "scheduler.retries"), rep.retries);
-    EXPECT_EQ(counter_value(reg, "scheduler.jobs.quarantined"),
-              rep.quarantined);
-    EXPECT_EQ(counter_value(reg, "scheduler.waves"), rep.waves.size());
-    EXPECT_GT(rep.retries, 0u);
+        MetricRegistry reg;
+        RegistryTelemetry sink(reg);
+        SchedulerOptions opts;
+        opts.retry.max_attempts = 3;
+        opts.sinks = {&sink};
+        Scheduler sched(opts);
+        const ScheduleReport rep = sched.run(jobs);
+        if (rejects) {
+            EXPECT_EQ(rep.jobs.back().status, LaneStatus::Reject);
+        }
 
-    // The forced trap lands in its per-FaultCode counter.
-    const std::string trap_name =
-        "scheduler.fault." +
-        std::string(fault_code_name(FaultCode::ForcedTrap));
-    EXPECT_EQ(counter_value(reg, trap_name), rep.faulted_runs);
+        const std::uint64_t runs = jobs.size() + rep.retries;
+        std::uint64_t completed = 0;
+        for (const WaveReport &w : rep.waves)
+            completed += w.completed;
+        EXPECT_EQ(counter_value(reg, "scheduler.runs"), runs);
+        EXPECT_EQ(counter_value(reg, "scheduler.runs.faulted"),
+                  rep.faulted_runs);
+        EXPECT_EQ(counter_value(reg, "scheduler.jobs.completed"),
+                  completed);
+        EXPECT_EQ(completed, runs - rep.faulted_runs);
+        EXPECT_EQ(counter_value(reg, "scheduler.retries"), rep.retries);
+        EXPECT_EQ(counter_value(reg, "scheduler.jobs.quarantined"),
+                  rep.quarantined);
+        EXPECT_EQ(counter_value(reg, "scheduler.waves"), rep.waves.size());
+        EXPECT_GT(rep.retries, 0u);
 
-    // Per-run latency samples: one per run; e2e only per final
-    // disposition (exactly one per submitted job).
-    EXPECT_EQ(histogram_snap(reg, "job.queue_wait_cycles").count, runs);
-    EXPECT_EQ(histogram_snap(reg, "job.service_cycles").count, runs);
-    EXPECT_EQ(histogram_snap(reg, "job.e2e_cycles").count, jobs.size());
+        // The forced trap lands in its per-FaultCode counter.
+        const std::string trap_name =
+            "scheduler.fault." +
+            std::string(fault_code_name(FaultCode::ForcedTrap));
+        EXPECT_EQ(counter_value(reg, trap_name), rep.faulted_runs);
 
-    // Wave metrics: one sample per wave; walls sum to the report's.
-    const HistogramSnapshot walls = histogram_snap(reg, "wave.wall_cycles");
-    EXPECT_EQ(walls.count, rep.waves.size());
-    EXPECT_EQ(walls.sum, rep.wall_cycles);
-    const HistogramSnapshot occ =
-        histogram_snap(reg, "wave.occupancy_lanes");
-    EXPECT_EQ(occ.count, rep.waves.size());
-    EXPECT_EQ(occ.max, std::uint64_t{rep.waves[0].jobs});
+        // Per-run latency samples: one per run; e2e only per final
+        // disposition (exactly one per submitted job).
+        EXPECT_EQ(histogram_snap(reg, "job.queue_wait_cycles").count, runs);
+        EXPECT_EQ(histogram_snap(reg, "job.service_cycles").count, runs);
+        EXPECT_EQ(histogram_snap(reg, "job.e2e_cycles").count, jobs.size());
 
-    // First-wave jobs waited zero; later waves waited the machine time
-    // of everything before them.
-    const HistogramSnapshot qw = histogram_snap(reg, "job.queue_wait_cycles");
-    EXPECT_EQ(qw.min, 0u);
-    EXPECT_GT(qw.max, 0u);
+        // Wave metrics: one sample per wave; walls sum to the report's.
+        const HistogramSnapshot walls =
+            histogram_snap(reg, "wave.wall_cycles");
+        EXPECT_EQ(walls.count, rep.waves.size());
+        EXPECT_EQ(walls.sum, rep.wall_cycles);
+        const HistogramSnapshot occ =
+            histogram_snap(reg, "wave.occupancy_lanes");
+        EXPECT_EQ(occ.count, rep.waves.size());
+        EXPECT_EQ(occ.max, std::uint64_t{rep.waves[0].jobs});
 
-    // Per-kernel throughput: every run was the histogram kernel.
-    EXPECT_EQ(counter_value(reg, "kernel." + jobs[0].name + ".runs"), runs);
+        // First-wave jobs waited zero; later waves waited the machine
+        // time of everything before them.
+        const HistogramSnapshot qw =
+            histogram_snap(reg, "job.queue_wait_cycles");
+        EXPECT_EQ(qw.min, 0u);
+        EXPECT_GT(qw.max, 0u);
+
+        // Per-kernel throughput: every other run was the histogram
+        // kernel.
+        EXPECT_EQ(counter_value(reg, "kernel." + jobs[0].name + ".runs"),
+                  runs - rejects);
+        EXPECT_EQ(counter_value(reg, "kernel.reject.runs"), rejects);
+    }
 }
 
 TEST(Telemetry, SchedulerResultsBitIdenticalWithTelemetry)
@@ -446,7 +483,7 @@ TEST(Telemetry, SchedulerResultsBitIdenticalWithTelemetry)
     MetricRegistry reg;
     RegistryTelemetry sink(reg);
     SchedulerOptions opts;
-    opts.telemetry = &sink;
+    opts.sinks = {&sink};
     Scheduler observed(opts);
     const ScheduleReport rep = observed.run(jobs);
 
@@ -462,7 +499,7 @@ TEST(Telemetry, SchedulerResultsBitIdenticalWithTelemetry)
     RegistryTelemetry sink4(reg4);
     SchedulerOptions threaded;
     threaded.threads = 4;
-    threaded.telemetry = &sink4;
+    threaded.sinks = {&sink4};
     Scheduler pooled(threaded);
     const ScheduleReport rep4 = pooled.run(jobs);
     EXPECT_EQ(rep4.sim_threads, 4u);
@@ -502,34 +539,21 @@ TEST(Telemetry, JobResultLatencyFieldsAreDeterministic)
     EXPECT_LE(lat.service.max, lat.e2e.max);
 }
 
-TEST(Telemetry, RunJobOnEmitsSingleEvent)
+TEST(Telemetry, RunJobOnFillsLatencyFields)
 {
-    MetricRegistry reg;
-    RegistryTelemetry sink(reg);
-
     const auto spec = kernels::csv_kernel_spec();
     const JobPlan plan = spec.make_job(Bytes{'a', ',', 'b', '\n'});
     Machine m;
-    const JobResult res = run_job_on(m, 0, 0, plan,
-                                     ~std::uint64_t{0}, &sink);
+    const JobResult res = run_job_on(m, 0, 0, plan);
     EXPECT_EQ(res.status, LaneStatus::Done);
     EXPECT_EQ(res.queue_wait_cycles, 0u);
     EXPECT_EQ(res.service_cycles, res.stats.cycles);
     EXPECT_EQ(res.e2e_cycles, res.stats.cycles);
 
-    EXPECT_EQ(counter_value(reg, "scheduler.runs"), 1u);
-    EXPECT_EQ(counter_value(reg, "scheduler.jobs.completed"), 1u);
-    EXPECT_EQ(counter_value(reg, "kernel." + plan.name + ".runs"), 1u);
-    const HistogramSnapshot svc = histogram_snap(reg, "job.service_cycles");
-    EXPECT_EQ(svc.count, 1u);
-    EXPECT_EQ(svc.sum, res.stats.cycles);
-    EXPECT_EQ(histogram_snap(reg, "job.e2e_cycles").count, 1u);
-    EXPECT_EQ(histogram_snap(reg, "job.queue_wait_cycles").sum, 0u);
-
-    // Without a sink the same run records nothing and matches exactly.
+    // A second run of the same plan on a fresh machine matches exactly.
     Machine m2;
-    const JobResult bare = run_job_on(m2, 0, 0, plan);
-    expect_results_eq(res, bare);
+    const JobResult again = run_job_on(m2, 0, 0, plan);
+    expect_results_eq(res, again);
 }
 
 TEST(Telemetry, QuarantineReachesRegistry)
@@ -542,7 +566,7 @@ TEST(Telemetry, QuarantineReachesRegistry)
     RegistryTelemetry sink(reg);
     SchedulerOptions opts;
     opts.retry.max_attempts = 3;
-    opts.telemetry = &sink;
+    opts.sinks = {&sink};
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
 
