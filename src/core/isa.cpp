@@ -6,99 +6,50 @@
 
 #include "fault.hpp"
 
-#include <unordered_map>
+#include <array>
+#include <string>
 
 namespace udp {
 
 namespace {
 
 struct OpInfo {
-    Opcode op;
-    ActionFormat format;
-    std::string_view name;
+    std::string_view name; ///< empty: no opcode has this value
+    ActionFormat format = ActionFormat::Imm;
 };
 
-// Single source of truth for opcode metadata.
-constexpr OpInfo kOps[] = {
-    {Opcode::Addi, ActionFormat::Imm, "addi"},
-    {Opcode::Subi, ActionFormat::Imm, "subi"},
-    {Opcode::Andi, ActionFormat::Imm, "andi"},
-    {Opcode::Ori, ActionFormat::Imm, "ori"},
-    {Opcode::Xori, ActionFormat::Imm, "xori"},
-    {Opcode::Shli, ActionFormat::Imm, "shli"},
-    {Opcode::Shri, ActionFormat::Imm, "shri"},
-    {Opcode::Sari, ActionFormat::Imm, "sari"},
-    {Opcode::Movi, ActionFormat::Imm, "movi"},
-    {Opcode::Lui, ActionFormat::Imm, "lui"},
-    {Opcode::Cmpeqi, ActionFormat::Imm, "cmpeqi"},
-    {Opcode::Cmplti, ActionFormat::Imm, "cmplti"},
-    {Opcode::Cmpltui, ActionFormat::Imm, "cmpltui"},
-    {Opcode::Muli, ActionFormat::Imm, "muli"},
-
-    {Opcode::Add, ActionFormat::Reg, "add"},
-    {Opcode::Sub, ActionFormat::Reg, "sub"},
-    {Opcode::And, ActionFormat::Reg, "and"},
-    {Opcode::Or, ActionFormat::Reg, "or"},
-    {Opcode::Xor, ActionFormat::Reg, "xor"},
-    {Opcode::Shl, ActionFormat::Reg, "shl"},
-    {Opcode::Shr, ActionFormat::Reg, "shr"},
-    {Opcode::Mov, ActionFormat::Reg, "mov"},
-    {Opcode::Not, ActionFormat::Reg, "not"},
-    {Opcode::Neg, ActionFormat::Reg, "neg"},
-    {Opcode::Mul, ActionFormat::Reg, "mul"},
-    {Opcode::Min, ActionFormat::Reg, "min"},
-    {Opcode::Max, ActionFormat::Reg, "max"},
-    {Opcode::Cmpeq, ActionFormat::Reg, "cmpeq"},
-    {Opcode::Cmplt, ActionFormat::Reg, "cmplt"},
-    {Opcode::Select, ActionFormat::Reg, "select"},
-
-    {Opcode::Ldw, ActionFormat::Imm, "ldw"},
-    {Opcode::Stw, ActionFormat::Imm, "stw"},
-    {Opcode::Ldb, ActionFormat::Imm, "ldb"},
-    {Opcode::Stb, ActionFormat::Imm, "stb"},
-    {Opcode::Bininc, ActionFormat::Imm, "bininc"},
-
-    {Opcode::Setss, ActionFormat::Imm, "setss"},
-    {Opcode::Setssr, ActionFormat::Imm, "setssr"},
-    {Opcode::Setbase, ActionFormat::Imm, "setbase"},
-    {Opcode::Setab, ActionFormat::Imm2, "setab"},
-    {Opcode::Skip, ActionFormat::Imm, "skip"},
-    {Opcode::Refill, ActionFormat::Imm, "refill"},
-    {Opcode::Peek, ActionFormat::Imm, "peek"},
-    {Opcode::Read, ActionFormat::Imm, "read"},
-    {Opcode::Tell, ActionFormat::Imm, "tell"},
-    {Opcode::Setstream, ActionFormat::Imm, "setstream"},
-    {Opcode::Lastsym, ActionFormat::Imm, "lastsym"},
-
-    {Opcode::Emitlut, ActionFormat::Imm, "emitlut"},
-    {Opcode::Hash, ActionFormat::Imm, "hash"},
-    {Opcode::Hash2, ActionFormat::Reg, "hash2"},
-    {Opcode::Loopcmp, ActionFormat::Reg, "loopcmp"},
-    {Opcode::Loopcpy, ActionFormat::Reg, "loopcpy"},
-    {Opcode::Loopcpyo, ActionFormat::Reg, "loopcpyo"},
-    {Opcode::Crc, ActionFormat::Reg, "crc"},
-
-    {Opcode::Outb, ActionFormat::Imm, "outb"},
-    {Opcode::Outw, ActionFormat::Imm, "outw"},
-    {Opcode::Outbits, ActionFormat::Imm, "outbits"},
-    {Opcode::Outflush, ActionFormat::Imm, "outflush"},
-    {Opcode::Outi, ActionFormat::Imm, "outi"},
-    {Opcode::Outbitsr, ActionFormat::Imm, "outbitsr"},
-
-    {Opcode::Accept, ActionFormat::Imm, "accept"},
-    {Opcode::Halt, ActionFormat::Imm, "halt"},
-    {Opcode::Fail, ActionFormat::Imm, "fail"},
-    {Opcode::Gotoact, ActionFormat::Imm, "gotoact"},
-    {Opcode::Nop, ActionFormat::Imm, "nop"},
-};
+// The UDP_OPCODES rows, indexed by opcode value.  Built at compile
+// time: a value past the table or listed twice throws, which a
+// constant expression cannot do, so either fails the build.
+constexpr std::array<OpInfo, 128> kOps = [] {
+    std::array<OpInfo, 128> t{};
+    const auto row = [&t](unsigned value, ActionFormat format,
+                          std::string_view name) {
+        if (value >= t.size() || !t[value].name.empty())
+            throw "UDP_OPCODES: opcode value out of range or listed twice";
+        t[value] = {name, format};
+    };
+#define UDP_OPCODE_ROW(op, value, format, mnemonic)                        \
+    row(value, ActionFormat::format, mnemonic);
+    UDP_OPCODES(UDP_OPCODE_ROW)
+#undef UDP_OPCODE_ROW
+    return t;
+}();
 
 const OpInfo *
 find_op(Opcode op)
 {
-    for (const auto &info : kOps)
-        if (info.op == op)
-            return &info;
-    return nullptr;
+    const auto v = static_cast<std::size_t>(op);
+    return v < kOps.size() && !kOps[v].name.empty() ? &kOps[v] : nullptr;
+}
+
+/// The logical-immediate group zero-extends imm16; every other
+/// ImmAction sign-extends it.
+bool
+zero_extended_imm(Opcode op)
+{
+    return op == Opcode::Andi || op == Opcode::Ori || op == Opcode::Xori ||
+           op == Opcode::Lui;
 }
 
 constexpr std::string_view kTransitionNames[kNumTransitionTypes] = {
@@ -127,9 +78,9 @@ opcode_name(Opcode op)
 std::optional<Opcode>
 opcode_from_name(std::string_view name)
 {
-    for (const auto &info : kOps)
-        if (info.name == name)
-            return info.op;
+    for (std::size_t v = 0; v < kOps.size(); ++v)
+        if (!kOps[v].name.empty() && kOps[v].name == name)
+            return static_cast<Opcode>(v);
     return std::nullopt;
 }
 
@@ -210,10 +161,9 @@ encode_action(const Action &a)
 
     switch (info->format) {
       case ActionFormat::Imm: {
-        const bool zero_ext = a.op == Opcode::Andi || a.op == Opcode::Ori ||
-                              a.op == Opcode::Xori || a.op == Opcode::Lui;
-        const bool fits = zero_ext ? (a.imm >= 0 && a.imm <= 65535)
-                                   : (a.imm >= -32768 && a.imm <= 32767);
+        const bool fits = zero_extended_imm(a.op)
+                              ? (a.imm >= 0 && a.imm <= 65535)
+                              : (a.imm >= -32768 && a.imm <= 32767);
         if (!fits)
             throw UdpError("encode_action: imm16 overflow in " +
                            std::string(info->name));
@@ -255,13 +205,10 @@ decode_action(Word raw)
     switch (info->format) {
       case ActionFormat::Imm: {
         a.src = static_cast<std::uint8_t>(bits(raw, 16, 4));
-        // imm16 is sign-extended except for the logical-immediate group.
         const Word imm = bits(raw, 0, 16);
-        const bool zero_ext = op == Opcode::Andi || op == Opcode::Ori ||
-                              op == Opcode::Xori || op == Opcode::Lui;
-        a.imm = zero_ext ? static_cast<std::int32_t>(imm)
-                         : static_cast<std::int32_t>(
-                               static_cast<std::int16_t>(imm));
+        a.imm = zero_extended_imm(op) ? static_cast<std::int32_t>(imm)
+                                      : static_cast<std::int32_t>(
+                                            static_cast<std::int16_t>(imm));
         break;
       }
       case ActionFormat::Imm2:

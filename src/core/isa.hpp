@@ -71,96 +71,130 @@ enum class AttachMode : std::uint8_t {
 inline constexpr std::uint8_t kNoActions = 0xFF;
 
 /**
- * Action opcodes.  ~50 operations in arithmetic, logical, comparison,
+ * The action opcodes: 64 operations in arithmetic, logical, comparison,
  * memory, stream/configuration, specialized (hash, loop-compare,
  * loop-copy), output and control groups (Sections 3.1 and 3.2.5).
  *
- * Encoding format per opcode is fixed (see `action_format`).
+ * The one opcode list: the `Opcode` enum, the format/mnemonic table
+ * (isa.cpp) and the op-handler table (threaded_program.cpp) are
+ * generated from it.  A row is `X(Name, value, Format, "mnemonic")`;
+ * `value` is the 7-bit encoding every encoded image depends on.  A
+ * duplicate value, a value past 127, or a row without a
+ * `ThreadedEngine::Ops::Name` handler fails to compile.
  */
+#define UDP_OPCODES(X)                                                     \
+    /* --- ALU, immediate forms (ImmAction: dst, src, imm16 sign-extended) */ \
+    X(Addi, 0, Imm, "addi")       /* dst = src + imm */                    \
+    X(Subi, 1, Imm, "subi")       /* dst = src - imm */                    \
+    X(Andi, 2, Imm, "andi")       /* dst = src & imm (zero-extended) */    \
+    X(Ori, 3, Imm, "ori")         /* dst = src | imm (zero-extended) */    \
+    X(Xori, 4, Imm, "xori")       /* dst = src ^ imm (zero-extended) */    \
+    X(Shli, 5, Imm, "shli")       /* dst = src << imm */                   \
+    X(Shri, 6, Imm, "shri")       /* dst = src >> imm (logical) */         \
+    X(Sari, 7, Imm, "sari")       /* dst = src >> imm (arithmetic) */      \
+    X(Movi, 8, Imm, "movi")       /* dst = imm (sign-extended) */          \
+    X(Lui, 9, Imm, "lui")         /* dst = (dst & 0xFFFF) | (imm << 16) */ \
+    X(Cmpeqi, 10, Imm, "cmpeqi")  /* dst = (src == imm) */                 \
+    X(Cmplti, 11, Imm, "cmplti")  /* dst = (src < imm), signed */          \
+    X(Cmpltui, 12, Imm, "cmpltui") /* dst = (src < imm), unsigned */       \
+    X(Muli, 13, Imm, "muli")      /* dst = src * imm */                    \
+                                                                           \
+    /* --- ALU, register forms (RegAction: dst, ref, src) --- */           \
+    X(Add, 20, Reg, "add")        /* dst = ref + src */                    \
+    X(Sub, 21, Reg, "sub")        /* dst = ref - src */                    \
+    X(And, 22, Reg, "and")        /* dst = ref & src */                    \
+    X(Or, 23, Reg, "or")          /* dst = ref | src */                    \
+    X(Xor, 24, Reg, "xor")        /* dst = ref ^ src */                    \
+    X(Shl, 25, Reg, "shl")        /* dst = ref << (src & 31) */            \
+    X(Shr, 26, Reg, "shr")        /* dst = ref >> (src & 31), logical */   \
+    X(Mov, 27, Reg, "mov")        /* dst = src */                          \
+    X(Not, 28, Reg, "not")        /* dst = ~src */                         \
+    X(Neg, 29, Reg, "neg")        /* dst = -src */                         \
+    X(Mul, 30, Reg, "mul")        /* dst = ref * src */                    \
+    X(Min, 31, Reg, "min")        /* dst = min(ref, src), unsigned */      \
+    X(Max, 32, Reg, "max")        /* dst = max(ref, src), unsigned */      \
+    X(Cmpeq, 33, Reg, "cmpeq")    /* dst = (ref == src) */                 \
+    X(Cmplt, 34, Reg, "cmplt")    /* dst = (ref < src), unsigned */        \
+    X(Select, 35, Reg, "select")  /* dst = dst ? ref : src (cond. move) */ \
+                                                                           \
+    /* --- Memory (ImmAction: address = reg[src] + imm, window-based) --- */ \
+    X(Ldw, 40, Imm, "ldw")        /* dst = mem32[src + imm] */             \
+    X(Stw, 41, Imm, "stw")        /* mem32[src + imm] = dst */             \
+    X(Ldb, 42, Imm, "ldb")        /* dst = mem8[src + imm] (zero-ext.) */  \
+    X(Stb, 43, Imm, "stb")        /* mem8[src + imm] = dst & 0xFF */       \
+    X(Bininc, 44, Imm, "bininc")  /* mem32[src*4 + imm]++ (fused          \
+                                     histogram-bin update) */              \
+                                                                           \
+    /* --- Stream / configuration (ImmAction unless noted) --- */          \
+    X(Setss, 50, Imm, "setss")    /* symbol-size register = imm (1..8,    \
+                                     16, 32 bits) */                       \
+    X(Setssr, 51, Imm, "setssr")  /* symbol-size register = reg[src]      \
+                                     (dynamic) */                          \
+    X(Setbase, 52, Imm, "setbase") /* window base register = reg[src] +   \
+                                      imm (restricted addressing) */       \
+    X(Setab, 53, Imm2, "setab")   /* action window base = reg[src] + imm; \
+                                     scale = dst field */                  \
+    X(Skip, 54, Imm, "skip")      /* advance stream by imm bits */         \
+    X(Refill, 55, Imm, "refill")  /* push back imm bits into the stream   \
+                                     buffer */                             \
+    X(Peek, 56, Imm, "peek")      /* dst = next imm bits of stream (not   \
+                                     consumed) */                          \
+    X(Read, 57, Imm, "read")      /* dst = next imm bits of stream        \
+                                     (consumed) */                         \
+    X(Tell, 58, Imm, "tell")      /* dst = current stream *bit* position */ \
+    X(Setstream, 59, Imm, "setstream") /* stream cursor = bit position    \
+                                          reg[src] + imm */                \
+    X(Lastsym, 60, Imm, "lastsym") /* dst = the symbol value of the       \
+                                      current dispatch (the dispatch unit \
+                                      latches it; UAP actions likewise    \
+                                      had a symbol operand) */             \
+                                                                           \
+    /* --- Specialized (Section 3.2.5) --- */                              \
+    X(Emitlut, 68, Imm, "emitlut") /* wide-LUT emit (the hardwired-       \
+                                      decoder datapath [39], used by the  \
+                                      SsF ablation): entry = mem[reg[src] \
+                                      + ((imm<<8 | lastsym) * 16)], laid  \
+                                      out as [count][bytes...]; emits     \
+                                      count bytes. 2 cycles. */            \
+    X(Hash, 70, Imm, "hash")      /* dst = hash(reg[src]) mixed with imm  \
+                                     seed (1 cycle) */                     \
+    X(Hash2, 71, Reg, "hash2")    /* dst = hash(reg[ref], reg[src]) */     \
+    X(Loopcmp, 72, Reg, "loopcmp") /* dst = match length of mem[ref] vs   \
+                                      mem[src], bounded by reg[dst] on    \
+                                      entry; 1 + ceil(n/8) cycles */       \
+    X(Loopcpy, 73, Reg, "loopcpy") /* copy reg[dst] bytes mem[src] ->     \
+                                      mem[ref]; 1 + ceil(n/8) */           \
+    X(Loopcpyo, 74, Reg, "loopcpyo") /* copy reg[dst] bytes from mem[src] \
+                                        to the output stream */            \
+    X(Crc, 75, Reg, "crc")        /* dst = CRC32C step of (dst, src byte) */ \
+                                                                           \
+    /* --- Output (per-lane output staging buffer) --- */                  \
+    X(Outb, 80, Imm, "outb")      /* append reg[src] low byte to output */ \
+    X(Outw, 81, Imm, "outw")      /* append reg[src] as 4 little-endian   \
+                                     bytes */                              \
+    X(Outbits, 82, Imm, "outbits") /* append low imm bits of reg[src] to  \
+                                      the output bitstream */              \
+    X(Outflush, 83, Imm, "outflush") /* byte-align the output bitstream */ \
+    X(Outi, 84, Imm, "outi")      /* append imm low byte to output        \
+                                     (immediate emit) */                   \
+    X(Outbitsr, 85, Imm, "outbitsr") /* append low reg[dst]-count bits of \
+                                        reg[src] (dynamic) */              \
+                                                                           \
+    /* --- Control --- */                                                  \
+    X(Accept, 90, Imm, "accept")  /* record a match/acceptance (id = imm) \
+                                     at stream position */                 \
+    X(Halt, 91, Imm, "halt")      /* stop this lane (status Done) */       \
+    X(Fail, 92, Imm, "fail")      /* stop this lane (status Reject) */     \
+    X(Gotoact, 93, Imm, "gotoact") /* continue action chain at action     \
+                                      address imm ("goto") */              \
+    X(Nop, 94, Imm, "nop")
+
+/// Action opcodes, one enumerator per UDP_OPCODES row.  The encoding
+/// format of each is fixed (see `action_format`).
 enum class Opcode : std::uint8_t {
-    // --- ALU, immediate forms (ImmAction: dst, src, imm16 sign-extended) ---
-    Addi = 0,   ///< dst = src + imm
-    Subi,       ///< dst = src - imm
-    Andi,       ///< dst = src & imm (zero-extended)
-    Ori,        ///< dst = src | imm (zero-extended)
-    Xori,       ///< dst = src ^ imm (zero-extended)
-    Shli,       ///< dst = src << imm
-    Shri,       ///< dst = src >> imm (logical)
-    Sari,       ///< dst = src >> imm (arithmetic)
-    Movi,       ///< dst = imm (sign-extended)
-    Lui,        ///< dst = (dst & 0xFFFF) | (imm << 16)
-    Cmpeqi,     ///< dst = (src == imm)
-    Cmplti,     ///< dst = (src < imm), signed
-    Cmpltui,    ///< dst = (src < imm), unsigned
-    Muli,       ///< dst = src * imm
-
-    // --- ALU, register forms (RegAction: dst, ref, src) ---
-    Add = 20,   ///< dst = ref + src
-    Sub,        ///< dst = ref - src
-    And,        ///< dst = ref & src
-    Or,         ///< dst = ref | src
-    Xor,        ///< dst = ref ^ src
-    Shl,        ///< dst = ref << (src & 31)
-    Shr,        ///< dst = ref >> (src & 31), logical
-    Mov,        ///< dst = src
-    Not,        ///< dst = ~src
-    Neg,        ///< dst = -src
-    Mul,        ///< dst = ref * src
-    Min,        ///< dst = min(ref, src), unsigned
-    Max,        ///< dst = max(ref, src), unsigned
-    Cmpeq,      ///< dst = (ref == src)
-    Cmplt,      ///< dst = (ref < src), unsigned
-    Select,     ///< dst = dst ? ref : src (conditional move)
-
-    // --- Memory (ImmAction: address = reg[src] + imm, window-based) ---
-    Ldw = 40,   ///< dst = mem32[src + imm]
-    Stw,        ///< mem32[src + imm] = dst
-    Ldb,        ///< dst = mem8[src + imm] (zero-extended)
-    Stb,        ///< mem8[src + imm] = dst & 0xFF
-    Bininc,     ///< mem32[src*4 + imm]++  (fused histogram-bin update)
-
-    // --- Stream / configuration (ImmAction unless noted) ---
-    Setss = 50, ///< symbol-size register = imm (1..8, 16, 32 bits)
-    Setssr,     ///< symbol-size register = reg[src] (dynamic)
-    Setbase,    ///< window base register = reg[src] + imm (restricted addr.)
-    Setab,      ///< action window base = reg[src] + imm; scale = dst field
-    Skip,       ///< advance stream by imm bits
-    Refill,     ///< push back imm bits into the stream buffer
-    Peek,       ///< dst = next imm bits of stream (not consumed)
-    Read,       ///< dst = next imm bits of stream (consumed)
-    Tell,       ///< dst = current stream *bit* position
-    Setstream,  ///< stream cursor = bit position reg[src] + imm
-    Lastsym,    ///< dst = the symbol value of the current dispatch (the
-                ///< dispatch unit latches it; UAP actions likewise had a
-                ///< symbol operand)
-
-    // --- Specialized (Section 3.2.5) ---
-    Emitlut = 68, ///< wide-LUT emit (the hardwired-decoder datapath [39],
-                  ///< used by the SsF ablation): entry = mem[reg[src] +
-                  ///< ((imm<<8 | lastsym) * 16)], laid out as
-                  ///< [count][bytes...]; emits count bytes. 2 cycles.
-    Hash = 70,  ///< dst = hash(reg[src]) mixed with imm seed (1 cycle)
-    Hash2,      ///< dst = hash(reg[ref], reg[src]) (RegAction)
-    Loopcmp,    ///< dst = match length of mem[ref] vs mem[src] (RegAction),
-                ///< bounded by reg[dst] on entry; 1 + ceil(n/8) cycles
-    Loopcpy,    ///< copy reg[dst] bytes mem[src] -> mem[ref]; 1 + ceil(n/8)
-    Loopcpyo,   ///< copy reg[dst] bytes from mem[src] to the output stream
-    Crc,        ///< dst = CRC32C step of (dst, src byte)
-
-    // --- Output (per-lane output staging buffer) ---
-    Outb = 80,  ///< append reg[src] low byte to output
-    Outw,       ///< append reg[src] as 4 little-endian bytes
-    Outbits,    ///< append low imm bits of reg[src] to the output bitstream
-    Outflush,   ///< byte-align the output bitstream
-    Outi,       ///< append imm low byte to output (immediate emit)
-    Outbitsr,   ///< append low reg[dst]-count bits of reg[src] (dynamic)
-
-    // --- Control ---
-    Accept = 90, ///< record a match/acceptance (id = imm) at stream position
-    Halt,        ///< stop this lane (status Done)
-    Fail,        ///< stop this lane (status Reject)
-    Gotoact,     ///< continue action chain at action address imm ("goto")
-    Nop,
+#define UDP_OPCODE_ENUMERATOR(name, value, format, mnemonic) name = value,
+    UDP_OPCODES(UDP_OPCODE_ENUMERATOR)
+#undef UDP_OPCODE_ENUMERATOR
 };
 
 /// The three action encodings of Figure 6.

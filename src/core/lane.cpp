@@ -84,7 +84,6 @@ Lane::reset()
     out_bit_count_ = 0;
     accepts_.clear();
     cur_state_ = 0;
-    resume_cs_ = ThreadedEngine::kNoResume;
     started_ = false;
     halted_ = false;
     halt_status_ = LaneStatus::Done;
@@ -127,7 +126,6 @@ LaneStatus
 Lane::trap(FaultCode code, std::string detail)
 {
     halted_ = true;
-    resume_cs_ = ThreadedEngine::kNoResume;
     halt_status_ = code == FaultCode::WatchdogTimeout
                        ? LaneStatus::TimedOut
                        : LaneStatus::Faulted;
@@ -182,7 +180,7 @@ Lane::charge_mem(ByteAddr phys, bool is_write)
         ++stats_.mem_reads;
     Cycles stall = 0;
     if (arbiter_) {
-        stall = arbiter_(LocalMemory::bank_of(phys), is_write);
+        stall = arbiter_->request(LocalMemory::bank_of(phys), is_write);
         stats_.stall_cycles += stall;
         stats_.cycles += stall;
     }
@@ -566,12 +564,9 @@ Lane::run_steps(std::uint64_t n)
         cur_state_ = prog_->entry;
         started_ = true;
     }
-    resume_cs_ = ThreadedEngine::kNoResume; // step_once owns the carry-over
     return run_guarded([&] {
-        if (!fast_path())
-            return run_steps_legacy(n);
-        std::int32_t carry = ThreadedEngine::kNoResume;
-        return ThreadedEngine::run_steps_body(*this, n, carry);
+        return fast_path() ? ThreadedEngine::run_steps_body(*this, n)
+                           : run_steps_legacy(n);
     });
 }
 
@@ -585,24 +580,7 @@ Lane::step_once()
     if (trap_cycle_ != 0 && stats_.cycles >= trap_cycle_)
         return trap(FaultCode::ForcedTrap,
                     "Lane: forced trap (fault injection)");
-    if (!started_) {
-        cur_state_ = prog_->entry;
-        started_ = true;
-        resume_cs_ = ThreadedEngine::kNoResume;
-    }
-    return run_guarded([&] {
-        if (!fast_path()) {
-            resume_cs_ = ThreadedEngine::kNoResume;
-            return run_steps_legacy(1);
-        }
-        const LaneStatus st =
-            ThreadedEngine::run_steps_body(*this, 1, resume_cs_);
-        // An unknown next state leaves a negative carry and faults on
-        // the *next* step, exactly when the reference would notice it.
-        if (st != LaneStatus::Running)
-            resume_cs_ = ThreadedEngine::kNoResume;
-        return st;
-    });
+    return run_steps(1);
 }
 
 LaneStatus

@@ -14,7 +14,7 @@
  *
  * The lane supports two execution modes:
  *   - `run()`: single active state (DFA-style programs; all the ETL
- *     kernels);
+ *     kernels), the one run loop of Machine::run_parallel;
  *   - `run_nfa()`: a set of active states advanced per input symbol with
  *     epsilon activation (UAP-style NFA execution); cycle cost scales with
  *     the number of dispatches, as on the real hardware.
@@ -38,7 +38,6 @@
 #include "types.hpp"
 
 #include <array>
-#include <functional>
 #include <memory>
 
 namespace udp {
@@ -121,9 +120,9 @@ class Lane
     /// calls (lockstep machine mode). Returns Running while work remains.
     LaneStatus run_steps(std::uint64_t n);
 
-    /// Resumable single dispatch step: exactly `run_steps(1)`, but the
-    /// threaded engine carries the next state's compiled index across
-    /// calls so lockstep rounds skip the per-call state lookup.
+    /// One dispatch step for the machine's lockstep rounds: the
+    /// forced-trap check `run` makes between chunks, then exactly
+    /// `run_steps(1)`.
     LaneStatus step_once();
 
     /// Execute in NFA mode (multi-state activation via epsilon).
@@ -172,16 +171,17 @@ class Lane
     /// window base, dispatch window, forced trap and attached input, so
     /// a reassigned lane cannot observe any state from the previous
     /// wave — nor read its program, which may be freed by now.  Run
-    /// configuration (tracer, profiler, arbiter, accept capacity)
-    /// survives.  load() a program before the next run.
+    /// configuration (tracer, profiler, accept capacity) survives; the
+    /// arbiter is attached only during run_lockstep.  load() a program
+    /// before the next run.
     void hard_reset();
 
-    /// Hook invoked for each memory reference: (bank, is_write) -> stalls.
-    using ArbiterHook = std::function<Cycles(unsigned bank, bool is_write)>;
-    void set_arbiter(ArbiterHook hook) { arbiter_ = std::move(hook); }
+    /// Bank arbiter charged for every memory reference (nullptr = none,
+    /// the default); Machine::run_lockstep attaches one for its run.
+    void set_arbiter(BankArbiter *arbiter) { arbiter_ = arbiter; }
 
     /// Attach an event tracer (nullptr = off, the default; survives
-    /// reset()/load() like the arbiter — it is run configuration).
+    /// reset()/load() — it is run configuration).
     void set_tracer(Tracer *t) { tracer_ = t; }
     Tracer *tracer() const { return tracer_; }
 
@@ -245,8 +245,6 @@ class Lane
     LocalMemory &mem_;
     const Program *prog_ = nullptr;
     std::shared_ptr<const CompiledProgram> compiled_; ///< threaded backend
-    std::int32_t resume_cs_ = -2; ///< threaded step_once carry-over
-                                  ///< (ThreadedEngine::kNoResume)
     StreamBuffer sb_;
 
     std::array<Word, kNumScalarRegs> regs_{};
@@ -263,7 +261,7 @@ class Lane
     unsigned out_bit_count_ = 0;
     std::vector<AcceptEvent> accepts_;
     std::size_t accept_capacity_ = 1 << 16;
-    ArbiterHook arbiter_;
+    BankArbiter *arbiter_ = nullptr; ///< lockstep bank contention
     Tracer *tracer_ = nullptr;     ///< event sink; off when null
     Profiler *profiler_ = nullptr; ///< aggregation sink; off when null
     std::size_t cur_state_ = 0;   ///< full base of the active state

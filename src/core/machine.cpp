@@ -5,7 +5,6 @@
 #include "machine.hpp"
 
 #include "profile.hpp"
-#include "threaded_program.hpp"
 #include "trace.hpp"
 
 #include <algorithm>
@@ -137,82 +136,49 @@ Machine::collect(Cycles wall)
 }
 
 MachineResult
-Machine::run_parallel(std::uint64_t max_cycles_per_lane)
+Machine::run_parallel()
 {
     std::vector<LaneStatus> status(jobs_.size(), LaneStatus::Done);
     std::vector<std::size_t> runnable;
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        if (!jobs_[i].program)
-            continue;
-        lanes_[i]->set_arbiter(nullptr); // disjoint windows: no contention
-        runnable.push_back(i);
-    }
+    for (std::size_t i = 0; i < jobs_.size(); ++i)
+        if (jobs_[i].program)
+            runnable.push_back(i);
 
-    auto run_lane = [&](std::size_t i) {
-        Lane &ln = *lanes_[i];
-        const std::uint64_t budget =
-            std::min(max_cycles_per_lane, jobs_[i].max_cycles);
-        status[i] = jobs_[i].nfa_mode ? ln.run_nfa(budget)
-                                      : ln.run(budget);
-    };
-
-    unsigned threads = resolved_sim_threads();
-    threads = std::min<unsigned>(
-        threads, static_cast<unsigned>(std::max<std::size_t>(
-                     runnable.size(), 1)));
-    if (threads <= 1) {
-        // Batch the block-eligible lanes (on the threaded engine, DFA
-        // mode) through the struct-of-arrays runner; everything else
-        // runs per-lane.
-        LaneBlock blk;
-        std::vector<std::size_t> rest;
-        for (const std::size_t i : runnable) {
-            Lane &ln = *lanes_[i];
-            if (!jobs_[i].nfa_mode && ln.fast_path()) {
-                blk.add(&ln, static_cast<std::uint32_t>(i),
-                        std::min(max_cycles_per_lane,
-                                 jobs_[i].max_cycles),
-                        ln.forced_trap_cycle());
-            } else {
-                rest.push_back(i);
+    // Lanes are trace-independent and their windows disjoint, so any
+    // work distribution yields bit-identical per-lane results.
+    // Interpreter faults never unwind out of Lane::run — they land in
+    // the per-lane fault record — so an exception here is a host-side
+    // bug; it is rethrown lowest-lane-first.
+    std::atomic<std::size_t> next{0};
+    std::vector<std::exception_ptr> errors(runnable.size());
+    const auto worker = [&] {
+        for (;;) {
+            const std::size_t k =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (k >= runnable.size())
+                return;
+            const std::size_t i = runnable[k];
+            const JobSpec &j = jobs_[i];
+            try {
+                status[i] = j.nfa_mode ? lanes_[i]->run_nfa(j.max_cycles)
+                                       : lanes_[i]->run(j.max_cycles);
+            } catch (...) {
+                errors[k] = std::current_exception();
             }
         }
-        if (blk.size() != 0)
-            ThreadedEngine::run_block(blk);
-        for (std::size_t k = 0; k < blk.size(); ++k)
-            status[blk.slot[k]] = blk.status[k];
-        for (const std::size_t i : rest)
-            run_lane(i);
-    } else {
-        // Lanes are trace-independent and their windows disjoint, so
-        // any work distribution yields bit-identical per-lane results.
-        // Interpreter faults never unwind out of Lane::run — they land
-        // in the per-lane fault record — so an exception here is a
-        // host-side bug; it is rethrown lowest-lane-first.
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(runnable.size());
-        {
-            std::vector<std::jthread> pool;
-            pool.reserve(threads);
-            for (unsigned t = 0; t < threads; ++t)
-                pool.emplace_back([&] {
-                    for (;;) {
-                        const std::size_t k =
-                            next.fetch_add(1, std::memory_order_relaxed);
-                        if (k >= runnable.size())
-                            return;
-                        try {
-                            run_lane(runnable[k]);
-                        } catch (...) {
-                            errors[k] = std::current_exception();
-                        }
-                    }
-                });
-        }
-        for (const std::exception_ptr &e : errors)
-            if (e)
-                std::rethrow_exception(e);
+    };
+    // The calling thread is one of the workers.
+    const std::size_t threads =
+        std::min<std::size_t>(resolved_sim_threads(), runnable.size());
+    {
+        std::vector<std::jthread> pool;
+        for (std::size_t t = 1; t < threads; ++t)
+            pool.emplace_back(worker);
+        worker();
     }
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 
     Cycles wall = 0;
     for (const std::size_t i : runnable)
@@ -225,19 +191,35 @@ Machine::run_parallel(std::uint64_t max_cycles_per_lane)
 MachineResult
 Machine::run_lockstep(std::uint64_t max_rounds)
 {
-    BankArbiter arbiter;
-    std::vector<bool> done(jobs_.size(), true);
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-        if (!jobs_[i].program)
-            continue;
-        if (jobs_[i].nfa_mode)
+    for (const JobSpec &j : jobs_)
+        if (j.program && j.nfa_mode)
             throw UdpError("Machine: lockstep NFA mode is unsupported");
-        done[i] = false;
-        lanes_[i]->set_arbiter(
-            [&arbiter](unsigned bank, bool is_write) {
-                return arbiter.request(bank, is_write);
-            });
-    }
+
+    // The arbiter lives on this frame: the lanes hold it for this run
+    // only and are detached on every exit, exceptions included.
+    BankArbiter arbiter;
+    class ArbiterScope
+    {
+      public:
+        ArbiterScope(Machine &m, BankArbiter &a) : m_(m) {
+            for (std::size_t i = 0; i < m_.jobs_.size(); ++i)
+                if (m_.jobs_[i].program)
+                    m_.lanes_[i]->set_arbiter(&a);
+        }
+        ArbiterScope(const ArbiterScope &) = delete;
+        ArbiterScope &operator=(const ArbiterScope &) = delete;
+        ~ArbiterScope() {
+            for (auto &ln : m_.lanes_)
+                ln->set_arbiter(nullptr);
+        }
+
+      private:
+        Machine &m_;
+    } scope(*this, arbiter);
+
+    std::vector<bool> done(jobs_.size(), true);
+    for (std::size_t i = 0; i < jobs_.size(); ++i)
+        done[i] = !jobs_[i].program;
 
     std::vector<LaneStatus> status(jobs_.size(), LaneStatus::Done);
     std::uint64_t rounds = 0;
@@ -248,8 +230,6 @@ Machine::run_lockstep(std::uint64_t max_rounds)
         for (std::size_t i = 0; i < jobs_.size(); ++i) {
             if (done[i])
                 continue;
-            // step_once carries the next state's compiled index between
-            // rounds, so lockstep skips the per-round lookup.
             const LaneStatus st = lanes_[i]->step_once();
             if (st != LaneStatus::Running) {
                 done[i] = true;

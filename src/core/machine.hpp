@@ -40,8 +40,8 @@ struct JobSpec {
     ByteAddr window_base = 0;         ///< restricted-addressing window
     bool nfa_mode = false;            ///< run with multi-state activation
     std::vector<std::pair<unsigned, Word>> init_regs; ///< (reg, value)
-    /// Per-lane watchdog budget; run_parallel uses the tighter of this
-    /// and its own argument (the Scheduler's retry policy grows this).
+    /// Per-lane watchdog budget for run_parallel (the Scheduler's retry
+    /// policy grows this).
     std::uint64_t max_cycles = ~std::uint64_t{0};
     /// Forced-trap cycle for deterministic fault injection (0 = off).
     Cycles trap_cycle = 0;
@@ -103,22 +103,22 @@ class Machine
     void assign(std::vector<JobSpec> jobs);
 
     /**
-     * Run all assigned lanes to completion, independently.
+     * Run all assigned lanes to completion, independently: each through
+     * Lane::run (run_nfa in NFA mode) within its JobSpec::max_cycles.
      *
-     * Executes on the configured simulation backend: serial, or a host
-     * thread pool (`set_sim_threads`).  Parallel-mode lanes touch
-     * disjoint memory windows, so the threaded backend is *exact*:
-     * LaneStats, wall cycles and energy are bit-identical to the serial
-     * backend for any thread count.  A run with an attached Profiler
-     * falls back to serial (its aggregation is shared across lanes);
+     * One worker loop runs on `resolved_sim_threads()` host threads,
+     * the calling thread among them (`set_sim_threads`).  Parallel-mode
+     * lanes touch disjoint memory windows, so the result cannot depend
+     * on the thread count: LaneStats, wall cycles and energy are
+     * bit-identical for any count.  A run with an attached Profiler
+     * stays on one thread (its aggregation is shared across lanes);
      * the Tracer's per-lane rings are safe under threads: every lane
      * records only into its own ring (each `tracer_->record(id_, ...)`
      * site passes the recording lane's id), so worker threads never
      * share a ring — pinned byte-for-byte, under TSan in CI, by
      * `SpanTrace.TracerIsIdenticalUnderThreadedBackend`.
      */
-    MachineResult run_parallel(std::uint64_t max_cycles_per_lane =
-                                   ~std::uint64_t{0});
+    MachineResult run_parallel();
 
     /**
      * Host threads for run_parallel lane simulation.  0 (the default)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Threaded-code backend: the op handlers (the ISA's one semantic
- * definition), the CompiledProgram lowering pass, the single-lane
- * resumable engine, the LaneBlock batch runner and the NFA executor.
+ * definition, tabled from UDP_OPCODES), the CompiledProgram lowering
+ * pass, the single-lane DFA step loop and the NFA executor.
  *
  * Equivalence discipline: every dispatch charge, fault message and
  * side-effect order in the engine is transcribed from the reference
@@ -58,9 +58,10 @@ hash_mix(Word v, unsigned table_log2)
 // Op handlers.
 //
 // Each handler is the semantics of one opcode, shared by the compiled op
-// stream and the reference action unit (Lane::exec_actions).  They are
-// members of a struct nested in ThreadedEngine so they inherit its
-// friend access to Lane and StreamBuffer.
+// stream and the reference action unit (Lane::exec_actions), and named
+// after its Opcode enumerator: table() is generated from UDP_OPCODES.
+// They are members of a struct nested in ThreadedEngine so they inherit
+// its friend access to Lane and StreamBuffer.
 // ---------------------------------------------------------------------------
 
 #define UDP_THREADED_OP(name)                                              \
@@ -89,102 +90,102 @@ struct ThreadedEngine::Ops {
     }
 
     // --- ALU, immediate forms ---
-    UDP_THREADED_OP(addi) { wr(ln, o, rs(ln, o) + o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(subi) { wr(ln, o, rs(ln, o) - o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(andi) { wr(ln, o, rs(ln, o) & o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(ori) { wr(ln, o, rs(ln, o) | o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(xori) { wr(ln, o, rs(ln, o) ^ o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(shli) {
+    UDP_THREADED_OP(Addi) { wr(ln, o, rs(ln, o) + o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Subi) { wr(ln, o, rs(ln, o) - o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Andi) { wr(ln, o, rs(ln, o) & o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Ori) { wr(ln, o, rs(ln, o) | o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Xori) { wr(ln, o, rs(ln, o) ^ o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Shli) {
         wr(ln, o, rs(ln, o) << (o.imm & 31));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(shri) {
+    UDP_THREADED_OP(Shri) {
         wr(ln, o, rs(ln, o) >> (o.imm & 31));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(sari) {
+    UDP_THREADED_OP(Sari) {
         wr(ln, o,
            static_cast<Word>(static_cast<std::int32_t>(rs(ln, o)) >>
                              (o.imm & 31)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(movi) { wr(ln, o, o.imm_w); return OpExit::Next; }
-    UDP_THREADED_OP(lui) {
+    UDP_THREADED_OP(Movi) { wr(ln, o, o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Lui) {
         wr(ln, o, (ln.regs_[o.dst] & 0xFFFFu) | (o.imm_w << 16));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(cmpeqi) {
+    UDP_THREADED_OP(Cmpeqi) {
         wr(ln, o, rs(ln, o) == o.imm_w);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(cmplti) {
+    UDP_THREADED_OP(Cmplti) {
         wr(ln, o, static_cast<std::int32_t>(rs(ln, o)) < o.imm);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(cmpltui) {
+    UDP_THREADED_OP(Cmpltui) {
         wr(ln, o, rs(ln, o) < o.imm_w);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(muli) { wr(ln, o, rs(ln, o) * o.imm_w); return OpExit::Next; }
+    UDP_THREADED_OP(Muli) { wr(ln, o, rs(ln, o) * o.imm_w); return OpExit::Next; }
 
     // --- ALU, register forms ---
-    UDP_THREADED_OP(add) { wr(ln, o, rr(ln, o) + rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(sub) { wr(ln, o, rr(ln, o) - rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(and_) { wr(ln, o, rr(ln, o) & rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(or_) { wr(ln, o, rr(ln, o) | rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(xor_) { wr(ln, o, rr(ln, o) ^ rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(shl) {
+    UDP_THREADED_OP(Add) { wr(ln, o, rr(ln, o) + rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Sub) { wr(ln, o, rr(ln, o) - rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(And) { wr(ln, o, rr(ln, o) & rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Or) { wr(ln, o, rr(ln, o) | rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Xor) { wr(ln, o, rr(ln, o) ^ rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Shl) {
         wr(ln, o, rr(ln, o) << (rs(ln, o) & 31));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(shr) {
+    UDP_THREADED_OP(Shr) {
         wr(ln, o, rr(ln, o) >> (rs(ln, o) & 31));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(mov) { wr(ln, o, rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(not_) { wr(ln, o, ~rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(neg) { wr(ln, o, 0u - rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(mul) { wr(ln, o, rr(ln, o) * rs(ln, o)); return OpExit::Next; }
-    UDP_THREADED_OP(min) {
+    UDP_THREADED_OP(Mov) { wr(ln, o, rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Not) { wr(ln, o, ~rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Neg) { wr(ln, o, 0u - rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Mul) { wr(ln, o, rr(ln, o) * rs(ln, o)); return OpExit::Next; }
+    UDP_THREADED_OP(Min) {
         wr(ln, o, std::min(rr(ln, o), rs(ln, o)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(max) {
+    UDP_THREADED_OP(Max) {
         wr(ln, o, std::max(rr(ln, o), rs(ln, o)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(cmpeq) {
+    UDP_THREADED_OP(Cmpeq) {
         wr(ln, o, rr(ln, o) == rs(ln, o));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(cmplt) {
+    UDP_THREADED_OP(Cmplt) {
         wr(ln, o, rr(ln, o) < rs(ln, o));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(select) {
+    UDP_THREADED_OP(Select) {
         wr(ln, o, ln.regs_[o.dst] ? rr(ln, o) : rs(ln, o));
         return OpExit::Next;
     }
 
     // --- Memory ---
-    UDP_THREADED_OP(ldw) {
+    UDP_THREADED_OP(Ldw) {
         wr(ln, o, ln.mem_read32(rs(ln, o) + o.imm_w));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(stw) {
+    UDP_THREADED_OP(Stw) {
         ln.mem_write32(rs(ln, o) + o.imm_w, ln.regs_[o.dst]);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(ldb) {
+    UDP_THREADED_OP(Ldb) {
         wr(ln, o, ln.mem_read8(rs(ln, o) + o.imm_w));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(stb) {
+    UDP_THREADED_OP(Stb) {
         ln.mem_write8(rs(ln, o) + o.imm_w,
                       static_cast<std::uint8_t>(ln.regs_[o.dst]));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(bininc) {
+    UDP_THREADED_OP(Bininc) {
         const Word addr_b = rs(ln, o) * 4 + o.imm_w;
         const Word v = ln.mem_read32(addr_b) + 1;
         ln.mem_write32(addr_b, v);
@@ -192,14 +193,14 @@ struct ThreadedEngine::Ops {
     }
 
     // --- Stream / configuration ---
-    UDP_THREADED_OP(setss) {
+    UDP_THREADED_OP(Setss) {
         if (o.imm < 1 || o.imm > 32)
             throw UdpFaultError(FaultCode::BadAction,
                                 "Lane: setss width must be 1..32");
         ln.symbol_bits_ = static_cast<unsigned>(o.imm);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(setssr) {
+    UDP_THREADED_OP(Setssr) {
         const Word v = rs(ln, o);
         if (v < 1 || v > 32)
             throw UdpFaultError(FaultCode::BadAction,
@@ -207,51 +208,51 @@ struct ThreadedEngine::Ops {
         ln.symbol_bits_ = v;
         return OpExit::Next;
     }
-    UDP_THREADED_OP(setbase) {
+    UDP_THREADED_OP(Setbase) {
         if (o.dst == 0)
             ln.window_base_ = rs(ln, o) + o.imm_w;
         else
             ln.dispatch_base_ = rs(ln, o) + o.imm_w;
         return OpExit::Next;
     }
-    UDP_THREADED_OP(setab) {
+    UDP_THREADED_OP(Setab) {
         ln.action_base_ = rs(ln, o) + o.imm_w;
         ln.action_scale_ = o.imm1;
         return OpExit::Next;
     }
-    UDP_THREADED_OP(skip) {
+    UDP_THREADED_OP(Skip) {
         ln.sb_.skip(static_cast<std::uint64_t>(o.imm));
         c.stream_bits += static_cast<std::uint64_t>(o.imm);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(refill) {
+    UDP_THREADED_OP(Refill) {
         ln.sb_.refill(static_cast<std::uint64_t>(o.imm));
         c.stream_bits -= static_cast<std::uint64_t>(o.imm);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(peek) {
+    UDP_THREADED_OP(Peek) {
         wr(ln, o,
            ln.sb_.exhausted(static_cast<unsigned>(o.imm))
                ? 0u
                : ln.sb_.peek(static_cast<unsigned>(o.imm)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(read) {
+    UDP_THREADED_OP(Read) {
         // An action-unit read; does not disturb the dispatch unit's
         // latched symbol (Lastsym).
         c.stream_bits += static_cast<unsigned>(o.imm);
         wr(ln, o, ln.sb_.read(static_cast<unsigned>(o.imm)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(tell) {
+    UDP_THREADED_OP(Tell) {
         wr(ln, o, static_cast<Word>(ln.sb_.pos_bits()));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(lastsym) {
+    UDP_THREADED_OP(Lastsym) {
         wr(ln, o, ln.last_symbol_);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(setstream) {
+    UDP_THREADED_OP(Setstream) {
         const std::uint64_t bit_pos =
             std::uint64_t{rs(ln, o)} + static_cast<std::uint64_t>(o.imm);
         const std::uint64_t old = ln.sb_.pos_bits();
@@ -264,7 +265,7 @@ struct ThreadedEngine::Ops {
     static Word lut_entry(const Lane &ln, const CompiledOp &o) {
         return rs(ln, o) + ((o.imm_w << 8) | ln.last_symbol_) * 16;
     }
-    UDP_THREADED_OP(emitlut) {
+    UDP_THREADED_OP(Emitlut) {
         const Word entry = lut_entry(ln, o);
         const std::uint8_t count = ln.mem_read8(entry);
         if (count > 15)
@@ -276,15 +277,15 @@ struct ThreadedEngine::Ops {
         ++ln.stats_.mem_reads; // one 8-byte-wide entry fetch
         return OpExit::Next;
     }
-    UDP_THREADED_OP(hash) {
+    UDP_THREADED_OP(Hash) {
         wr(ln, o, hash_mix(rs(ln, o), static_cast<unsigned>(o.imm)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(hash2) {
+    UDP_THREADED_OP(Hash2) {
         wr(ln, o, hash_mix(rr(ln, o) ^ (rs(ln, o) * 0x85EBCA6Bu), 0));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(loopcmp) {
+    UDP_THREADED_OP(Loopcmp) {
         const Word rrv = rr(ln, o);
         const Word rsv = rs(ln, o);
         const Word bound = ln.regs_[o.dst];
@@ -295,7 +296,7 @@ struct ThreadedEngine::Ops {
         wr(ln, o, n);
         return OpExit::Next;
     }
-    UDP_THREADED_OP(loopcpy) {
+    UDP_THREADED_OP(Loopcpy) {
         const Word rrv = rr(ln, o);
         const Word rsv = rs(ln, o);
         const Word n = ln.regs_[o.dst];
@@ -307,7 +308,7 @@ struct ThreadedEngine::Ops {
         c.cycles += n ? ceil_div(n, 8) - 1 : 0;
         return OpExit::Next;
     }
-    UDP_THREADED_OP(loopcpyo) {
+    UDP_THREADED_OP(Loopcpyo) {
         const Word rsv = rs(ln, o);
         const Word n = ln.regs_[o.dst];
         for (Word i = 0; i < n; ++i)
@@ -315,18 +316,18 @@ struct ThreadedEngine::Ops {
         c.cycles += n ? ceil_div(n, 8) - 1 : 0;
         return OpExit::Next;
     }
-    UDP_THREADED_OP(crc) {
+    UDP_THREADED_OP(Crc) {
         wr(ln, o, crc32c_table()[(ln.regs_[o.dst] ^ rs(ln, o)) & 0xFF] ^
                       (ln.regs_[o.dst] >> 8));
         return OpExit::Next;
     }
 
     // --- Output ---
-    UDP_THREADED_OP(outb) {
+    UDP_THREADED_OP(Outb) {
         ln.out_byte(static_cast<std::uint8_t>(rs(ln, o)));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(outw) {
+    UDP_THREADED_OP(Outw) {
         const Word v = rs(ln, o);
         ln.out_byte(static_cast<std::uint8_t>(v));
         ln.out_byte(static_cast<std::uint8_t>(v >> 8));
@@ -334,19 +335,19 @@ struct ThreadedEngine::Ops {
         ln.out_byte(static_cast<std::uint8_t>(v >> 24));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(outbits) {
+    UDP_THREADED_OP(Outbits) {
         ln.out_bits(rs(ln, o), static_cast<unsigned>(o.imm));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(outflush) {
+    UDP_THREADED_OP(Outflush) {
         ln.out_flush();
         return OpExit::Next;
     }
-    UDP_THREADED_OP(outi) {
+    UDP_THREADED_OP(Outi) {
         ln.out_byte(static_cast<std::uint8_t>(o.imm));
         return OpExit::Next;
     }
-    UDP_THREADED_OP(outbitsr) {
+    UDP_THREADED_OP(Outbitsr) {
         const Word w = ln.regs_[o.dst];
         if (w >= 1 && w <= 32)
             ln.out_bits(rs(ln, o), w);
@@ -357,16 +358,16 @@ struct ThreadedEngine::Ops {
     }
 
     // --- Control ---
-    UDP_THREADED_OP(accept) {
+    UDP_THREADED_OP(Accept) {
         ++ln.stats_.accepts;
         if (ln.accepts_.size() < ln.accept_capacity_)
             ln.accepts_.push_back({ln.sb_.pos_bits(), o.imm_w});
         return OpExit::Next;
     }
-    UDP_THREADED_OP(halt) { return OpExit::Done; }
-    UDP_THREADED_OP(fail) { return OpExit::Reject; }
-    UDP_THREADED_OP(gotoact) { return OpExit::Next; } // next = target
-    UDP_THREADED_OP(nop) { return OpExit::Next; }
+    UDP_THREADED_OP(Halt) { return OpExit::Done; }
+    UDP_THREADED_OP(Fail) { return OpExit::Reject; }
+    UDP_THREADED_OP(Gotoact) { return OpExit::Next; } // next = target
+    UDP_THREADED_OP(Nop) { return OpExit::Next; }
 
     // --- Trap ops ---
 
@@ -392,7 +393,8 @@ struct ThreadedEngine::Ops {
                             "Lane: action fetch out of range");
     }
 
-    /// Defined-but-unhandled opcode (charges stay).
+    /// Table filler for the values no UDP_OPCODES row lists (decoding
+    /// never yields one; charges stay).
     UDP_THREADED_OP(unimpl) {
         throw UdpFaultError(FaultCode::UnimplementedOpcode,
                             "Lane: unimplemented opcode");
@@ -409,73 +411,9 @@ ThreadedEngine::Ops::table()
     static const std::array<OpFn, 128> t = [] {
         std::array<OpFn, 128> a{};
         a.fill(&Ops::unimpl);
-        const auto set = [&](Opcode op, OpFn f) {
-            a[static_cast<std::size_t>(op)] = f;
-        };
-        set(Opcode::Addi, &Ops::addi);
-        set(Opcode::Subi, &Ops::subi);
-        set(Opcode::Andi, &Ops::andi);
-        set(Opcode::Ori, &Ops::ori);
-        set(Opcode::Xori, &Ops::xori);
-        set(Opcode::Shli, &Ops::shli);
-        set(Opcode::Shri, &Ops::shri);
-        set(Opcode::Sari, &Ops::sari);
-        set(Opcode::Movi, &Ops::movi);
-        set(Opcode::Lui, &Ops::lui);
-        set(Opcode::Cmpeqi, &Ops::cmpeqi);
-        set(Opcode::Cmplti, &Ops::cmplti);
-        set(Opcode::Cmpltui, &Ops::cmpltui);
-        set(Opcode::Muli, &Ops::muli);
-        set(Opcode::Add, &Ops::add);
-        set(Opcode::Sub, &Ops::sub);
-        set(Opcode::And, &Ops::and_);
-        set(Opcode::Or, &Ops::or_);
-        set(Opcode::Xor, &Ops::xor_);
-        set(Opcode::Shl, &Ops::shl);
-        set(Opcode::Shr, &Ops::shr);
-        set(Opcode::Mov, &Ops::mov);
-        set(Opcode::Not, &Ops::not_);
-        set(Opcode::Neg, &Ops::neg);
-        set(Opcode::Mul, &Ops::mul);
-        set(Opcode::Min, &Ops::min);
-        set(Opcode::Max, &Ops::max);
-        set(Opcode::Cmpeq, &Ops::cmpeq);
-        set(Opcode::Cmplt, &Ops::cmplt);
-        set(Opcode::Select, &Ops::select);
-        set(Opcode::Ldw, &Ops::ldw);
-        set(Opcode::Stw, &Ops::stw);
-        set(Opcode::Ldb, &Ops::ldb);
-        set(Opcode::Stb, &Ops::stb);
-        set(Opcode::Bininc, &Ops::bininc);
-        set(Opcode::Setss, &Ops::setss);
-        set(Opcode::Setssr, &Ops::setssr);
-        set(Opcode::Setbase, &Ops::setbase);
-        set(Opcode::Setab, &Ops::setab);
-        set(Opcode::Skip, &Ops::skip);
-        set(Opcode::Refill, &Ops::refill);
-        set(Opcode::Peek, &Ops::peek);
-        set(Opcode::Read, &Ops::read);
-        set(Opcode::Tell, &Ops::tell);
-        set(Opcode::Setstream, &Ops::setstream);
-        set(Opcode::Lastsym, &Ops::lastsym);
-        set(Opcode::Emitlut, &Ops::emitlut);
-        set(Opcode::Hash, &Ops::hash);
-        set(Opcode::Hash2, &Ops::hash2);
-        set(Opcode::Loopcmp, &Ops::loopcmp);
-        set(Opcode::Loopcpy, &Ops::loopcpy);
-        set(Opcode::Loopcpyo, &Ops::loopcpyo);
-        set(Opcode::Crc, &Ops::crc);
-        set(Opcode::Outb, &Ops::outb);
-        set(Opcode::Outw, &Ops::outw);
-        set(Opcode::Outbits, &Ops::outbits);
-        set(Opcode::Outflush, &Ops::outflush);
-        set(Opcode::Outi, &Ops::outi);
-        set(Opcode::Outbitsr, &Ops::outbitsr);
-        set(Opcode::Accept, &Ops::accept);
-        set(Opcode::Halt, &Ops::halt);
-        set(Opcode::Fail, &Ops::fail);
-        set(Opcode::Gotoact, &Ops::gotoact);
-        set(Opcode::Nop, &Ops::nop);
+#define UDP_OP_HANDLER(op, value, format, mnemonic) a[value] = &Ops::op;
+        UDP_OPCODES(UDP_OP_HANDLER)
+#undef UDP_OP_HANDLER
         return a;
     }();
     return t;
@@ -733,8 +671,7 @@ ThreadedEngine::exec_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
 }
 
 LaneStatus
-ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n,
-                               std::int32_t &carry)
+ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
 {
     const CompiledProgram &cp = *ln.compiled_;
     const Program &prog = *ln.prog_;
@@ -750,9 +687,7 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n,
         !cp.dyn_dispatch() &&
         ln.dispatch_base_ == cp.init_dispatch_base();
 
-    std::int32_t ix = carry;
-    if (ix == kNoResume)
-        ix = cp.state_index(ln.cur_state_);
+    std::int32_t ix = cp.state_index(ln.cur_state_);
 
     LaneStatus out = LaneStatus::Running;
     try {
@@ -860,64 +795,7 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n,
         throw;
     }
     flush(ln, c);
-    carry = ix;
     return out;
-}
-
-void
-ThreadedEngine::run_block(LaneBlock &blk)
-{
-    // Replicates Lane::run's chunk/trap/watchdog boundaries per lane,
-    // but interleaves the chunks across the whole block so one host
-    // thread keeps every resident lane's hot state in play.
-    std::size_t live = 0;
-    for (std::size_t k = 0; k < blk.size(); ++k)
-        live += blk.live[k];
-    while (live != 0) {
-        for (std::size_t k = 0; k < blk.size(); ++k) {
-            if (!blk.live[k])
-                continue;
-            Lane &ln = *blk.lanes[k];
-            LaneStatus st;
-            if (ln.halted_) {
-                st = ln.halt_status_;
-            } else {
-                if (!ln.started_) {
-                    ln.cur_state_ = ln.prog_->entry;
-                    ln.started_ = true;
-                }
-                ln.resume_cs_ = kNoResume;
-                const std::uint64_t chunk =
-                    blk.trap_at[k] != 0 ? 1 : 1024;
-                // The same conversion boundary as Lane::run_guarded
-                // (a private template; its catch order is the contract).
-                try {
-                    st = run_steps_body(ln, chunk, blk.state_ix[k]);
-                } catch (const UdpFaultError &e) {
-                    st = ln.trap(e.code(), e.what());
-                } catch (const UdpError &e) {
-                    st = ln.trap(FaultCode::BadAction, e.what());
-                }
-            }
-            if (st == LaneStatus::Running) {
-                if (blk.trap_at[k] != 0 &&
-                    ln.stats_.cycles >= blk.trap_at[k]) {
-                    st = ln.trap(FaultCode::ForcedTrap,
-                                 "Lane: forced trap (fault injection)");
-                } else if (ln.stats_.cycles >= blk.budget[k]) {
-                    st = ln.trip_watchdog(
-                        "Lane: cycle budget (" +
-                        std::to_string(blk.budget[k]) +
-                        ") exhausted before completion");
-                }
-            }
-            if (st != LaneStatus::Running) {
-                blk.live[k] = 0;
-                blk.status[k] = st;
-                --live;
-            }
-        }
-    }
 }
 
 LaneStatus
@@ -1058,19 +936,6 @@ ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
     return ln.trip_watchdog("Lane: NFA cycle budget (" +
                             std::to_string(max_cycles) +
                             ") exhausted before completion");
-}
-
-void
-LaneBlock::add(Lane *ln, std::uint32_t lane_slot, std::uint64_t cycles,
-               Cycles trap_cycle)
-{
-    lanes.push_back(ln);
-    slot.push_back(lane_slot);
-    state_ix.push_back(ThreadedEngine::kNoResume);
-    budget.push_back(cycles);
-    trap_at.push_back(trap_cycle);
-    live.push_back(1);
-    status.push_back(LaneStatus::Done);
 }
 
 // ---------------------------------------------------------------------------

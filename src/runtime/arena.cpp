@@ -127,12 +127,13 @@ ArenaSlice::pinned() const
 }
 
 void
-ArenaSlice::check_pinned(const char *who, const std::string &job) const
+ArenaSlice::check_pinned(const char *who, const std::string &job,
+                         const char *slice) const
 {
     if (pinned())
         return;
-    throw UdpError(std::string(who) + ": job '" + job +
-                   "' input is not pinned by a live arena (the plan — or "
+    throw UdpError(std::string(who) + ": job '" + job + "' " + slice +
+                   " is not pinned by a live arena (the plan — or "
                    "the arena backing it — died before the run finished)");
 }
 

@@ -26,10 +26,11 @@
  *    loop stops allocating per attempt.
  *
  * Lifetime enforcement: each arena carries a generation-keyed canary
- * word.  `ArenaSlice::check_pinned` verifies — on every `stage_job` /
- * `harvest_job` — that a non-empty view is still pinned by a live arena
- * that contains it, turning "plan must outlive the run" from a comment
- * into a checked invariant (tests/test_arena.cpp).
+ * word.  `ArenaSlice::check_pinned` verifies — whenever a plan is
+ * staged (`stage_regions`, shared by `stage_job` and the Scheduler) and
+ * on every `harvest_job` — that a non-empty view is still pinned by a
+ * live arena that contains it, turning "plan must outlive the run" from
+ * a comment into a checked invariant (tests/test_arena.cpp).
  */
 #pragma once
 
@@ -138,10 +139,12 @@ class ArenaSlice
     /// contains it.
     bool pinned() const;
 
-    /// Throw UdpError naming `who`/`job` unless pinned() — the enforced
-    /// form of the old "plan must outlive the run" comment.  Cost: a
-    /// couple of compares per job, never per byte.
-    void check_pinned(const char *who, const std::string &job) const;
+    /// Throw UdpError naming `who`, `job` and which of the job's slices
+    /// this is (`slice`: "input", "stage") unless pinned() — the
+    /// enforced form of the old "plan must outlive the run" comment.
+    /// Cost: a couple of compares per job, never per byte.
+    void check_pinned(const char *who, const std::string &job,
+                      const char *slice) const;
 
     /// Byte-wise content equality (slices of different arenas compare
     /// equal when their bytes match).

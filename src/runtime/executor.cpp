@@ -6,6 +6,8 @@
 
 namespace udp::runtime {
 
+namespace {
+
 void
 validate_job(const JobPlan &plan, ByteAddr window_base)
 {
@@ -20,18 +22,26 @@ validate_job(const JobPlan &plan, ByteAddr window_base)
                            "' stages outside its window");
 }
 
+} // namespace
+
+void
+stage_regions(Machine &m, ByteAddr window_base, const JobPlan &plan)
+{
+    validate_job(plan, window_base);
+    // The lane streams straight from arena memory: enforce the pins now,
+    // before any bytes are read (see executor.hpp lifetime contract).
+    plan.input.check_pinned("stage_regions", plan.name, "input");
+    for (const MemStage &s : plan.stages)
+        s.data.check_pinned("stage_regions", plan.name, "stage");
+    for (const MemStage &s : plan.stages)
+        m.stage(window_base + s.offset, s.data);
+}
+
 void
 stage_job(Machine &m, unsigned lane, ByteAddr window_base,
           const JobPlan &plan)
 {
-    validate_job(plan, window_base);
-    // The lane streams straight from arena memory: enforce the pin now,
-    // before any bytes are read (see executor.hpp lifetime contract).
-    plan.input.check_pinned("stage_job", plan.name);
-    for (const MemStage &s : plan.stages) {
-        s.data.check_pinned("stage_job", plan.name);
-        m.stage(window_base + s.offset, s.data);
-    }
+    stage_regions(m, window_base, plan);
     Lane &ln = m.lane(lane);
     ln.load(*plan.program, plan.compiled);
     ln.set_input(plan.input);
@@ -49,7 +59,7 @@ harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
 {
     // The lane streamed from the plan's arena for the whole run; catch
     // a pin that was dropped between staging and harvesting.
-    plan.input.check_pinned("harvest_job", plan.name);
+    plan.input.check_pinned("harvest_job", plan.name, "input");
     Lane &ln = m.lane(lane);
     ln.finish_output();
 

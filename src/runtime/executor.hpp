@@ -14,13 +14,19 @@
 
 namespace udp::runtime {
 
-/// Check a plan is self-consistent and its window fits local memory at
-/// `window_base`; throws UdpError otherwise.
-void validate_job(const JobPlan &plan, ByteAddr window_base);
+/**
+ * Check the plan is self-consistent and its window fits local memory at
+ * `window_base`, check its input and every stage slice are pinned by a
+ * live arena, then copy the stage slices into the window.  Throws
+ * UdpError, naming the job and the slice, before any byte is read.
+ * `stage_job` and the wave Scheduler both stage through here.
+ */
+void stage_regions(Machine &m, ByteAddr window_base, const JobPlan &plan);
 
 /**
- * Stage the plan's memory regions and bind the lane: load the program,
- * attach the input, set the window base and initial registers.
+ * Stage the plan's memory regions (`stage_regions`) and bind the lane:
+ * load the program, attach the input, set the window base and initial
+ * registers.
  *
  * Lifetime: the lane streams *directly from the plan's arena memory*
  * (no copy), so the arena pinned by `plan.input` must stay alive until

@@ -18,7 +18,7 @@
  * same arena, and copying a plan copies pointers, never payloads.  The
  * lanes stream straight from arena memory, so the arena must stay
  * pinned until the run is harvested — enforced (not just documented) by
- * the `check_pinned` canary check in `stage_job`/`harvest_job`.
+ * the `check_pinned` canary check in `stage_regions`/`harvest_job`.
  *
  * A `JobResult` is the complete architectural outcome of one job: the
  * terminal status, the simulated counters, the final scalar registers,

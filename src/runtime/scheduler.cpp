@@ -193,9 +193,7 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
             const ByteAddr base =
                 static_cast<ByteAddr>(pl.start_bank) *
                 static_cast<ByteAddr>(kBankBytes);
-            validate_job(plan, base);
-            for (const MemStage &s : plan.stages)
-                machine_->stage(base + s.offset, s.data);
+            stage_regions(*machine_, base, plan);
             JobSpec &js = specs[pl.start_bank];
             js.program = plan.program.get();
             js.input = plan.input;

@@ -223,7 +223,8 @@ class Scheduler
 
     /// Run all jobs; plans (and the arenas their inputs pin) must stay
     /// alive until this returns — enforced per job by the executor's
-    /// arena canary check (runtime/arena.hpp).
+    /// arena canary check (runtime/arena.hpp) before its wave runs and
+    /// again at harvest.
     ScheduleReport run(const std::vector<JobPlan> &jobs);
 
     /// The last-N post-mortem reports captured across runs, oldest

@@ -211,14 +211,15 @@ TEST(Arena, CheckPinnedEnforcesPlanLifetime)
     const TriggerWorkload w(4'096);
     auto jobs = w.jobs();
     ASSERT_FALSE(jobs.empty());
-    EXPECT_NO_THROW(jobs[0].input.check_pinned("test", jobs[0].name));
+    EXPECT_NO_THROW(
+        jobs[0].input.check_pinned("test", jobs[0].name, "input"));
 
     // Moving a plan's input away leaves the view behind without its
     // pin — exactly the use-after-move bug class the canary check is
     // for.  stage_job must refuse to stream it.
     const ArenaSlice stolen = std::move(jobs[0].input);
     EXPECT_FALSE(jobs[0].input.pinned());
-    EXPECT_THROW(jobs[0].input.check_pinned("test", jobs[0].name),
+    EXPECT_THROW(jobs[0].input.check_pinned("test", jobs[0].name, "input"),
                  UdpError);
     Machine m(AddressingMode::Restricted);
     EXPECT_THROW(runtime::run_job_on(m, 0, 0, jobs[0]), UdpError);
@@ -226,6 +227,43 @@ TEST(Arena, CheckPinnedEnforcesPlanLifetime)
     // The slice that *kept* the pin still works.
     jobs[0].input = stolen;
     EXPECT_NO_THROW(runtime::run_job_on(m, 0, 0, jobs[0]));
+}
+
+TEST(Arena, SchedulerChecksPinsBeforeAnyLaneRuns)
+{
+    // The Scheduler stages through the executor's pin checks: a plan
+    // whose input or stage slice lost its pin is refused before its
+    // wave simulates a cycle, and the error names the slice.
+    const std::string text = workloads::crimes_csv(20);
+    const Bytes data(text.begin(), text.end());
+
+    for (const std::string slice : {"input", "stage"}) {
+        SCOPED_TRACE(slice);
+        std::vector<runtime::JobPlan> jobs{
+            kernels::csv_kernel_spec().make_job(data)};
+        ASSERT_EQ(jobs[0].stages.size(), 1u);
+        ArenaSlice &victim =
+            slice == "input" ? jobs[0].input : jobs[0].stages[0].data;
+        // Input and stage share one arena: the other slice keeps it
+        // alive, so only the victim's pin is gone.
+        const ArenaSlice stolen = std::move(victim);
+        EXPECT_FALSE(victim.pinned());
+
+        Machine m(AddressingMode::Restricted);
+        EXPECT_THROW(runtime::run_job_on(m, 0, 0, jobs[0]), UdpError);
+
+        runtime::Scheduler sched(serial_opts());
+        std::string error;
+        try {
+            sched.run(jobs);
+        } catch (const UdpError &e) {
+            error = e.what();
+        }
+        EXPECT_NE(error.find("'" + jobs[0].name + "' " + slice),
+                  std::string::npos)
+            << error;
+        EXPECT_EQ(sched.machine().lane(0).stats().cycles, 0u);
+    }
 }
 
 // --- BufferPool ------------------------------------------------------------

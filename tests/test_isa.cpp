@@ -142,6 +142,34 @@ TEST(OpcodeNames, CoversAtLeastFiftyActions)
     EXPECT_GE(count, 50u);
 }
 
+TEST(OpcodeNames, EveryValueMatchesPinnedDigest)
+{
+    // FNV-1a 64 over (value, valid, format, mnemonic) for all 128 opcode
+    // values, undefined ones included: every row's encoding format and
+    // name is pinned, so a transcription slip in the opcode list shows.
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    const auto byte = [&](unsigned b) {
+        h ^= b & 0xFFu;
+        h *= 0x100000001B3ull;
+    };
+    for (Word v = 0; v < 128; ++v) {
+        const auto op = static_cast<Opcode>(v);
+        const bool valid = opcode_valid(v);
+        unsigned format = 0xFF;
+        if (valid)
+            format = static_cast<unsigned>(action_format(op));
+        else
+            EXPECT_THROW(action_format(op), UdpError) << v;
+        byte(v);
+        byte(valid ? 1 : 0);
+        byte(format);
+        for (const char ch : opcode_name(op))
+            byte(static_cast<unsigned char>(ch));
+        byte(0);
+    }
+    EXPECT_EQ(h, 0xB7C14E27566E1000ull);
+}
+
 TEST(TransitionNames, AllSevenTypes)
 {
     EXPECT_EQ(transition_type_name(TransitionType::Labeled), "labeled");

@@ -8,6 +8,7 @@
 #include "baselines/csv.hpp"
 #include "kernels/csv.hpp"
 #include "kernels/histogram.hpp"
+#include "runtime/executor.hpp"
 #include "workloads/generators.hpp"
 
 #include <gtest/gtest.h>
@@ -134,6 +135,46 @@ TEST(MachineLockstep, GlobalAddressingSerializesBankConflicts)
     EXPECT_LE(rr.wall_cycles, gr.wall_cycles);
     // Global references also cost more energy per access (Fig 11c).
     EXPECT_GT(g.last_run_energy_j(), r.last_run_energy_j());
+}
+
+TEST(MachineLockstep, ArbiterDoesNotOutliveTheRun)
+{
+    // run_lockstep's bank arbiter lives on its own frame.  A single-lane
+    // run on the same machine afterwards, whether the lockstep run
+    // finished or threw, must charge no stall through it: its stats
+    // equal a fresh machine's.
+    const std::string text = workloads::crimes_csv(20);
+    const runtime::JobPlan plan =
+        csv_kernel_spec().make_job(bytes_of(text));
+    Machine fresh(AddressingMode::Restricted);
+    const runtime::JobResult want = runtime::run_job_on(fresh, 0, 0, plan);
+    ASSERT_EQ(want.status, LaneStatus::Done);
+    EXPECT_EQ(want.stats.stall_cycles, 0u);
+
+    for (const bool nfa_last : {false, true}) {
+        SCOPED_TRACE(nfa_last ? "lockstep threw" : "lockstep finished");
+        Machine m(AddressingMode::Restricted);
+        std::vector<JobSpec> jobs(4);
+        for (unsigned i = 0; i < 4; ++i) {
+            jobs[i].program = plan.program.get();
+            jobs[i].input = plan.input;
+            jobs[i].window_base =
+                static_cast<ByteAddr>(i) * plan.window_bytes;
+            jobs[i].init_regs = plan.init_regs;
+        }
+        // Lockstep rejects the NFA lane by throwing; lanes 0-2 come
+        // before it.
+        jobs[3].nfa_mode = nfa_last;
+        m.assign(std::move(jobs));
+        if (nfa_last)
+            EXPECT_THROW(m.run_lockstep(), UdpError);
+        else
+            EXPECT_GT(m.run_lockstep().total.stall_cycles, 0u);
+
+        const runtime::JobResult got = runtime::run_job_on(m, 0, 0, plan);
+        EXPECT_EQ(got.status, want.status);
+        EXPECT_EQ(got.stats, want.stats);
+    }
 }
 
 TEST(MachineFailure, BadProgramsSurfaceAsFaults)

@@ -19,12 +19,12 @@
  *    fault-code level at traps (docs/ROBUSTNESS.md), and full on clean
  *    runs.
  *
- * Also pinned here: the resumable `step_once` entry, also on a lane that
- * switches interpreter between steps, run_lockstep, also with lanes on
- * different interpreters, the `UDP_SIM_BACKEND` toggle across every run
- * entry point, the content-keyed shared compiled-image cache, the
- * LaneBlock batch path Machine::run_parallel takes serially, and NFA
- * waves on the thread pool.  This file runs under the CI sanitizer jobs.
+ * Also pinned here: the `step_once` entry, also on a lane that switches
+ * interpreter between steps, run_lockstep, also with lanes on different
+ * interpreters, the `UDP_SIM_BACKEND` toggle across every run entry
+ * point, the content-keyed shared compiled-image cache, DFA waves run
+ * serially and on the thread pool, and NFA waves on the thread pool.
+ * This file runs under the CI sanitizer jobs.
  */
 #include "assembler/builder.hpp"
 #include "baselines/dictionary.hpp"
@@ -495,10 +495,10 @@ TEST(ThreadedCode, ReferenceObserverStreamsMatchPinnedDigests)
 
 TEST(ThreadedCode, StepOnceTracksRunStepsAndLegacy)
 {
-    // step_once carries the compiled state across calls (resume_cs_);
-    // stepping one dispatch at a time must track run_steps(1) exactly,
-    // including interleaved use of both entries — and must track the
-    // reference's step_once bit for bit.
+    // step_once is a forced-trap check plus run_steps(1); stepping one
+    // dispatch at a time must track run_steps(1) exactly, including
+    // interleaved use of both entries — and must track the reference's
+    // step_once bit for bit.
     BackendGuard guard;
     const std::string text = workloads::crimes_csv(10);
     const Bytes data(text.begin(), text.end());
@@ -523,7 +523,7 @@ TEST(ThreadedCode, StepOnceTracksRunStepsAndLegacy)
     std::uint64_t steps = 0;
     while (sa == LaneStatus::Running && steps < 1'000'000) {
         sa = a.step_once();
-        // Interleave to exercise the resume cache invalidation.
+        // Interleave both entries on one lane.
         const LaneStatus sb =
             (steps % 3 == 0) ? b.run_steps(1) : b.step_once();
         const LaneStatus sc = c.step_once();
@@ -542,10 +542,10 @@ TEST(ThreadedCode, StepOnceMatchesRunSteps)
 {
     // A lane may change interpreter between any two steps: attaching an
     // observer sends it to the reference, detaching it returns the lane
-    // to the threaded engine, which must drop its step_once carry-over
-    // and resume from the architectural state.  Such a lane, alternating
-    // step_once with run_steps(1), must track a lane that only ever
-    // steps the threaded engine, step for step, on every DFA kernel.
+    // to the threaded engine, which must resume from the architectural
+    // state.  Such a lane, alternating step_once with run_steps(1), must
+    // track a lane that only ever steps the threaded engine, step for
+    // step, on every DFA kernel.
     BackendGuard guard;
     set_sim_backend(SimBackend::Threaded);
     for (const auto &[name, plan] : kernel_plans()) {
@@ -566,9 +566,7 @@ TEST(ThreadedCode, StepOnceMatchesRunSteps)
             sa = a.step_once();
             // Runs of three reference steps and four threaded ones, with
             // run_steps(1) every eighth step: every switch in either
-            // direction is met from and into both entries, and most
-            // reference runs contain no run_steps, whose reset would hide
-            // a carry-over left stale by the reference.
+            // direction is met from and into both entries.
             const bool observed = steps % 7 < 3;
             b.set_tracer(observed ? &tracer : nullptr);
             ASSERT_EQ(b.fast_path(), !observed);
@@ -661,13 +659,13 @@ TEST(ThreadedCode, LockstepBitIdenticalAcrossPaths)
         << "lockstep arbitration should see bank conflicts here";
 }
 
-TEST(ThreadedCode, SerialBlockPathMatchesPooledAndLegacy)
+TEST(ThreadedCode, SerialWavesMatchPooledAndLegacy)
 {
-    // threads == 1 routes whole waves through ThreadedEngine::run_block
-    // (the LaneBlock batch path); a thread pool runs per-lane, every
-    // lane sharing one read-only compiled image (TSan in CI proves the
-    // sharing race-free).  Both must agree with each other and with a
-    // serial reference run.
+    // threads == 1 runs every lane of a wave on the calling thread; a
+    // thread pool spreads the lanes over workers, every lane sharing one
+    // read-only compiled image (TSan in CI proves the sharing
+    // race-free).  Both must agree with each other and with a serial
+    // reference run.
     BackendGuard guard;
     const std::string text = workloads::crimes_csv(600);
     const Bytes data(text.begin(), text.end());
