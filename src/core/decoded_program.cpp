@@ -1,6 +1,6 @@
 /**
  * @file
- * DecodedProgram construction and the backend switch.
+ * The program fingerprint and the backend switch.
  */
 #include "decoded_program.hpp"
 
@@ -10,33 +10,6 @@
 namespace udp {
 
 namespace {
-
-/// Non-throwing decode: reserved transition kind 7 becomes the invalid
-/// sentinel instead of an exception, because the decode pass visits
-/// every word — including garbage the interpreter would never fetch.
-Transition
-decode_transition_lenient(Word raw)
-{
-    const Word kind = bits(raw, 8, 4) & 0x7;
-    if (kind >= kNumTransitionTypes) {
-        Transition t;
-        t.type = kInvalidTransitionType;
-        return t;
-    }
-    return decode_transition(raw);
-}
-
-/// Non-throwing action decode (undefined opcode -> sentinel).
-Action
-decode_action_lenient(Word raw)
-{
-    if (!opcode_valid(bits(raw, 25, 7))) {
-        Action a;
-        a.op = kInvalidOpcode;
-        return a;
-    }
-    return decode_action(raw);
-}
 
 /// FNV-1a 64-bit over a word stream.
 struct Fnv64 {
@@ -74,101 +47,6 @@ program_fingerprint(const Program &prog)
               (std::uint64_t{s.aux_count} << 16) | s.max_symbol);
     }
     return f.h;
-}
-
-DecodedProgram::DecodedProgram(const Program &prog)
-{
-    fingerprint_ = program_fingerprint(prog);
-
-    transitions_.reserve(prog.dispatch.size());
-    for (const Word w : prog.dispatch)
-        transitions_.push_back(decode_transition_lenient(w));
-
-    actions_.reserve(prog.actions.size());
-    for (const Word w : prog.actions)
-        actions_.push_back(decode_action_lenient(w));
-
-    slot_state_.assign(prog.dispatch.size(), -1);
-    states_.reserve(prog.states.size());
-    for (const StateMeta &s : prog.states) {
-        if (s.base >= prog.dispatch.size())
-            throw UdpError("DecodedProgram: state base outside image");
-        if (slot_state_[s.base] != -1)
-            throw UdpError("DecodedProgram: duplicate state base");
-
-        DecodedState d;
-        d.base = s.base;
-        d.max_symbol = s.max_symbol;
-        d.signature = state_signature(s.base);
-        d.reg_source = s.reg_source;
-
-        // An undecodable aux word can only occur in a program that never
-        // passed Program::validate(); treat it as a signature mismatch
-        // (chain terminator) rather than failing the whole build.
-        const unsigned aux =
-            static_cast<unsigned>(std::min<std::uint32_t>(
-                s.aux_count, s.base));
-        auto chain_word = [&](unsigned k) -> const Transition & {
-            return transitions_[s.base - k];
-        };
-
-        // `common` scan: first signature-matching common transition; the
-        // per-step scan does not stop at signature mismatches.
-        for (unsigned k = 1; k <= aux && !d.has_common; ++k) {
-            const Transition &t = chain_word(k);
-            if (t.type == TransitionType::Common &&
-                t.signature == d.signature) {
-                d.common = t;
-                d.has_common = true;
-            }
-        }
-
-        // DFA miss walk: charge one dispatch read per word examined,
-        // stop at the first signature mismatch or majority/default hit.
-        for (unsigned k = 1; k <= aux; ++k) {
-            const Transition &t = chain_word(k);
-            ++d.miss_reads;
-            if (t.type == kInvalidTransitionType ||
-                t.signature != d.signature)
-                break;
-            if (t.type == TransitionType::Majority ||
-                t.type == TransitionType::Default) {
-                d.miss = t;
-                d.has_miss = true;
-                break;
-            }
-        }
-
-        // NFA miss walk: same, but `common` is also an accepted fallback.
-        for (unsigned k = 1; k <= aux; ++k) {
-            const Transition &t = chain_word(k);
-            ++d.miss_nfa_reads;
-            if (t.type == kInvalidTransitionType ||
-                t.signature != d.signature)
-                break;
-            if (t.type == TransitionType::Majority ||
-                t.type == TransitionType::Default ||
-                t.type == TransitionType::Common) {
-                d.miss_nfa = t;
-                d.has_miss_nfa = true;
-                break;
-            }
-        }
-
-        // Epsilon activations, in chain (priority) order.
-        d.eps_begin = static_cast<std::uint32_t>(epsilons_.size());
-        for (unsigned k = 1; k <= aux; ++k) {
-            const Transition &t = chain_word(k);
-            if (t.type == TransitionType::Epsilon &&
-                t.signature == d.signature)
-                epsilons_.push_back(t);
-        }
-        d.eps_end = static_cast<std::uint32_t>(epsilons_.size());
-
-        slot_state_[s.base] =
-            static_cast<std::int32_t>(states_.size());
-        states_.push_back(d);
-    }
 }
 
 // ---------------------------------------------------------------------------
