@@ -159,13 +159,14 @@ inline constexpr std::uint8_t kNoActions = 0xFF;
     X(Hash, 70, Imm, "hash")      /* dst = hash(reg[src]) mixed with imm  \
                                      seed (1 cycle) */                     \
     X(Hash2, 71, Reg, "hash2")    /* dst = hash(reg[ref], reg[src]) */     \
-    X(Loopcmp, 72, Reg, "loopcmp") /* dst = match length of mem[ref] vs   \
-                                      mem[src], bounded by reg[dst] on    \
-                                      entry; 1 + ceil(n/8) cycles */       \
-    X(Loopcpy, 73, Reg, "loopcpy") /* copy reg[dst] bytes mem[src] ->     \
-                                      mem[ref]; 1 + ceil(n/8) */           \
-    X(Loopcpyo, 74, Reg, "loopcpyo") /* copy reg[dst] bytes from mem[src] \
-                                        to the output stream */            \
+    X(Loopcmp, 72, Reg, "loopcmp") /* dst = match length n of mem[ref]    \
+                                      vs mem[src], bounded by reg[dst] on \
+                                      entry; max(1, ceil(n/8)) cycles */   \
+    X(Loopcpy, 73, Reg, "loopcpy") /* copy n = reg[dst] bytes mem[src] -> \
+                                      mem[ref]; max(1, ceil(n/8)) */       \
+    X(Loopcpyo, 74, Reg, "loopcpyo") /* copy n = reg[dst] bytes from      \
+                                        mem[src] to the output stream;    \
+                                        max(1, ceil(n/8)) */               \
     X(Crc, 75, Reg, "crc")        /* dst = CRC32C step of (dst, src byte) */ \
                                                                            \
     /* --- Output (per-lane output staging buffer) --- */                  \

@@ -171,6 +171,14 @@ Lane::mem_translate(Word lane_addr) const
     return mem_.translate(id_, lane_addr, window_base_);
 }
 
+std::uint8_t *
+Lane::mem_span(Word lane_addr, Word n)
+{
+    if (!fast_path() || arbiter_)
+        return nullptr;
+    return mem_.span(id_, lane_addr, n, window_base_);
+}
+
 void
 Lane::charge_mem(ByteAddr phys, bool is_write)
 {

@@ -26,7 +26,11 @@
  *   - the decode-per-step reference in lane.cpp, for the Legacy backend
  *     and for every lane with a tracer or profiler attached.
  * Both call the same op handlers, and simulated counters never depend
- * on the interpreter taken.
+ * on the interpreter taken.  Their data paths differ in one place: on
+ * the threaded engine with no bank arbiter, Loopcpy moves an in-range
+ * span in one block, while the reference moves every byte through the
+ * memory path, so the cross-interpreter suites check one against the
+ * other.
  */
 #pragma once
 
@@ -96,7 +100,9 @@ class Lane
 
     /// Whether the run entries take ThreadedEngine: a compiled image is
     /// bound and neither a tracer nor a profiler is attached.  Otherwise
-    /// they run the reference interpreter.
+    /// they run the reference interpreter.  It also gates the block
+    /// data path (with no bank arbiter attached): off the fast path,
+    /// every byte goes through the per-byte memory path.
     bool fast_path() const { return compiled_ && !tracer_ && !profiler_; }
 
     /// Attach the input stream (not copied).
@@ -231,6 +237,11 @@ class Lane
     Word dispatch_word(std::size_t word_addr);
 
     ByteAddr mem_translate(Word lane_addr) const;
+    /// Host pointer to the `n` bytes at `lane_addr` for a block move, or
+    /// null when the move must take the per-byte path: off fast_path(),
+    /// with a bank arbiter attached, or when the span leaves the lane's
+    /// addressable range (LocalMemory::span).
+    std::uint8_t *mem_span(Word lane_addr, Word n);
     std::uint8_t mem_read8(Word lane_addr);
     void mem_write8(Word lane_addr, std::uint8_t v);
     Word mem_read32(Word lane_addr);

@@ -43,7 +43,7 @@ LocalMemory::translate(unsigned lane, ByteAddr addr, ByteAddr base) const
 {
     switch (mode_) {
       case AddressingMode::Local:
-        // Lane-private bank; address wraps inside the 16 KiB bank.
+        // Lane-private bank; an address past the 16 KiB bank faults.
         if (addr >= kBankBytes)
             throw UdpFaultError(FaultCode::FetchOutOfRange,
                             "LocalMemory: local-mode address exceeds bank");
@@ -62,6 +62,36 @@ LocalMemory::translate(unsigned lane, ByteAddr addr, ByteAddr base) const
       }
     }
     throw UdpError("LocalMemory: bad addressing mode");
+}
+
+std::uint8_t *
+LocalMemory::span(unsigned lane, ByteAddr addr, std::size_t n, ByteAddr base)
+{
+    // translate()'s rule applied to the span's last byte, in 64 bits.
+    const std::uint64_t end = std::uint64_t{addr} + n;
+    std::uint64_t phys = 0;
+    switch (mode_) {
+      case AddressingMode::Local:
+        if (end > kBankBytes)
+            return nullptr;
+        phys = std::uint64_t{lane} * kBankBytes + addr;
+        break;
+      case AddressingMode::Global:
+        if (end > kLocalMemBytes)
+            return nullptr;
+        phys = addr;
+        break;
+      case AddressingMode::Restricted:
+        if (std::uint64_t{base} + end > kLocalMemBytes)
+            return nullptr;
+        phys = std::uint64_t{base} + addr;
+        break;
+      default:
+        return nullptr;
+    }
+    if (phys + n > mem_.size())
+        return nullptr;
+    return mem_.data() + phys;
 }
 
 void

@@ -39,7 +39,10 @@ double memory_ref_energy_pj(AddressingMode m);
  *
  * Lanes access it through lane-relative addresses that are translated per
  * the addressing mode.  All accesses are bounds-checked; a lane escaping
- * its window is a program bug and raises UdpError.
+ * its addressable range (its bank in Local mode, the 1 MiB memory in
+ * Global and Restricted mode — the bound is the memory, not the window)
+ * raises UdpFaultError(FetchOutOfRange), which the lane records as a
+ * fault.
  */
 class LocalMemory
 {
@@ -64,6 +67,17 @@ class LocalMemory
      * @param base       lane's window base register (Restricted mode only)
      */
     ByteAddr translate(unsigned lane, ByteAddr addr, ByteAddr base) const;
+
+    /**
+     * Host pointer to the `n` bytes at lane-relative `addr` (the first
+     * at translate(lane, addr, base)), or null unless every one of them
+     * would pass translate() and the physical bounds check; a span that
+     * wraps past 2^32 is null.  Never throws.  Block datapaths use it;
+     * on null they take the per-byte path, which faults where
+     * translate() does.
+     */
+    std::uint8_t *span(unsigned lane, ByteAddr addr, std::size_t n,
+                       ByteAddr base);
 
     /// Bank holding a physical byte address.
     static unsigned bank_of(ByteAddr phys) {

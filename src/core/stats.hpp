@@ -6,8 +6,9 @@
  *   - 1 cycle per multi-way dispatch;
  *   - +1 cycle when the labeled-slot signature check fails and the
  *     auxiliary chain is consulted (majority/default fallback);
- *   - 1 cycle per action; loop-compare / loop-copy cost 1 + ceil(n/8)
- *     (8-byte lane datapath);
+ *   - 1 cycle per action; a loop-compare / loop-copy costs
+ *     max(1, ceil(n/8)) in all, its own action cycle included (8-byte
+ *     lane datapath; n is the match length for loop-compare);
  *   - local-memory accesses add bank-conflict stalls as arbitrated.
  */
 #pragma once

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
@@ -300,11 +301,30 @@ struct ThreadedEngine::Ops {
         const Word rrv = rr(ln, o);
         const Word rsv = rs(ln, o);
         const Word n = ln.regs_[o.dst];
-        // Forward byte order: overlapping copies replicate the prefix.
-        for (Word i = 0; i < n; ++i) {
-            const std::uint8_t b = ln.mem_read8(rsv + i);
-            ln.mem_write8(rrv + i, b);
+        // One block on the threaded engine with no arbiter when both
+        // spans are in range; otherwise byte by byte through the memory
+        // path (the reference, observed lanes, arbiters and faults).
+        // Both leave a forward byte copy's result: a destination that
+        // overlaps ahead of the source replicates the prefix (LZ77
+        // matches with a short offset).
+        std::uint8_t *dst = ln.mem_span(rrv, n);
+        const std::uint8_t *src = dst ? ln.mem_span(rsv, n) : nullptr;
+        if (src) {
+            if (src < dst && dst < src + n) {
+                for (Word i = 0; i < n; ++i)
+                    dst[i] = src[i];
+            } else {
+                std::memmove(dst, src, n);
+            }
+            ln.stats_.mem_reads += n;
+            ln.stats_.mem_writes += n;
+        } else {
+            for (Word i = 0; i < n; ++i) {
+                const std::uint8_t b = ln.mem_read8(rsv + i);
+                ln.mem_write8(rrv + i, b);
+            }
         }
+        // max(1, ceil(n/8)) in all, this action's own cycle included.
         c.cycles += n ? ceil_div(n, 8) - 1 : 0;
         return OpExit::Next;
     }

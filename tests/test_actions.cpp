@@ -5,8 +5,12 @@
  */
 #include "assembler/builder.hpp"
 #include "core/lane.hpp"
+#include "core/profile.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
 
 namespace udp {
 namespace {
@@ -319,6 +323,267 @@ TEST_F(ActionsFixture, IllegalConfigurationsFaultTheLane)
                  FaultCode::BadAction);
     run_faulting({act_imm(Opcode::Skip, 0, 0, 1 << 14)},
                  FaultCode::FetchOutOfRange);
+}
+
+// ---------------------------------------------------------------------------
+// Loopcpy: the threaded engine's block datapath against the per-byte path.
+//
+// A bare lane runs the threaded engine, which moves a span that lies
+// wholly in the lane's range in one block; a lane with a Profiler
+// attached runs the reference, which moves every byte through the
+// memory path.  Each case runs both from identical memory.
+// ---------------------------------------------------------------------------
+
+/// `loopcpy`: copy r3 bytes mem[r1] -> mem[r2], then halt.
+const Program &
+loopcpy_program()
+{
+    static const Program prog = [] {
+        ProgramBuilder b;
+        const StateId s = b.add_state();
+        b.on_any(s, s,
+                 b.add_block({act_reg(Opcode::Loopcpy, 3, 2, 1),
+                              act_imm(Opcode::Halt, 0, 0, 0, true)}));
+        b.set_entry(s);
+        return b.build();
+    }();
+    return prog;
+}
+
+/// 1 MiB of seeded bytes every copy starts from.
+const Bytes &
+seeded_memory()
+{
+    static const Bytes bytes = [] {
+        std::mt19937 rng(17);
+        Bytes b(kLocalMemBytes);
+        for (auto &v : b)
+            v = static_cast<std::uint8_t>(rng());
+        return b;
+    }();
+    return bytes;
+}
+
+/// A lane's addressing setup and the end of its addressable range.
+struct CopySetup {
+    AddressingMode mode;
+    unsigned lane;
+    ByteAddr base; ///< window base (Restricted mode)
+
+    Word limit() const {
+        switch (mode) {
+          case AddressingMode::Local: return kBankBytes;
+          case AddressingMode::Global: return kLocalMemBytes;
+          case AddressingMode::Restricted: return kLocalMemBytes - base;
+        }
+        return 0;
+    }
+};
+
+const CopySetup kCopySetups[] = {
+    {AddressingMode::Local, 5, 0},
+    {AddressingMode::Global, 3, 0},
+    {AddressingMode::Restricted, 2, 0x30000},
+};
+
+/// One lane over its own memory: bare (the block path) or profiled
+/// (the per-byte path).
+struct CopyLane {
+    CopyLane(const CopySetup &cfg, bool profiled)
+        : mem(cfg.mode), lane(cfg.lane, mem), id(cfg.lane), base(cfg.base) {
+        if (profiled)
+            lane.set_profiler(&prof);
+    }
+
+    LaneStatus run(const Program &prog, Word src, Word dst, Word n) {
+        mem.raw() = seeded_memory();
+        lane.load(prog);
+        lane.set_window_base(base);
+        lane.set_input(input);
+        lane.set_reg(1, src);
+        lane.set_reg(2, dst);
+        lane.set_reg(3, n);
+        return lane.run();
+    }
+
+    /// Host bytes at lane address `addr` (which must be in range).
+    const std::uint8_t *at(Word addr) {
+        return mem.raw().data() + mem.translate(id, addr, base);
+    }
+
+    LocalMemory mem;
+    Profiler prof;
+    Lane lane;
+    unsigned id;
+    ByteAddr base;
+    Bytes input{'x'};
+};
+
+/// Both datapaths over one setup.
+struct CopyPair {
+    explicit CopyPair(const CopySetup &cfg)
+        : cfg(cfg), block(cfg, false), bytewise(cfg, true) {}
+
+    /// Run the copy on both lanes and require identical status, stats,
+    /// registers, fault record and memory.  Returns the status.
+    LaneStatus run(Word src, Word dst, Word n,
+                   const Program &prog = loopcpy_program()) {
+        SCOPED_TRACE(testing::Message()
+                     << addressing_mode_name(cfg.mode) << " src " << src
+                     << " dst " << dst << " n " << n);
+        const LaneStatus st = block.run(prog, src, dst, n);
+        EXPECT_EQ(bytewise.run(prog, src, dst, n), st);
+        EXPECT_TRUE(block.lane.fast_path());
+        EXPECT_FALSE(bytewise.lane.fast_path());
+        const Lane &a = block.lane;
+        const Lane &b = bytewise.lane;
+        EXPECT_EQ(a.stats(), b.stats());
+        for (unsigned r = 0; r < kNumScalarRegs; ++r)
+            EXPECT_EQ(a.reg(r), b.reg(r)) << "r" << r;
+        EXPECT_EQ(a.fault().code, b.fault().code);
+        EXPECT_EQ(a.fault().cycle, b.fault().cycle);
+        EXPECT_EQ(a.fault().detail, b.fault().detail);
+        const Bytes &ma = block.mem.raw();
+        const Bytes &mb = bytewise.mem.raw();
+        const auto diff = std::mismatch(ma.begin(), ma.end(), mb.begin());
+        EXPECT_TRUE(diff.first == ma.end())
+            << "memory differs at physical byte " << (diff.first - ma.begin());
+        return st;
+    }
+
+    CopySetup cfg;
+    CopyLane block;
+    CopyLane bytewise;
+};
+
+TEST_F(ActionsFixture, LoopcpyBlockMatchesPerByteInEveryMode)
+{
+    for (const CopySetup &cfg : kCopySetups) {
+        SCOPED_TRACE(addressing_mode_name(cfg.mode));
+        CopyPair pair(cfg);
+        const Word end = cfg.limit();
+        const Bytes &init = seeded_memory();
+        auto init_at = [&](Word addr) {
+            return init[pair.block.mem.translate(cfg.lane, addr, cfg.base)];
+        };
+
+        // Disjoint spans, in both directions.
+        EXPECT_EQ(pair.run(0x100, 0x900, 300), LaneStatus::Done);
+        EXPECT_EQ(pair.run(0x900, 0x100, 300), LaneStatus::Done);
+        for (Word i = 0; i < 300; ++i)
+            ASSERT_EQ(pair.block.at(0x100)[i], init_at(0x900 + i)) << i;
+
+        // A destination 3 ahead of the source replicates its 3-byte
+        // prefix, with n not a multiple of 3.
+        EXPECT_EQ(pair.run(0x200, 0x203, 20), LaneStatus::Done);
+        for (Word i = 0; i < 23; ++i)
+            ASSERT_EQ(pair.block.at(0x200)[i], init_at(0x200 + i % 3)) << i;
+
+        // A destination behind the source, and one equal to it.
+        EXPECT_EQ(pair.run(0x400, 0x3F0, 40), LaneStatus::Done);
+        for (Word i = 0; i < 40; ++i)
+            ASSERT_EQ(pair.block.at(0x3F0)[i], init_at(0x400 + i)) << i;
+        EXPECT_EQ(pair.run(0x500, 0x500, 64), LaneStatus::Done);
+
+        // A span that ends exactly at the range end is one block.
+        EXPECT_EQ(pair.run(end - 64, 0x100, 64), LaneStatus::Done);
+        EXPECT_EQ(pair.run(0x100, end - 64, 64), LaneStatus::Done);
+
+        // Zero bytes at out-of-range addresses touch nothing.
+        EXPECT_EQ(pair.run(end + 7, end + 100, 0), LaneStatus::Done);
+        EXPECT_EQ(pair.run(0xFFFFFFFFu, 0xFFFFFFF0u, 0), LaneStatus::Done);
+        EXPECT_EQ(pair.block.lane.stats().mem_reads, 0u);
+
+        // A destination span crossing the range end: the 10-byte prefix
+        // is copied, then the 11th write faults (11 reads, 10 writes) at
+        // cycle 2, the dispatch's and the action's own; the block's
+        // extra cycles are never charged.
+        EXPECT_EQ(pair.run(0x100, end - 10, 25), LaneStatus::Faulted);
+        for (Word i = 0; i < 10; ++i)
+            ASSERT_EQ(pair.block.at(end - 10)[i], init_at(0x100 + i)) << i;
+        EXPECT_EQ(pair.block.lane.fault().code, FaultCode::FetchOutOfRange);
+        EXPECT_EQ(pair.block.lane.fault().cycle, 2u);
+        EXPECT_EQ(pair.block.lane.stats().mem_reads, 11u);
+        EXPECT_EQ(pair.block.lane.stats().mem_writes, 10u);
+
+        // Spans one byte past the range end fault at their last byte.
+        EXPECT_EQ(pair.run(0x100, end - 9, 10), LaneStatus::Faulted);
+        EXPECT_EQ(pair.block.lane.stats().mem_writes, 9u);
+        EXPECT_EQ(pair.run(end - 9, 0x100, 10), LaneStatus::Faulted);
+        EXPECT_EQ(pair.block.lane.stats().mem_writes, 9u);
+
+        // A source span crossing the range end: 4 bytes, then a fault.
+        EXPECT_EQ(pair.run(end - 4, 0x100, 9), LaneStatus::Faulted);
+        for (Word i = 0; i < 4; ++i)
+            ASSERT_EQ(pair.block.at(0x100)[i], init_at(end - 4 + i)) << i;
+        EXPECT_EQ(pair.block.at(0x100)[4], init_at(0x104));
+        EXPECT_EQ(pair.block.lane.stats().mem_writes, 4u);
+
+        // Lane addresses within 16 bytes of 2^32 fault at their first
+        // byte, and a span there must not wrap into range.
+        EXPECT_EQ(pair.run(0xFFFFFFF8u, 0x100, 16), LaneStatus::Faulted);
+        EXPECT_EQ(pair.run(0x100, 0xFFFFFFF0u, 32), LaneStatus::Faulted);
+        EXPECT_EQ(pair.block.lane.stats().mem_writes, 0u);
+    }
+}
+
+TEST_F(ActionsFixture, LoopcpyRandomSpansNearRangeEndsMatchPerByte)
+{
+    // Seeded (src, dst, n) spans clustered at both ends of each mode's
+    // range, so that overlaps, exact fits and crossings all occur.
+    std::mt19937 rng(20171017);
+    for (const CopySetup &cfg : kCopySetups) {
+        SCOPED_TRACE(addressing_mode_name(cfg.mode));
+        CopyPair pair(cfg);
+        const Word end = cfg.limit();
+        auto near_an_end = [&]() -> Word {
+            switch (rng() % 4) {
+              case 0: return rng() % 512;
+              case 1: return end - 1 - rng() % 512;
+              case 2: return end + rng() % 64;
+              default: return 0u - 1 - rng() % 16;
+            }
+        };
+        unsigned blocks = 0;
+        unsigned faults = 0;
+        for (int k = 0; k < 250; ++k) {
+            const Word src = near_an_end();
+            const Word dst = rng() % 2 ? near_an_end() : src + rng() % 16;
+            const Word n = rng() % 320;
+            blocks += n != 0 &&
+                      pair.block.mem.span(cfg.lane, src, n, cfg.base) &&
+                      pair.block.mem.span(cfg.lane, dst, n, cfg.base);
+            faults += pair.run(src, dst, n) == LaneStatus::Faulted;
+        }
+        // Neither side of the gate goes untested.
+        EXPECT_GE(blocks, 30u);
+        EXPECT_GE(faults, 30u);
+    }
+}
+
+TEST_F(ActionsFixture, LoopcpyChargesOneCyclePerEightBytes)
+{
+    // A loop-copy costs max(1, ceil(n/8)) cycles in all, its own action
+    // cycle included, and makes n reads and n writes, on both paths.
+    ProgramBuilder b;
+    const StateId s = b.add_state();
+    b.on_any(s, s, b.add_block({act_imm(Opcode::Halt, 0, 0, 0, true)}));
+    b.set_entry(s);
+    const Program halt_only = b.build();
+
+    CopyPair pair(kCopySetups[2]);
+    pair.run(0, 0x1000, 0, halt_only);
+    const Cycles overhead = pair.block.lane.stats().cycles;
+    const std::pair<Word, Cycles> charges[] = {
+        {0, 1}, {1, 1}, {8, 1}, {9, 2}, {64, 8}};
+    for (const auto &[n, cost] : charges) {
+        EXPECT_EQ(pair.run(0, 0x1000, n), LaneStatus::Done);
+        for (const CopyLane *l : {&pair.block, &pair.bytewise}) {
+            EXPECT_EQ(l->lane.stats().cycles - overhead, cost) << "n " << n;
+            EXPECT_EQ(l->lane.stats().mem_reads, n);
+            EXPECT_EQ(l->lane.stats().mem_writes, n);
+        }
+    }
 }
 
 } // namespace

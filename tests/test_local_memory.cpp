@@ -47,6 +47,53 @@ TEST(LocalMemory, ReadWriteRoundTrip)
     EXPECT_THROW(mem.read32(kLocalMemBytes - 2), UdpError);
 }
 
+TEST(LocalMemory, SpanIsTranslateOverEveryByte)
+{
+    // span() resolves exactly when every byte of the span would pass
+    // translate() (with the lane's 32-bit address arithmetic), at the
+    // first byte's physical address, and never throws.
+    const Word edges[] = {0, 1, kBankBytes - 8, kBankBytes - 1, kBankBytes,
+                          kLocalMemBytes - 3 * kBankBytes - 5,
+                          kLocalMemBytes - 9, kLocalMemBytes - 1,
+                          kLocalMemBytes, 0xFFFFFFF8u, 0xFFFFFFFFu};
+    const Word lengths[] = {1, 2, 7, 8, 9, 100};
+    const ByteAddr bases[] = {0, 3 * kBankBytes};
+    auto every_byte_translates = [](const LocalMemory &mem, unsigned lane,
+                                    Word addr, Word n, ByteAddr base) {
+        try {
+            for (Word i = 0; i < n; ++i)
+                mem.translate(lane, addr + i, base);
+        } catch (const UdpError &) {
+            return false;
+        }
+        return true;
+    };
+    for (const AddressingMode mode :
+         {AddressingMode::Local, AddressingMode::Global,
+          AddressingMode::Restricted}) {
+        LocalMemory mem(mode);
+        for (const unsigned lane : {0u, 5u, 63u})
+            for (const ByteAddr base : bases)
+                for (const Word addr : edges) {
+                    EXPECT_NO_THROW(mem.span(lane, addr, 0, base));
+                    for (const Word n : lengths) {
+                        SCOPED_TRACE(testing::Message()
+                                     << addressing_mode_name(mode)
+                                     << " lane " << lane << " base " << base
+                                     << " addr " << addr << " n " << n);
+                        const bool every =
+                            every_byte_translates(mem, lane, addr, n, base);
+                        const std::uint8_t *p = mem.span(lane, addr, n, base);
+                        ASSERT_EQ(p != nullptr, every);
+                        if (p) {
+                            EXPECT_EQ(p, mem.raw().data() +
+                                             mem.translate(lane, addr, base));
+                        }
+                    }
+                }
+    }
+}
+
 TEST(LocalMemory, BankOfMatchesGeometry)
 {
     EXPECT_EQ(LocalMemory::bank_of(0), 0u);
