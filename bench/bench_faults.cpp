@@ -225,7 +225,6 @@ main(int argc, char **argv)
         // and the policy doubles the budget per retry.
         opts.max_cycles_per_lane = 1024;
         opts.retry.max_attempts = 16;
-        opts.retry.grow_cycle_budget = true;
         runtime::Scheduler sched(opts);
         const auto rep = sched.run(jobs);
 

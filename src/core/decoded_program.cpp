@@ -5,7 +5,6 @@
 #include "decoded_program.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace udp {
 
@@ -55,8 +54,7 @@ program_fingerprint(const Program &prog)
 
 namespace {
 
-// 0 = unresolved (consult the environment), else 1 + SimBackend value.
-std::atomic<int> g_backend{0};
+std::atomic<SimBackend> g_backend{SimBackend::Threaded};
 
 } // namespace
 
@@ -73,22 +71,13 @@ sim_backend_name(SimBackend b)
 SimBackend
 sim_backend()
 {
-    int v = g_backend.load(std::memory_order_relaxed);
-    if (v == 0) {
-        SimBackend b = SimBackend::Threaded;
-        if (const char *env = std::getenv("UDP_SIM_BACKEND");
-            env && std::string_view(env) == "legacy")
-            b = SimBackend::Legacy;
-        v = 1 + static_cast<int>(b);
-        g_backend.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<SimBackend>(v - 1);
+    return g_backend.load(std::memory_order_relaxed);
 }
 
 void
 set_sim_backend(SimBackend b)
 {
-    g_backend.store(1 + static_cast<int>(b), std::memory_order_relaxed);
+    g_backend.store(b, std::memory_order_relaxed);
 }
 
 } // namespace udp

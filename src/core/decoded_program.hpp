@@ -48,13 +48,11 @@ enum class SimBackend : std::uint8_t {
 /// Stable lower-case backend name ("legacy", "threaded").
 std::string_view sim_backend_name(SimBackend b);
 
-/// The active backend.  Defaults to Threaded; the UDP_SIM_BACKEND
-/// environment variable (legacy|threaded) overrides the default (read
-/// once, on first query; other values keep the default).
+/// The active backend (Threaded unless set_sim_backend chose another).
 SimBackend sim_backend();
 
-/// Process-wide override of the environment default (benches and the
-/// equivalence tests toggle this around whole runs).
+/// Process-wide backend choice (benches and the equivalence tests
+/// toggle this around whole runs).
 void set_sim_backend(SimBackend b);
 
 } // namespace udp

@@ -112,9 +112,6 @@ class Lane
     void set_window_base(ByteAddr base) { window_base_ = base; }
     ByteAddr window_base() const { return window_base_; }
 
-    /// Dispatch-window word base (programs larger than 4096 words).
-    void set_dispatch_base(std::size_t words) { dispatch_base_ = words; }
-
     /// Scalar register access (r15 reads give the stream byte index).
     Word reg(unsigned idx) const;
     void set_reg(unsigned idx, Word value);
@@ -153,7 +150,6 @@ class Lane
      * injection only — no hardware analogue.  Cleared by hard_reset().
      */
     void set_forced_trap(Cycles at) { trap_cycle_ = at; }
-    Cycles forced_trap_cycle() const { return trap_cycle_; }
 
     /// Record a watchdog fault and halt the lane (the machine's lockstep
     /// harness calls this when its round budget expires with the lane
@@ -166,9 +162,6 @@ class Lane
     const std::vector<AcceptEvent> &accepts() const { return accepts_; }
     std::uint64_t accept_count() const { return stats_.accepts; }
 
-    /// Cap on stored AcceptEvents (counts keep accumulating past it).
-    void set_accept_capacity(std::size_t n) { accept_capacity_ = n; }
-
     /// Reset registers, stats, output and stream position.
     void reset();
 
@@ -177,9 +170,9 @@ class Lane
     /// window base, dispatch window, forced trap and attached input, so
     /// a reassigned lane cannot observe any state from the previous
     /// wave — nor read its program, which may be freed by now.  Run
-    /// configuration (tracer, profiler, accept capacity) survives; the
-    /// arbiter is attached only during run_lockstep.  load() a program
-    /// before the next run.
+    /// configuration (tracer, profiler) survives; the arbiter is
+    /// attached only during run_lockstep.  load() a program before the
+    /// next run.
     void hard_reset();
 
     /// Bank arbiter charged for every memory reference (nullptr = none,
@@ -271,7 +264,8 @@ class Lane
     Word out_bit_acc_ = 0;     ///< pending sub-byte output bits
     unsigned out_bit_count_ = 0;
     std::vector<AcceptEvent> accepts_;
-    std::size_t accept_capacity_ = 1 << 16;
+    /// Cap on stored AcceptEvents (counts keep accumulating past it).
+    static constexpr std::size_t kAcceptCapacity = 1 << 16;
     BankArbiter *arbiter_ = nullptr; ///< lockstep bank contention
     Tracer *tracer_ = nullptr;     ///< event sink; off when null
     Profiler *profiler_ = nullptr; ///< aggregation sink; off when null

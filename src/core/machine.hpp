@@ -127,7 +127,6 @@ class Machine
      * not depend on it.
      */
     void set_sim_threads(unsigned n) { sim_threads_ = n; }
-    unsigned sim_threads() const { return sim_threads_; }
 
     /// The thread count run_parallel will actually use (>= 1; always 1
     /// while a Profiler is attached).

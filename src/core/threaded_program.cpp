@@ -380,7 +380,7 @@ struct ThreadedEngine::Ops {
     // --- Control ---
     UDP_THREADED_OP(Accept) {
         ++ln.stats_.accepts;
-        if (ln.accepts_.size() < ln.accept_capacity_)
+        if (ln.accepts_.size() < Lane::kAcceptCapacity)
             ln.accepts_.push_back({ln.sb_.pos_bits(), o.imm_w});
         return OpExit::Next;
     }

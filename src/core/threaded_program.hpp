@@ -39,10 +39,10 @@
  *
  * This tier is purely host-performance: simulated counters, outputs,
  * accepts, faults and trap cycles are bit-identical to the reference
- * (pinned by tests/test_threaded.cpp).  Select it with
- * UDP_SIM_BACKEND=legacy|threaded or `set_sim_backend()`
- * (decoded_program.hpp); a lane with a tracer or profiler attached
- * always runs the reference.
+ * (pinned by tests/test_threaded.cpp).  It is the default;
+ * `set_sim_backend()` (decoded_program.hpp) selects the reference
+ * instead, and a lane with a tracer or profiler attached always runs
+ * the reference.
  */
 #pragma once
 

@@ -6,33 +6,44 @@
 
 namespace udp::runtime {
 
-namespace {
-
 void
-validate_job(const JobPlan &plan, ByteAddr window_base)
+validate_plan(const JobPlan &plan)
 {
+    const auto fail = [&](const char *what) {
+        throw UdpError("runtime: job '" + plan.name + "' " + what);
+    };
     if (!plan.program)
-        throw UdpError("runtime: job '" + plan.name + "' has no program");
-    if (std::uint64_t{window_base} + plan.window_bytes > kLocalMemBytes)
-        throw UdpError("runtime: job '" + plan.name +
-                       "' window escapes local memory");
+        fail("has no program");
+    if (plan.window_bytes > kLocalMemBytes)
+        fail("window exceeds local memory");
     for (const MemStage &s : plan.stages)
         if (std::uint64_t{s.offset} + s.data.size() > plan.window_bytes)
-            throw UdpError("runtime: job '" + plan.name +
-                           "' stages outside its window");
+            fail("stages outside its window");
+    for (const auto &[r, v] : plan.init_regs)
+        if (r >= kNumScalarRegs)
+            fail("names a register past r15");
+    for (const MemExtract &e : plan.extracts) {
+        if (e.end_reg >= static_cast<int>(kNumScalarRegs))
+            fail("names a register past r15");
+        if (e.end_reg < 0 &&
+            std::uint64_t{e.offset} + e.len > plan.window_bytes)
+            fail("extract outside its window");
+    }
+    plan.input.check_pinned("validate_plan", plan.name, "input");
+    for (const MemStage &s : plan.stages)
+        s.data.check_pinned("validate_plan", plan.name, "stage");
 }
-
-} // namespace
 
 void
 stage_regions(Machine &m, ByteAddr window_base, const JobPlan &plan)
 {
-    validate_job(plan, window_base);
-    // The lane streams straight from arena memory: enforce the pins now,
-    // before any bytes are read (see executor.hpp lifetime contract).
-    plan.input.check_pinned("stage_regions", plan.name, "input");
-    for (const MemStage &s : plan.stages)
-        s.data.check_pinned("stage_regions", plan.name, "stage");
+    // The lane streams straight from arena memory: validate_plan
+    // enforces the pins now, before any bytes are read (see
+    // executor.hpp lifetime contract).
+    validate_plan(plan);
+    if (std::uint64_t{window_base} + plan.window_bytes > kLocalMemBytes)
+        throw UdpError("runtime: job '" + plan.name +
+                       "' window escapes local memory");
     for (const MemStage &s : plan.stages)
         m.stage(window_base + s.offset, s.data);
 }

@@ -15,11 +15,22 @@
 namespace udp::runtime {
 
 /**
- * Check the plan is self-consistent and its window fits local memory at
- * `window_base`, check its input and every stage slice are pinned by a
- * live arena, then copy the stage slices into the window.  Throws
- * UdpError, naming the job and the slice, before any byte is read.
- * `stage_job` and the wave Scheduler both stage through here.
+ * Check that a plan can run at all, whatever its program does: it has a
+ * program; its window fits local memory; its stages and fixed-length
+ * extracts lie inside the window; its `init_regs` and extract `end_reg`
+ * indices name scalar registers (< 16); and its input and every stage
+ * slice are pinned by a live arena.  Throws UdpError naming the job
+ * (and the slice, for a lost pin).  The wave Scheduler checks every
+ * plan here before its first wave, and udp_service before it admits a
+ * submission.
+ */
+void validate_plan(const JobPlan &plan);
+
+/**
+ * `validate_plan`, then check the window fits local memory at
+ * `window_base` and copy the stage slices into it.  Throws UdpError
+ * before any byte is read.  `stage_job` and the wave Scheduler both
+ * stage through here.
  */
 void stage_regions(Machine &m, ByteAddr window_base, const JobPlan &plan);
 

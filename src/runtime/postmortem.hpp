@@ -73,22 +73,23 @@ bool write_fault_report_file(const std::string &path, const FaultReport &r);
 /// "postmortem-job<index>-attempt<N>.json".
 std::string postmortem_filename(const FaultReport &r);
 
+/// Cap on report *files* one scheduler run writes into
+/// `PostmortemPolicy::dir` (a mass-timeout run can fault hundreds of
+/// times; the first reports carry the diagnosis).  In-memory capture
+/// ignores this cap.  Filenames are deterministic per (job, attempt),
+/// so successive runs into the same dir overwrite matching reports.
+inline constexpr std::size_t kMaxPostmortemFiles = 64;
+
 /// Post-mortem capture knobs (SchedulerOptions::postmortem).
 struct PostmortemPolicy {
     /// Directory reports are written to ("" = don't write files;
     /// in-memory capture still happens when `keep_last` > 0).  Created
-    /// on first write if missing.
+    /// on first write if missing.  At most kMaxPostmortemFiles per run.
     std::string dir;
     /// Reports the Scheduler keeps queryable in memory, oldest evicted
     /// (0 = none).  Capture is fully off — one branch per faulted run —
     /// when this is 0 and `dir` is empty (the default).
     std::size_t keep_last = 0;
-    /// Cap on report *files* one scheduler run writes into `dir` (a
-    /// mass-timeout run can fault hundreds of times; the first reports
-    /// carry the diagnosis).  In-memory capture ignores this cap.
-    /// Filenames are deterministic per (job, attempt), so successive
-    /// runs into the same dir overwrite matching reports.
-    std::size_t max_files = 64;
 };
 
 } // namespace udp::runtime

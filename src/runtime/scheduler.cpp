@@ -13,11 +13,11 @@
 #include "assembler/disasm.hpp"
 #include "executor.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
+#include <utility>
 
 namespace udp::runtime {
 
@@ -38,32 +38,26 @@ struct Pending {
     std::uint64_t budget = ~std::uint64_t{0};
 };
 
-/// A retry held back by RetryPolicy::backoff_waves: eligible to rejoin
-/// the pending queue once `not_before` waves have closed.
-struct Delayed {
-    Pending pending;
-    unsigned not_before = 0;
-};
-
-/// splitmix64 step (same generator family as runtime/FaultInjector):
-/// deterministic backoff jitter from (seed, job, attempt).
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
 /// Next unreserved trace id.  Each non-empty run() reserves one id per
 /// job, so ids stay unique across every Scheduler in the process.
 std::atomic<std::uint64_t> g_next_trace_id{0};
 
+/// `opts`, once its wave cap and retry count are usable.
+SchedulerOptions
+checked(SchedulerOptions opts)
+{
+    if (opts.max_jobs_per_wave == 0 || opts.max_jobs_per_wave > kNumLanes)
+        throw UdpError("Scheduler: max_jobs_per_wave must be 1..64");
+    if (opts.retry.max_attempts == 0)
+        throw UdpError("Scheduler: retry.max_attempts must be >= 1");
+    return opts;
+}
+
 } // namespace
 
 Scheduler::Scheduler(SchedulerOptions opts)
-    : opts_(opts), owned_(std::make_unique<Machine>(opts.mode)),
+    : opts_(checked(std::move(opts))),
+      owned_(std::make_unique<Machine>(AddressingMode::Restricted)),
       machine_(owned_.get())
 {
     if (opts_.threads)
@@ -73,7 +67,7 @@ Scheduler::Scheduler(SchedulerOptions opts)
 }
 
 Scheduler::Scheduler(Machine &m, SchedulerOptions opts)
-    : opts_(opts), machine_(&m)
+    : opts_(checked(std::move(opts))), machine_(&m)
 {
     if (opts_.threads)
         machine_->set_sim_threads(opts_.threads);
@@ -84,32 +78,22 @@ Scheduler::Scheduler(Machine &m, SchedulerOptions opts)
 ScheduleReport
 Scheduler::run(const std::vector<JobPlan> &jobs)
 {
-    if (opts_.max_jobs_per_wave == 0 ||
-        opts_.max_jobs_per_wave > kNumLanes)
-        throw UdpError("Scheduler: max_jobs_per_wave must be 1..64");
-    if (opts_.retry.max_attempts == 0)
-        throw UdpError("Scheduler: retry.max_attempts must be >= 1");
-
     ScheduleReport report;
     report.jobs.resize(jobs.size());
     report.sim_threads = machine_->resolved_sim_threads();
     if (jobs.empty())
         return report;
 
-    // Validate footprints before any wave runs (as the upfront packing
-    // used to), so an oversized window cannot fail a run midway.
+    // Validate every plan before any wave runs, so a malformed plan
+    // cannot fail a run midway.
     for (const JobPlan &plan : jobs)
-        if (plan.banks() > kNumBanks)
-            throw UdpError("Scheduler: job '" + plan.name +
-                           "' window exceeds local memory");
+        validate_plan(plan);
 
     std::deque<Pending> pending;
     for (std::size_t i = 0; i < jobs.size(); ++i)
         pending.push_back({i, 1,
                            jobs[i].max_cycles ? jobs[i].max_cycles
                                               : opts_.max_cycles_per_lane});
-    // Retries serving a backoff delay (RetryPolicy::backoff_waves).
-    std::vector<Delayed> delayed;
 
     const std::uint64_t trace_base = g_next_trace_id.fetch_add(jobs.size());
     for (TelemetrySink *sink : opts_.sinks)
@@ -121,34 +105,9 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
     std::map<std::size_t, std::vector<AttemptOutcome>> fault_history;
     std::size_t postmortem_files_written = 0;
 
-    // Move delayed retries whose backoff has elapsed (<= `upto` waves)
-    // back into the pending queue, preserving insertion order.
-    const auto release_delayed = [&](unsigned upto) {
-        for (auto it = delayed.begin(); it != delayed.end();) {
-            if (it->not_before <= upto) {
-                pending.push_back(it->pending);
-                it = delayed.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    };
-
     const auto t0 = std::chrono::steady_clock::now();
     unsigned wave_index = 0;
-    while (!pending.empty() || !delayed.empty()) {
-        if (!delayed.empty()) {
-            release_delayed(wave_index);
-            if (pending.empty()) {
-                // The queue would idle waiting out a backoff: release
-                // the earliest delayed group instead — empty waves do
-                // not exist, so the delay has no simulated-time cost.
-                unsigned lo = delayed.front().not_before;
-                for (const Delayed &d : delayed)
-                    lo = std::min(lo, d.not_before);
-                release_delayed(lo);
-            }
-        }
+    while (!pending.empty()) {
         const auto t_wave = std::chrono::steady_clock::now();
         // Machine time already spent on earlier waves: the queue wait
         // of every job running in this wave (submission is at t = 0).
@@ -244,16 +203,11 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
                                   jr.status == LaneStatus::TimedOut);
             if (cancelled_now) {
                 // Cancel-mid-wave: the attempt ran, but its payload is
-                // discarded (buffers recycled) and any retry it would
-                // have earned is suppressed.  Counters stay for
-                // accounting; architectural outputs do not survive.
-                if (jr.output.capacity() > 0)
-                    pool_.release(std::move(jr.output));
-                for (Bytes &e : jr.extracts)
-                    if (e.capacity() > 0)
-                        pool_.release(std::move(e));
-                jr.output = Bytes{};
-                jr.extracts.clear();
+                // discarded (recycle() pools its buffers and leaves jr
+                // without them) and any retry it would have earned is
+                // suppressed.  Counters stay for accounting;
+                // architectural outputs do not survive.
+                recycle(std::move(jr));
                 jr.accepts.clear();
                 jr.regs = {};
                 jr.status = LaneStatus::Cancelled;
@@ -264,45 +218,14 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
             } else if (faulted) {
                 ++report.faulted_runs;
                 if (pl.attempt < opts_.retry.max_attempts) {
-                    // Requeue into a later wave, growing the watchdog
-                    // budget for timeouts when the policy says so.
+                    // Requeue into a later wave; a timeout retries with
+                    // twice the watchdog budget (saturating).
                     std::uint64_t budget = pl.budget;
-                    if (jr.status == LaneStatus::TimedOut &&
-                        opts_.retry.grow_cycle_budget &&
-                        budget != ~std::uint64_t{0}) {
+                    if (jr.status == LaneStatus::TimedOut)
                         budget = budget > (~std::uint64_t{0} >> 1)
                                      ? ~std::uint64_t{0}
                                      : budget * 2;
-                    }
-                    // Exponential backoff (RetryPolicy::backoff_waves):
-                    // attempt n's retry waits backoff << (n-1) waves,
-                    // plus deterministic seeded jitter, before it may
-                    // rejoin the queue.  delay 0 requeues immediately —
-                    // the bit-identical pre-backoff behavior.
-                    std::uint64_t delay = 0;
-                    if (opts_.retry.backoff_waves) {
-                        const unsigned shift =
-                            pl.attempt > 16 ? 16u : pl.attempt - 1;
-                        delay = std::uint64_t{opts_.retry.backoff_waves}
-                                << shift;
-                        if (opts_.retry.backoff_jitter)
-                            delay +=
-                                mix64(opts_.retry.backoff_seed ^
-                                      (std::uint64_t(pl.job) << 20) ^
-                                      pl.attempt) %
-                                (std::uint64_t{
-                                     opts_.retry.backoff_jitter} +
-                                 1);
-                    }
-                    const Pending next{pl.job, pl.attempt + 1, budget};
-                    if (delay == 0)
-                        pending.push_back(next);
-                    else
-                        delayed.push_back(
-                            {next,
-                             wave_index + 1 +
-                                 static_cast<unsigned>(std::min<
-                                     std::uint64_t>(delay, 1u << 20))});
+                    pending.push_back({pl.job, pl.attempt + 1, budget});
                     retried_now = true;
                     ++wr.retried;
                     ++report.retries;
@@ -340,7 +263,7 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
                 fr.disassembly = disassemble_state(*plan.program,
                                                    jr.fault.state_base);
                 if (!opts_.postmortem.dir.empty() &&
-                    postmortem_files_written < opts_.postmortem.max_files) {
+                    postmortem_files_written < kMaxPostmortemFiles) {
                     write_fault_report_file(opts_.postmortem.dir + "/" +
                                                 postmortem_filename(fr),
                                             fr);
@@ -437,7 +360,7 @@ void
 Scheduler::recycle(JobResult &&r)
 {
     if (r.output.capacity() > 0)
-        pool_.release(std::move(r.output));
+        pool_.release(std::exchange(r.output, {}));
     for (Bytes &e : r.extracts)
         if (e.capacity() > 0)
             pool_.release(std::move(e));

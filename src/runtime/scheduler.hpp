@@ -42,36 +42,17 @@ namespace udp::runtime {
 
 /**
  * Fault recovery policy (docs/ROBUSTNESS.md).  A job whose run ends
- * Faulted or TimedOut is requeued into a later wave until it has been
- * given `max_attempts` runs; after that it is *quarantined*: reported
- * with its LaneFault, never run again, and never blocking other jobs.
- * With the default max_attempts == 1 nothing is ever retried, and
- * fault-free runs are bit-identical whatever the policy says.
+ * Faulted or TimedOut is requeued at the back of the pending queue, so
+ * it runs in a later wave, until it has been given `max_attempts` runs;
+ * after that it is *quarantined*: reported with its LaneFault, never
+ * run again, and never blocking other jobs.  A TimedOut retry runs with
+ * twice the previous cycle budget (saturating; an unlimited budget
+ * stays unlimited).  With the default max_attempts == 1 nothing is ever
+ * retried, and fault-free runs are bit-identical whatever the policy
+ * says.
  */
 struct RetryPolicy {
     unsigned max_attempts = 1; ///< total runs per job (>= 1)
-    /// Double the per-lane cycle budget on each TimedOut retry (only
-    /// meaningful when max_cycles_per_lane is finite).
-    bool grow_cycle_budget = true;
-    /**
-     * Exponential retry backoff in *waves*: a job whose attempt n
-     * faults re-enters the queue no earlier than `backoff_waves << (n-1)`
-     * waves after the failing one (plus jitter, below), so one tenant's
-     * transient-fault retries stop clustering in the very next wave.
-     * 0 (the default) requeues immediately — bit-identical to the
-     * pre-backoff scheduler (pinned by Scheduler.BackoffZeroBitIdentical).
-     * When the queue would otherwise go idle, the earliest delayed
-     * group is released early: waves only exist while jobs run, so an
-     * empty-machine delay has no simulated-time meaning.
-     */
-    unsigned backoff_waves = 0;
-    /// Max extra delay waves added per retry, drawn deterministically
-    /// from `backoff_seed`, the job index and the attempt number
-    /// (splitmix64) — same seed, same plans, same schedule.  Inert
-    /// while `backoff_waves` is 0: jitter modifies a backoff, it never
-    /// introduces one.
-    unsigned backoff_jitter = 0;
-    std::uint64_t backoff_seed = 0x9E3779B97F4A7C15ull;
 };
 
 /**
@@ -128,14 +109,14 @@ class JobControl
     std::size_t size_;
 };
 
-/// Scheduler construction knobs.
+/// Scheduler construction knobs; the constructor rejects a wave cap
+/// outside 1..64 and `retry.max_attempts` == 0 with UdpError.
 struct SchedulerOptions {
     /// Host simulation threads: 0 = machine default (UDP_SIM_THREADS
     /// env, else serial); 1 = serial; N = thread pool of N.
     unsigned threads = 0;
     /// Cap on concurrent jobs per wave (models a partial deployment).
     unsigned max_jobs_per_wave = kNumLanes;
-    AddressingMode mode = AddressingMode::Restricted;
     /// Default per-lane cycle budget; a plan's own `JobPlan::max_cycles`
     /// (when nonzero) overrides it per job.
     std::uint64_t max_cycles_per_lane = ~std::uint64_t{0};
@@ -213,10 +194,11 @@ struct ScheduleReport {
 class Scheduler
 {
   public:
+    /// Own a Restricted-mode machine.
     explicit Scheduler(SchedulerOptions opts = {});
 
-    /// Borrow an existing machine (caller keeps ownership; its memory,
-    /// tracer and profiler attachments are used as-is).
+    /// Borrow an existing machine (caller keeps ownership; its addressing
+    /// mode, memory, tracer and profiler attachments are used as-is).
     explicit Scheduler(Machine &m, SchedulerOptions opts = {});
 
     Machine &machine() { return *machine_; }
@@ -224,7 +206,9 @@ class Scheduler
     /// Run all jobs; plans (and the arenas their inputs pin) must stay
     /// alive until this returns — enforced per job by the executor's
     /// arena canary check (runtime/arena.hpp) before its wave runs and
-    /// again at harvest.
+    /// again at harvest.  Every plan passes `validate_plan`
+    /// (executor.hpp) before the first wave, so a malformed plan throws
+    /// UdpError before any lane runs.
     ScheduleReport run(const std::vector<JobPlan> &jobs);
 
     /// The last-N post-mortem reports captured across runs, oldest

@@ -1,6 +1,7 @@
 #include "service/service.hpp"
 
 #include "core/metrics_json.hpp"
+#include "runtime/executor.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -9,6 +10,9 @@
 namespace udp::service {
 
 namespace {
+
+/// Post-mortem reports each tenant keeps (ring, oldest dropped).
+constexpr std::size_t kPostmortemsPerTenant = 8;
 
 /// Escape a tenant name for use as a Prometheus label value
 /// (backslash, double quote and newline, per the exposition format).
@@ -147,15 +151,12 @@ Service::Service(ServiceOptions opts)
     runtime::SchedulerOptions sopts = opts_.sched;
     sopts.sinks.push_back(telemetry_.get());
     sopts.control = control_.get();
-    if (opts_.keep_postmortems_per_tenant > 0) {
-        // In-memory capture must out-survive one batch's worst case so
-        // finalize_batch can route every new report to its tenant.
-        const std::size_t per_batch =
-            std::size_t{opts_.max_batch_jobs} *
-            std::max(4u, sopts.retry.max_attempts);
-        sopts.postmortem.keep_last =
-            std::max(sopts.postmortem.keep_last, per_batch);
-    }
+    // In-memory capture must out-survive one batch's worst case so
+    // finalize_batch can route every new report to its tenant.
+    const std::size_t per_batch = std::size_t{opts_.max_batch_jobs} *
+                                  std::max(4u, sopts.retry.max_attempts);
+    sopts.postmortem.keep_last =
+        std::max(sopts.postmortem.keep_last, per_batch);
     scheduler_ = std::make_unique<runtime::Scheduler>(sopts);
 
     loop_ = std::thread([this] { run_loop(); });
@@ -196,8 +197,6 @@ Service::register_tenant(const TenantOptions &opts)
     t->opt = opts;
     if (t->opt.name.empty())
         t->opt.name = "tenant" + std::to_string(tenants_.size());
-    if (t->opt.weight == 0)
-        t->opt.weight = 1;
     if (t->opt.queue_capacity == 0)
         t->opt.queue_capacity = 1;
     t->bucket = TokenBucket(t->opt.rate_jobs_per_s, t->opt.burst, now_s());
@@ -275,6 +274,7 @@ JobId
 Service::submit(TenantId tenant, runtime::JobPlan plan,
                 const SubmitOptions &opts)
 {
+    runtime::validate_plan(plan);
     std::unique_lock<std::mutex> lk(mu_);
     if (tenant >= tenants_.size())
         throw UdpError("Service::submit: unknown tenant id");
@@ -540,21 +540,19 @@ Service::gather_batch() -> std::vector<std::shared_ptr<JobRecord>>
             // except under drain, which is work-conserving.
             if (!stop_ && t.breaker.open(now))
                 continue;
-            unsigned quota = t.opt.weight;
-            while (quota > 0 && batch.size() < opts_.max_batch_jobs &&
-                   !t.queue.empty()) {
-                auto rec = t.queue.front();
+            // The tenant's next live job; tombstones (cancelled or
+            // expired while queued) are popped on the way.
+            while (!t.queue.empty()) {
+                auto rec = std::move(t.queue.front());
                 t.queue.pop_front();
-                if (rec->state != JobState::Queued)
-                    continue; // tombstone (cancelled/expired while queued)
-                if (maybe_expire(*rec, now))
+                if (rec->state != JobState::Queued || maybe_expire(*rec, now))
                     continue;
                 --t.queued;
                 --queued_total_;
                 ++t.in_flight;
                 batch.push_back(std::move(rec));
-                --quota;
                 progress = true;
+                break;
             }
             t.g_depth->set(static_cast<double>(t.queued));
         }
@@ -600,7 +598,7 @@ Service::finalize_batch(const std::vector<std::shared_ptr<JobRecord>> &batch,
     // scheduler's deque holds up to keep_last reports across batches;
     // the last `faulted_runs` entries are this run's captures (the
     // ctor sizes keep_last so a batch's worst case fits).
-    if (opts_.keep_postmortems_per_tenant > 0 && rep.faulted_runs > 0) {
+    if (rep.faulted_runs > 0) {
         const auto &pms = scheduler_->postmortems();
         std::size_t fresh = std::min<std::size_t>(rep.faulted_runs,
                                                   pms.size());
@@ -610,7 +608,7 @@ Service::finalize_batch(const std::vector<std::shared_ptr<JobRecord>> &batch,
                 continue;
             Tenant &t = *tenants_[batch[it->job_index]->tenant];
             t.pms.push_back(*it);
-            while (t.pms.size() > opts_.keep_postmortems_per_tenant)
+            while (t.pms.size() > kPostmortemsPerTenant)
                 t.pms.pop_front();
         }
     }

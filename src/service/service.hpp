@@ -7,7 +7,7 @@
  * vector of JobPlans, one report.  `Service` provides the always-on
  * shape the ROADMAP's `udpd` item asks for: many concurrent in-process
  * clients submit jobs into bounded per-tenant queues, a dedicated run
- * loop drains them through one Scheduler in weighted-fair batches, and
+ * loop drains them through one Scheduler in round-robin batches, and
  * the robustness surface keeps the service responsive when tenants
  * misbehave or demand exceeds capacity:
  *
@@ -16,9 +16,9 @@
  *    over-capacity submissions hit the tenant's explicit
  *    `OverflowPolicy` — block with a timeout, shed with a `Rejected`
  *    outcome, or degrade to a smaller per-job cycle budget.
- *  - *Weighted-fair dispatch*: queued jobs are packed into Scheduler
- *    batches by deficit round-robin over tenant weights, so one noisy
- *    tenant cannot starve the rest.
+ *  - *Fair dispatch*: queued jobs are packed into Scheduler batches
+ *    round-robin, one job per tenant per pass, so one noisy tenant
+ *    cannot starve the rest.
  *  - *Deadlines & cancellation*: a queued job whose deadline passes is
  *    `Expired` without running; client `cancel()` propagates into the
  *    Scheduler through a `JobControl` handle — before staging it
@@ -78,7 +78,6 @@ struct TenantOptions {
     std::string name;               ///< label on stats/metrics/postmortems
     double rate_jobs_per_s = 0;     ///< token refill rate (0 = no refill)
     double burst = 64;              ///< token-bucket capacity
-    unsigned weight = 1;            ///< weighted-fair dispatch share (>= 1)
     std::size_t queue_capacity = 256;
     OverflowPolicy overflow = OverflowPolicy::Shed;
     double block_timeout_s = 0.25;  ///< Block policy wait cap
@@ -182,8 +181,6 @@ struct ServiceOptions {
     runtime::SchedulerOptions sched;
     /// Jobs per Scheduler batch (>= 1; one 64-lane wave by default).
     unsigned max_batch_jobs = kNumLanes;
-    /// Post-mortem reports retained per tenant (ring, oldest dropped).
-    std::size_t keep_postmortems_per_tenant = 8;
     /// External metric registry to publish into (nullptr = the service
     /// owns a private one; see Service::registry()).
     runtime::MetricRegistry *registry = nullptr;
@@ -199,6 +196,8 @@ class ServiceClient;
 class Service
 {
   public:
+    /// Throws UdpError when `opts.sched` is unusable (see
+    /// SchedulerOptions), before the run loop starts.
     explicit Service(ServiceOptions opts = {});
     /// Drains (stops admitting, finishes queued + in-flight) and joins.
     ~Service();
@@ -219,6 +218,8 @@ class Service
      * the service is draining.  The returned id is always valid to
      * poll exactly once.  The plan's arena stays pinned by the plan
      * itself (runtime/arena.hpp) — submission never copies payload.
+     * Throws UdpError, recording nothing, for an unknown tenant or a
+     * plan `runtime::validate_plan` refuses.
      */
     JobId submit(TenantId tenant, runtime::JobPlan plan,
                  const SubmitOptions &opts = {});
@@ -259,7 +260,7 @@ class Service
 
     ServiceStats stats() const;
 
-    /// Tenant's retained post-mortem reports, oldest first — only its
+    /// Tenant's last 8 post-mortem reports, oldest first — only its
     /// own (a tenant never sees another tenant's faults).
     std::vector<runtime::FaultReport> postmortems(TenantId tenant) const;
 
@@ -284,8 +285,8 @@ class Service
 
     double now_s() const;
     void run_loop();
-    /// Build the next batch under the lock (weighted-fair deficit
-    /// round-robin, deadline sweep); returns records in batch order.
+    /// Build the next batch under the lock (round-robin, one job per
+    /// tenant per pass, deadline sweep); returns records in batch order.
     std::vector<std::shared_ptr<JobRecord>> gather_batch();
     void finalize_batch(const std::vector<std::shared_ptr<JobRecord>> &batch,
                         runtime::ScheduleReport &&rep);
@@ -323,7 +324,7 @@ class Service
     /// scheduler's BufferPool by the run loop between batches, so
     /// clients never touch the pool concurrently with a harvest.
     std::vector<runtime::JobResult> recycle_list_;
-    std::size_t rr_cursor_ = 0; ///< weighted-fair round-robin position
+    std::size_t rr_cursor_ = 0; ///< round-robin position
 
     std::chrono::steady_clock::time_point epoch_;
     std::thread loop_;

@@ -294,16 +294,18 @@ TEST(Runtime, SchedulerRejectsOversizedWindowsAndBadWaveCap)
     Scheduler sched;
     EXPECT_THROW(sched.run({plan}), UdpError);
 
+    // Unusable options are refused when the Scheduler is built.
     SchedulerOptions opts;
     opts.max_jobs_per_wave = 0;
-    Scheduler bad(opts);
-    EXPECT_THROW(bad.run({spec.make_job(Bytes{'a', '\n'})}), UdpError);
+    EXPECT_THROW(Scheduler{opts}, UdpError);
+    opts.max_jobs_per_wave = kNumLanes + 1;
+    EXPECT_THROW(Scheduler{opts}, UdpError);
 
     SchedulerOptions zero_retry;
     zero_retry.retry.max_attempts = 0;
-    Scheduler bad_retry(zero_retry);
-    EXPECT_THROW(bad_retry.run({spec.make_job(Bytes{'a', '\n'})}),
-                 UdpError);
+    EXPECT_THROW(Scheduler{zero_retry}, UdpError);
+    Machine m;
+    EXPECT_THROW(Scheduler(m, zero_retry), UdpError);
 }
 
 // --- Fault containment and recovery (docs/ROBUSTNESS.md) ------------------
@@ -391,7 +393,6 @@ TEST(Scheduler, TimeoutRetryGrowsCycleBudget)
     SchedulerOptions opts;
     opts.max_cycles_per_lane = 64;
     opts.retry.max_attempts = 16;
-    opts.retry.grow_cycle_budget = true;
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
 
@@ -402,12 +403,12 @@ TEST(Scheduler, TimeoutRetryGrowsCycleBudget)
         EXPECT_GT(jr.attempts, 1u);
     }
 
-    // Without budget growth the same starvation budget quarantines as
-    // TimedOut, carrying the watchdog fault record.
-    SchedulerOptions fixed = opts;
-    fixed.retry.max_attempts = 2;
-    fixed.retry.grow_cycle_budget = false;
-    Scheduler stuck(fixed);
+    // Two attempts are not enough: budgets of 64 and then 128 cycles
+    // both time out, and the job quarantines as TimedOut, carrying the
+    // watchdog fault record.
+    SchedulerOptions twice = opts;
+    twice.retry.max_attempts = 2;
+    Scheduler stuck(twice);
     const ScheduleReport srep = stuck.run(jobs);
     EXPECT_EQ(srep.quarantined, unsigned(jobs.size()));
     for (const JobResult &jr : srep.jobs) {

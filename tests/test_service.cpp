@@ -1,11 +1,11 @@
 /**
  * @file
- * udp_service tests (docs/SERVICE.md): retry backoff determinism and
- * the backoff=0 bit-identity pin, JobControl cancellation at both
- * scheduler requeue points, admission control (token buckets, circuit
- * breakers, overflow policies), deadlines, graceful drain, per-tenant
- * labeled metrics and post-mortem routing — plus the cancellation-race
- * and concurrent-client coverage the sanitizer jobs run.
+ * udp_service tests (docs/SERVICE.md): the retry requeue, JobControl
+ * cancellation at both scheduler requeue points, plan validation at
+ * submit, admission control (token buckets, circuit breakers, overflow
+ * policies), deadlines, graceful drain, per-tenant labeled metrics and
+ * post-mortem routing — plus the cancellation-race and concurrent-client
+ * coverage the sanitizer jobs run.
  */
 #include "kernels/trigger.hpp"
 #include "runtime/fault_injection.hpp"
@@ -113,119 +113,26 @@ struct WaveCancelSink final : TelemetrySink {
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Scheduler: retry backoff.
+// Scheduler: retry requeue.
 // ---------------------------------------------------------------------------
 
-TEST(Scheduler, BackoffZeroBitIdentical)
+TEST(Scheduler, RetryJoinsTheNextWave)
 {
-    // 65 jobs (two waves), two transient faulters recovered by retry.
-    auto jobs = trigger_jobs(65);
-    ASSERT_GT(jobs.size(), std::size_t{kNumLanes});
-    FaultInjector inj(0xBEEF);
-    inj.force_trap(jobs[3], 300, 1);
-    inj.force_trap(jobs[40], 350, 1);
-
-    SchedulerOptions a;
-    a.retry.max_attempts = 3;
-    Scheduler sa(a);
-    const auto ra = sa.run(jobs);
-
-    // backoff_waves == 0 must take the exact pre-backoff path no
-    // matter what the other backoff knobs say.
-    SchedulerOptions b;
-    b.retry.max_attempts = 3;
-    b.retry.backoff_waves = 0;
-    b.retry.backoff_jitter = 7;       // ignored while backoff_waves == 0
-    b.retry.backoff_seed = 0x12345;   // ignored while backoff_waves == 0
-    Scheduler sb(b);
-    const auto rb = sb.run(jobs);
-
-    ASSERT_EQ(ra.jobs.size(), rb.jobs.size());
-    EXPECT_EQ(ra.waves.size(), rb.waves.size());
-    EXPECT_EQ(ra.wall_cycles, rb.wall_cycles);
-    EXPECT_EQ(ra.retries, rb.retries);
-    for (std::size_t i = 0; i < ra.jobs.size(); ++i) {
-        expect_results_eq(ra.jobs[i], rb.jobs[i]);
-        EXPECT_EQ(ra.jobs[i].wave, rb.jobs[i].wave);
-        EXPECT_EQ(ra.jobs[i].attempts, rb.jobs[i].attempts);
-    }
-}
-
-TEST(Scheduler, BackoffDelaysRetryToLaterWave)
-{
+    // A faulted run requeues at the back of the pending queue: job 10's
+    // retry runs beside the one job that did not fit in wave 0.
     auto jobs = trigger_jobs(65);
     ASSERT_GT(jobs.size(), std::size_t{kNumLanes});
     FaultInjector inj(0xBEEF);
     inj.force_trap(jobs[10], 300, 1);
 
-    SchedulerOptions imm;
-    imm.retry.max_attempts = 3;
-    Scheduler si(imm);
-    const auto ri = si.run(jobs);
-    // Immediate retry joins the leftover job in wave 1.
-    ASSERT_EQ(ri.waves.size(), 2u);
-    EXPECT_EQ(ri.jobs[10].status, LaneStatus::Done);
-    EXPECT_EQ(ri.jobs[10].wave, 1u);
-
-    SchedulerOptions back = imm;
-    back.retry.backoff_waves = 1; // retry no earlier than wave 2
-    Scheduler sb(back);
-    const auto rb = sb.run(jobs);
-    ASSERT_EQ(rb.waves.size(), 3u);
-    EXPECT_EQ(rb.jobs[10].status, LaneStatus::Done);
-    EXPECT_EQ(rb.jobs[10].wave, 2u);
-    EXPECT_EQ(rb.jobs[10].attempts, 2u);
-    // The delay is host scheduling only — no simulated-time padding
-    // beyond the extra wave's own work.
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (i != 10)
-            expect_results_eq(ri.jobs[i], rb.jobs[i]);
-}
-
-TEST(Scheduler, BackoffReleasesEarlyWhenQueueWouldIdle)
-{
-    // 3 jobs, one wave; the faulter's backoff of 50 waves would idle
-    // the queue, so the retry is released immediately instead.
-    auto jobs = trigger_jobs(3);
-    ASSERT_EQ(jobs.size(), 3u);
-    FaultInjector inj(0xBEEF);
-    inj.force_trap(jobs[1], 300, 1);
-
     SchedulerOptions o;
-    o.retry.max_attempts = 2;
-    o.retry.backoff_waves = 50;
+    o.retry.max_attempts = 3;
     Scheduler s(o);
     const auto r = s.run(jobs);
-    EXPECT_EQ(r.waves.size(), 2u); // not 51
-    EXPECT_EQ(r.jobs[1].status, LaneStatus::Done);
-    EXPECT_EQ(r.jobs[1].attempts, 2u);
-}
-
-TEST(Scheduler, BackoffJitterDeterministic)
-{
-    auto jobs = trigger_jobs(65);
-    FaultInjector inj(0xBEEF);
-    inj.force_trap(jobs[3], 300, 1);
-    inj.force_trap(jobs[40], 350, 1);
-
-    SchedulerOptions o;
-    o.retry.max_attempts = 4;
-    o.retry.backoff_waves = 1;
-    o.retry.backoff_jitter = 3;
-    o.retry.backoff_seed = 0xD15EA5E;
-
-    Scheduler s1(o), s2(o);
-    const auto r1 = s1.run(jobs);
-    const auto r2 = s2.run(jobs);
-    EXPECT_EQ(r1.waves.size(), r2.waves.size());
-    EXPECT_EQ(r1.wall_cycles, r2.wall_cycles);
-    ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
-    for (std::size_t i = 0; i < r1.jobs.size(); ++i) {
-        expect_results_eq(r1.jobs[i], r2.jobs[i]);
-        EXPECT_EQ(r1.jobs[i].wave, r2.jobs[i].wave);
-    }
-    for (const auto &jr : r1.jobs)
-        EXPECT_EQ(jr.status, LaneStatus::Done);
+    ASSERT_EQ(r.waves.size(), 2u);
+    EXPECT_EQ(r.jobs[10].status, LaneStatus::Done);
+    EXPECT_EQ(r.jobs[10].wave, 1u);
+    EXPECT_EQ(r.jobs[10].attempts, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -420,6 +327,40 @@ TEST(Service, ResultsBitIdenticalToDirectScheduler)
     }
     // Consumed: the ids are forgotten.
     EXPECT_FALSE(svc.poll(ids[0]).has_value());
+}
+
+TEST(Service, MalformedPlansAreRefusedAtSubmit)
+{
+    // A plan that cannot run, whatever its program does, is refused on
+    // the caller's thread: the run loop never sees it, so it cannot
+    // take the service down.
+    Service svc;
+    const TenantId tid = svc.register_tenant(open_tenant("strict"));
+    auto client = svc.client(tid);
+    const JobPlan good = trigger_jobs(1)[0];
+
+    std::vector<JobPlan> bad(6, good);
+    bad[0].window_bytes = kLocalMemBytes + 1;
+    bad[1].program = nullptr;
+    bad[2].stages.push_back(
+        {static_cast<ByteAddr>(bad[2].window_bytes), good.input});
+    bad[3].init_regs.emplace_back(kNumScalarRegs, 0);
+    bad[4].extracts.push_back({0, 0, static_cast<int>(kNumScalarRegs)});
+    const ArenaSlice stolen = std::move(bad[5].input); // input unpinned
+    for (std::size_t i = 0; i < bad.size(); ++i)
+        EXPECT_THROW(client.submit(bad[i]), UdpError) << "plan " << i;
+    const TenantStats st = svc.stats().tenants[tid];
+    EXPECT_EQ(st.submitted, 0u);
+    EXPECT_EQ(st.admitted, 0u);
+    EXPECT_EQ(st.rejected_total(), 0u);
+
+    auto out = client.wait(client.submit(good), 60.0);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->state, JobState::Done);
+
+    ServiceOptions zero_retry;
+    zero_retry.sched.retry.max_attempts = 0;
+    EXPECT_THROW(Service{zero_retry}, UdpError);
 }
 
 TEST(Service, SpanTracerInSinksSeesEveryScheduledRun)

@@ -526,9 +526,15 @@ TEST(Postmortem, ReportSerializesToValidJsonFile)
 
 TEST(Postmortem, KeepLastTrimsAndMaxFilesCapsWrites)
 {
-    // Starvation budget: all 8 jobs time out on both attempts — 16
-    // faulted runs against keep_last 5 and max_files 3.
-    auto jobs = trace_fleet(8);
+    // Starvation budget: all 40 jobs (five copies of an 8-job fleet)
+    // time out on both attempts — 80 faulted runs against keep_last 5
+    // and the kMaxPostmortemFiles (64) file cap.  (The watchdog checks
+    // budgets every 1024 dispatch steps, so each job must outlast one
+    // check: smaller shards finish before the first.)
+    std::vector<JobPlan> jobs;
+    for (int copy = 0; copy < 5; ++copy)
+        for (JobPlan &p : trace_fleet(8))
+            jobs.push_back(std::move(p));
     const std::string dir =
         (std::filesystem::path(testing::TempDir()) / "pm_cap").string();
     std::filesystem::remove_all(dir);
@@ -537,7 +543,6 @@ TEST(Postmortem, KeepLastTrimsAndMaxFilesCapsWrites)
     opts.retry.max_attempts = 2;
     opts.postmortem.dir = dir;
     opts.postmortem.keep_last = 5;
-    opts.postmortem.max_files = 3;
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
     EXPECT_EQ(rep.faulted_runs, 2 * jobs.size());
@@ -550,12 +555,12 @@ TEST(Postmortem, KeepLastTrimsAndMaxFilesCapsWrites)
         EXPECT_EQ(fr.attempt, 2u); // only final-wave reports survive
         EXPECT_TRUE(fr.quarantined);
     }
-    unsigned files = 0;
+    std::size_t files = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
         (void)entry;
         ++files;
     }
-    EXPECT_EQ(files, 3u);
+    EXPECT_EQ(files, kMaxPostmortemFiles);
 }
 
 TEST(Postmortem, DisassemblyIsDefensiveOnHostileBases)

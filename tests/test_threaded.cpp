@@ -20,7 +20,7 @@
  *
  * Also pinned here: the `step_once` entry, also on a lane that switches
  * interpreter between steps, run_lockstep, also with lanes on different
- * interpreters, the `UDP_SIM_BACKEND` toggle across every run entry
+ * interpreters, the `set_sim_backend` toggle across every run entry
  * point, the content-keyed shared compiled-image cache and the one image
  * every lane of a wave binds at load, DFA waves run serially and on the
  * thread pool, and NFA waves on the thread pool.  This file runs under

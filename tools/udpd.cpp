@@ -17,12 +17,15 @@
  *   --burst B        token-bucket burst (default 64)
  *   --policy P       overflow policy: shed | block | degrade (default shed)
  *   --hostile        add one hostile tenant running the fault corpus
- *   --retries N      scheduler attempts per job (default 2)
+ *   --retries N      scheduler attempts per job (>= 1, default 2)
  *   --batch N        max jobs per scheduler batch (default 64)
  *   --threads N      host simulation threads (0 = machine default)
  *   --metrics PATH   write the Prometheus-style exposition on exit
  *   --json PATH      write the metrics + service JSON dump on exit
  *   --seed X         arrival/corpus seed (default 42)
+ *
+ * Exits 0 once the service drained, 1 if it did not, and 2 with a
+ * message when the service refuses its options (e.g. `--retries 0`).
  */
 #include "service/service.hpp"
 
@@ -37,6 +40,7 @@
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -220,7 +224,13 @@ main(int argc, char **argv)
     sopts.sched.threads = threads;
     sopts.sched.retry.max_attempts = retries;
     sopts.max_batch_jobs = batch;
-    service::Service svc(sopts);
+    std::optional<service::Service> svc;
+    try {
+        svc.emplace(sopts);
+    } catch (const UdpError &e) {
+        std::fprintf(stderr, "udpd: %s\n", e.what());
+        return 2;
+    }
 
     const unsigned total_tenants = tenants + (hostile ? 1 : 0);
     std::vector<service::ServiceClient> clients;
@@ -231,7 +241,7 @@ main(int argc, char **argv)
         topt.rate_jobs_per_s = rate;
         topt.burst = burst;
         topt.overflow = policy;
-        clients.push_back(svc.client(svc.register_tenant(topt)));
+        clients.push_back(svc->client(svc->register_tenant(topt)));
     }
 
     std::printf("udpd: %u tenant(s)%s, %.1f jobs/s each, %s overflow, "
@@ -253,9 +263,9 @@ main(int argc, char **argv)
     }
     for (auto &w : workers)
         w.join();
-    svc.drain();
+    svc->drain();
 
-    const auto stats = svc.stats();
+    const auto stats = svc->stats();
     std::printf("\n%-10s %9s %9s %9s %9s %9s %9s %6s\n", "tenant",
                 "submitted", "done", "quarant.", "rejected", "expired",
                 "cancelled", "trips");
@@ -277,12 +287,12 @@ main(int argc, char **argv)
 
     if (const char *path = arg_after(argc, argv, "--metrics")) {
         std::ofstream os(path);
-        os << svc.prometheus_text();
+        os << svc->prometheus_text();
         std::printf("metrics exposition written to %s\n", path);
     }
     if (const char *path = arg_after(argc, argv, "--json")) {
         std::ofstream os(path);
-        os << svc.metrics_json() << "\n";
+        os << svc->metrics_json() << "\n";
         std::printf("json dump written to %s\n", path);
     }
     return stats.drained ? 0 : 1;
