@@ -7,14 +7,14 @@
 namespace udp::baselines {
 
 std::uint32_t
-Dictionary::intern(const std::string &v)
+Dictionary::intern(std::string_view v)
 {
     const auto it = ids.find(v);
     if (it != ids.end())
         return it->second;
     const auto id = static_cast<std::uint32_t>(values.size());
-    values.push_back(v);
-    ids.emplace(v, id);
+    values.emplace_back(v);
+    ids.emplace(values.back(), id);
     return id;
 }
 

@@ -9,18 +9,33 @@
 
 #include "core/types.hpp"
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace udp::baselines {
 
+/// String hash that also takes a `std::string_view`, so a lookup need
+/// not build a `std::string` key.
+struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+        return std::hash<std::string_view>{}(s);
+    }
+};
+
 /// Dictionary built over a value column.
 struct Dictionary {
     std::vector<std::string> values;             ///< id -> value
-    std::unordered_map<std::string, std::uint32_t> ids;
+    std::unordered_map<std::string, std::uint32_t, StringHash,
+                       std::equal_to<>>
+        ids;
 
-    std::uint32_t intern(const std::string &v);
+    /// Id of `v`, assigning the next one when `v` is new.  A hit hashes
+    /// once and copies nothing; `v` is copied only when first seen.
+    std::uint32_t intern(std::string_view v);
     std::size_t size() const { return values.size(); }
 };
 

@@ -69,29 +69,64 @@ Table::append_row(const std::vector<Value> &values)
     ++rows_;
 }
 
+template <typename FieldAt>
+void
+Table::append_fields(FieldAt field)
+{
+    for (std::size_t i = 0; i < cols_.size(); ++i) {
+        Column &c = cols_[i];
+        const std::string_view f = field(i);
+        switch (c.type) {
+          case ColType::Int64:
+            c.ints.push_back(parse_int64(f));
+            break;
+          case ColType::Date:
+            c.ints.push_back(parse_date(f));
+            break;
+          case ColType::Double:
+            c.doubles.push_back(parse_double(f));
+            break;
+          case ColType::Text:
+            c.codes.push_back(c.dict.intern(f));
+            break;
+        }
+    }
+    ++rows_;
+}
+
 void
 Table::append_raw(const std::vector<std::string> &fields)
 {
     if (fields.size() != cols_.size())
         throw UdpError("Table: CSV arity mismatch for " + name_);
-    for (std::size_t i = 0; i < cols_.size(); ++i) {
-        Column &c = cols_[i];
-        switch (c.type) {
-          case ColType::Int64:
-            c.ints.push_back(parse_int64(fields[i]));
-            break;
-          case ColType::Date:
-            c.ints.push_back(parse_date(fields[i]));
-            break;
-          case ColType::Double:
-            c.doubles.push_back(parse_double(fields[i]));
-            break;
-          case ColType::Text:
-            c.codes.push_back(c.dict.intern(fields[i]));
-            break;
+    append_fields(
+        [&](std::size_t i) -> std::string_view { return fields[i]; });
+}
+
+std::size_t
+Table::append_field_stream(std::string_view stream)
+{
+    std::vector<std::string_view> row(cols_.size());
+    std::size_t done = 0;
+    for (std::size_t mark = stream.find('\x1E');
+         mark != std::string_view::npos;
+         mark = stream.find('\x1E', done)) {
+        const std::string_view text = stream.substr(done, mark - done);
+        std::size_t n = 0;
+        for (std::size_t at = 0; at < text.size(); ++n) {
+            const std::size_t end = text.find('\n', at);
+            if (end == std::string_view::npos)
+                throw UdpError("Table: unterminated field in " + name_);
+            if (n < row.size())
+                row[n] = text.substr(at, end - at);
+            at = end + 1;
         }
+        if (n != row.size())
+            throw UdpError("Table: CSV arity mismatch for " + name_);
+        append_fields([&](std::size_t i) { return row[i]; });
+        done = mark + 1;
     }
-    ++rows_;
+    return done;
 }
 
 std::size_t
@@ -104,24 +139,24 @@ Table::bytes() const
 }
 
 std::int64_t
-parse_int64(const std::string &s)
+parse_int64(std::string_view s)
 {
     std::int64_t v = 0;
     const auto *b = s.data();
     const auto *e = s.data() + s.size();
     const auto [p, ec] = std::from_chars(b, e, v);
     if (ec != std::errc{} || p != e)
-        throw UdpError("parse_int64: bad integer '" + s + "'");
+        throw UdpError("parse_int64: bad integer '" + std::string(s) + "'");
     return v;
 }
 
 double
-parse_double(const std::string &s)
+parse_double(std::string_view s)
 {
     double v = 0;
     const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
     if (ec != std::errc{} || p != s.data() + s.size())
-        throw UdpError("parse_double: bad number '" + s + "'");
+        throw UdpError("parse_double: bad number '" + std::string(s) + "'");
     return v;
 }
 
@@ -149,18 +184,18 @@ days_from_civil(int y, int m, int d)
 }
 
 int
-two_digits(const std::string &s, std::size_t at)
+two_digits(std::string_view s, std::size_t at)
 {
     if (at + 2 > s.size() || !isdigit((unsigned char)s[at]) ||
         !isdigit((unsigned char)s[at + 1]))
-        throw UdpError("parse_date: bad digits in '" + s + "'");
+        throw UdpError("parse_date: bad digits in '" + std::string(s) + "'");
     return (s[at] - '0') * 10 + (s[at + 1] - '0');
 }
 
 } // namespace
 
 DateDays
-parse_date(const std::string &s)
+parse_date(std::string_view s)
 {
     // "MM/DD/YYYY[ hh:mm:ss]" (Crimes-style) or "YYYY-MM-DD".
     if (s.size() >= 10 && s[2] == '/' && s[5] == '/') {
@@ -171,7 +206,8 @@ parse_date(const std::string &s)
             d > (m == 2 ? (is_leap(y) ? 29 : 28)
                         : (m == 4 || m == 6 || m == 9 || m == 11 ? 30
                                                                  : 31)))
-            throw UdpError("parse_date: out-of-range '" + s + "'");
+            throw UdpError("parse_date: out-of-range '" + std::string(s) +
+                           "'");
         return days_from_civil(y, m, d);
     }
     if (s.size() >= 10 && s[4] == '-' && s[7] == '-') {
@@ -179,10 +215,12 @@ parse_date(const std::string &s)
         const int m = two_digits(s, 5);
         const int d = two_digits(s, 8);
         if (m < 1 || m > 12 || d < 1 || d > 31)
-            throw UdpError("parse_date: out-of-range '" + s + "'");
+            throw UdpError("parse_date: out-of-range '" + std::string(s) +
+                           "'");
         return days_from_civil(y, m, d);
     }
-    throw UdpError("parse_date: unrecognized format '" + s + "'");
+    throw UdpError("parse_date: unrecognized format '" + std::string(s) +
+                   "'");
 }
 
 } // namespace udp::etl

@@ -11,6 +11,7 @@
 #include "core/types.hpp"
 
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -56,18 +57,31 @@ class Table
     /// Throws UdpError on a malformed field (the "validation" step).
     void append_raw(const std::vector<std::string> &fields);
 
+    /**
+     * Deserialize and append every complete row of a field stream (the
+     * CSV kernel's extract): '\n'-terminated fields, a 0x1E mark after
+     * each row.  Returns the bytes consumed, up to and including the
+     * last row mark; an unfinished tail is left for the caller to join
+     * with the stream that continues it.  Validates as append_raw does.
+     */
+    std::size_t append_field_stream(std::string_view stream);
+
     std::size_t bytes() const;
 
   private:
+    /// The typed append shared by append_raw and append_field_stream:
+    /// `field(i)` is column i's raw text, arity already checked.
+    template <typename FieldAt> void append_fields(FieldAt field);
+
     std::string name_;
     std::vector<Column> cols_;
     std::size_t rows_ = 0;
 };
 
 /// Deserialization helpers (exposed for tests and the loader).
-std::int64_t parse_int64(const std::string &s);
-double parse_double(const std::string &s);
+std::int64_t parse_int64(std::string_view s);
+double parse_double(std::string_view s);
 /// "MM/DD/YYYY[ ...]" or "YYYY-MM-DD" to days since epoch.
-DateDays parse_date(const std::string &s);
+DateDays parse_date(std::string_view s);
 
 } // namespace udp::etl

@@ -11,7 +11,10 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <iterator>
 #include <random>
+#include <thread>
 
 namespace udp::etl {
 
@@ -151,18 +154,24 @@ compress_for_load(const std::string &csv)
 
 namespace {
 
-/// Iterate frames of the compressed stream.
+/// Iterate frames of the compressed stream.  Throws UdpError, naming
+/// the frame's byte offset, when a header or a frame runs past the end.
 template <typename Fn>
 void
 for_frames(BytesView compressed, Fn &&fn)
 {
     std::size_t pos = 0;
     while (pos < compressed.size()) {
+        if (compressed.size() - pos < 8)
+            throw UdpError("etl: truncated frame header at byte " +
+                           std::to_string(pos));
         const std::uint32_t clen = get_u32(compressed, pos);
         const std::uint32_t rlen = get_u32(compressed, pos + 4);
-        pos += 8;
-        fn(compressed.subspan(pos, clen), rlen);
-        pos += clen;
+        if (clen > compressed.size() - pos - 8)
+            throw UdpError("etl: frame at byte " + std::to_string(pos) +
+                           " runs past the stream end");
+        fn(compressed.subspan(pos + 8, clen), rlen);
+        pos += 8 + clen;
     }
 }
 
@@ -243,60 +252,103 @@ load_udp_offload(Machine &m, BytesView compressed, Table &table,
         runtime::ArenaSlice::borrow(compressed);
     std::vector<runtime::JobPlan> dec_jobs;
     for_frames(compressed, [&](BytesView frame, std::uint32_t) {
+        const std::size_t at =
+            static_cast<std::size_t>(frame.data() - compressed.data());
         // Strip the varint preamble.
         std::size_t p = 0;
-        while (frame[p] & 0x80)
+        while (p < frame.size() && (frame[p] & 0x80))
             ++p;
+        if (p == frame.size())
+            throw UdpError("etl: frame at byte " + std::to_string(at - 8) +
+                           " has no complete varint preamble");
         ++p;
-        const std::size_t off =
-            static_cast<std::size_t>(frame.data() - compressed.data()) + p;
         dec_jobs.push_back(
-            dec_spec.make_job(comp_arena.subslice(off, frame.size() - p)));
+            dec_spec.make_job(comp_arena.subslice(at + p, frame.size() - p)));
     });
-    const runtime::ScheduleReport dec_rep = sched.run(dec_jobs);
+    runtime::ScheduleReport dec_rep = sched.run(dec_jobs);
+    std::size_t csv_size = 0;
+    for (const runtime::JobResult &r : dec_rep.jobs)
+        csv_size += kernels::snappy_decompressed(r).size();
     std::string csv;
+    csv.reserve(csv_size);
     for (const runtime::JobResult &r : dec_rep.jobs) {
-        const auto res = kernels::decode_snappy_decompress_result(r);
-        csv.append(reinterpret_cast<const char *>(res.data.data()),
-                   res.data.size());
+        const BytesView block = kernels::snappy_decompressed(r);
+        csv.append(reinterpret_cast<const char *>(block.data()),
+                   block.size());
     }
     bd.decompress = double(dec_rep.wall_cycles) / kClockHz;
     bd.csv_bytes = csv.size();
+    sched.recycle(std::move(dec_rep));
 
-    // --- Stage 2: CSV parse + tokenize on UDP lanes ----------------------
-    // Chunk on row boundaries so every lane parses whole rows.
-    // `csv` stays alive across the scheduled run, so the chunk jobs
-    // borrow it through one arena — no per-chunk copies.
-    const std::vector<runtime::JobPlan> csv_jobs = runtime::chunk_jobs(
+    // --- Stages 2 and 3: CSV parse on UDP lanes, deserialize on the CPU --
+    // Chunk on row boundaries so every lane parses whole rows.  `csv`
+    // outlives every scheduled run, so the chunk jobs borrow it through
+    // one arena — no per-chunk copies.
+    std::vector<runtime::JobPlan> csv_jobs = runtime::chunk_jobs(
         kernels::csv_kernel_spec(),
         runtime::ArenaSlice::borrow(BytesView(
             reinterpret_cast<const std::uint8_t *>(csv.data()),
             csv.size())),
         kFrameRaw, runtime::align_after_delim('\n'));
-    const runtime::ScheduleReport csv_rep = sched.run(csv_jobs);
-    std::string fields;
-    for (const runtime::JobResult &r : csv_rep.jobs) {
-        const auto res = kernels::decode_csv_result(r);
-        fields.append(res.field_stream.begin(), res.field_stream.end());
-    }
-    bd.parse = double(csv_rep.wall_cycles) / kClockHz;
 
-    // --- Stage 3: deserialize on the CPU from the field stream -----------
-    const auto t0 = Clock::now();
-    std::vector<std::string> cur;
-    std::string field;
-    for (const char c : fields) {
-        if (c == '\n') {
-            cur.push_back(std::move(field));
-            field.clear();
-        } else if (c == 0x1E) {
-            table.append_raw(cur);
-            cur.clear();
-        } else {
-            field.push_back(c);
+    // The jobs run as consecutive `lanes`-sized slices.  A CSV window is
+    // two banks and lanes <= 32, so each slice is exactly one wave of a
+    // single run over all the jobs, and the slices' summed wall clock is
+    // that run's.  While slice k+1 simulates, a helper thread
+    // deserializes slice k straight from its extracts, in job order, and
+    // hands the buffers back to the scheduler's pool.  Only the helper
+    // touches `table`, `carry` and `deserialize_s` until it is joined.
+    Cycles parse_cycles = 0;
+    double deserialize_s = 0;
+    std::string carry; // a row the next job's stream continues
+    std::exception_ptr helper_error;
+    std::thread helper;
+    const auto join_helper = [&] {
+        if (helper.joinable())
+            helper.join();
+        if (helper_error)
+            std::rethrow_exception(helper_error);
+    };
+    const auto deserialize = [&](runtime::ScheduleReport &rep) {
+        const auto t0 = Clock::now();
+        for (const runtime::JobResult &r : rep.jobs) {
+            const std::string_view stream = kernels::csv_field_stream(r);
+            if (carry.empty()) {
+                carry = stream.substr(table.append_field_stream(stream));
+            } else {
+                carry += stream;
+                carry.erase(0, table.append_field_stream(carry));
+            }
         }
+        sched.recycle(std::move(rep));
+        deserialize_s += secs_since(t0);
+    };
+    try {
+        for (auto first = csv_jobs.begin(); first != csv_jobs.end();) {
+            const auto last =
+                first + std::min<std::ptrdiff_t>(lanes, csv_jobs.end() - first);
+            const std::vector<runtime::JobPlan> slice(
+                std::make_move_iterator(first), std::make_move_iterator(last));
+            first = last;
+            runtime::ScheduleReport rep = sched.run(slice);
+            parse_cycles += rep.wall_cycles;
+            join_helper();
+            helper = std::thread([&, rep = std::move(rep)]() mutable {
+                try {
+                    deserialize(rep);
+                } catch (...) {
+                    helper_error = std::current_exception();
+                }
+            });
+        }
+        join_helper();
+    } catch (...) {
+        if (helper.joinable())
+            helper.join();
+        throw;
     }
-    bd.deserialize = secs_since(t0);
+    bd.parse = double(parse_cycles) / kClockHz;
+    bd.deserialize = deserialize_s;
     bd.rows = table.num_rows();
     return bd;
 }

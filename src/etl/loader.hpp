@@ -35,7 +35,10 @@ struct LoadBreakdown {
     double io = 0;          ///< modeled SSD read time
     double decompress = 0;
     double parse = 0;       ///< CSV parse + tokenize
-    double deserialize = 0; ///< typed conversion + dictionary + insert
+    /// Typed conversion + dictionary + insert.  In load_udp_offload this
+    /// is the deserialize helper's busy time, which overlaps the parse
+    /// stage: it is CPU work, not a share of the load's wall time.
+    double deserialize = 0;
     std::size_t csv_bytes = 0;
     std::size_t compressed_bytes = 0;
     std::size_t rows = 0;
@@ -60,7 +63,11 @@ LoadBreakdown load_cpu(BytesView compressed, Table &table);
  * UDP-offloaded load: decompression and parse/tokenize run on simulated
  * UDP lanes (cycles at 1 GHz), deserialize stays on the CPU.  Returns
  * the same breakdown with offloaded stage times replaced by simulated
- * accelerator time.
+ * accelerator time.  The CSV jobs run one wave at a time, and a helper
+ * thread deserializes each wave's field streams in place while the next
+ * wave simulates; rows still land in order, so the table is the one a
+ * serial load builds.  Throws UdpError on a truncated stream, a rejected
+ * or incomplete job, or a malformed field, after joining the helper.
  */
 LoadBreakdown load_udp_offload(Machine &m, BytesView compressed,
                                Table &table, unsigned lanes = 32);

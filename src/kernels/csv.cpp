@@ -168,17 +168,25 @@ csv_kernel_spec()
     return spec;
 }
 
-CsvKernelResult
-decode_csv_result(const runtime::JobResult &r)
+std::string_view
+csv_field_stream(const runtime::JobResult &r)
 {
     if (r.status == LaneStatus::Reject)
         throw UdpError("csv kernel: parser rejected input");
     runtime::require_done(r, "csv kernel");
+    const Bytes &out = r.extracts.at(0);
+    return {reinterpret_cast<const char *>(out.data()), out.size()};
+}
+
+CsvKernelResult
+decode_csv_result(const runtime::JobResult &r)
+{
+    const std::string_view stream = csv_field_stream(r);
     CsvKernelResult res;
     res.fields = r.regs[rFields];
     res.rows = r.regs[rRows];
     res.stats = r.stats;
-    res.field_stream = r.extracts.at(0);
+    res.field_stream.assign(stream.begin(), stream.end());
     return res;
 }
 

@@ -25,6 +25,8 @@
 #include "core/program.hpp"
 #include "runtime/kernel_spec.hpp"
 
+#include <string_view>
+
 namespace udp::kernels {
 
 /// Output area offset within the lane window.  The kernel uses a
@@ -52,8 +54,13 @@ struct CsvKernelResult {
  */
 runtime::KernelSpec csv_kernel_spec();
 
-/// Unpack counters and the field stream from a runtime JobResult
-/// (throws UdpError when the parser rejected the input).
+/// The field stream of a runtime JobResult, viewed in place: valid
+/// while `r` keeps its extract.  Throws UdpError when the parser
+/// rejected the input or the job did not complete.
+std::string_view csv_field_stream(const runtime::JobResult &r);
+
+/// Unpack counters and a copy of the field stream from a runtime
+/// JobResult (throws as csv_field_stream does).
 CsvKernelResult decode_csv_result(const runtime::JobResult &r);
 
 /**

@@ -304,15 +304,22 @@ snappy_compress_spec()
     return spec;
 }
 
-SnapKernelResult
-decode_snappy_decompress_result(const runtime::JobResult &r)
+BytesView
+snappy_decompressed(const runtime::JobResult &r)
 {
     if (r.status == LaneStatus::Reject)
         throw UdpError("snappy-decompress: bad element stream");
     runtime::require_done(r, "snappy-decompress");
+    return r.extracts.at(0);
+}
+
+SnapKernelResult
+decode_snappy_decompress_result(const runtime::JobResult &r)
+{
+    const BytesView data = snappy_decompressed(r);
     SnapKernelResult res;
     res.stats = r.stats;
-    res.data = r.extracts.at(0);
+    res.data.assign(data.begin(), data.end());
     return res;
 }
 

@@ -65,7 +65,13 @@ SnapKernelResult run_snappy_compress(Machine &m, unsigned lane,
 runtime::KernelSpec snappy_decompress_spec();
 runtime::KernelSpec snappy_compress_spec();
 
-/// Unpack the decompressed block from a runtime JobResult.
+/// The decompressed block of a runtime JobResult, viewed in place:
+/// valid while `r` keeps its extract.  Throws UdpError on a bad element
+/// stream or a job that did not complete.
+BytesView snappy_decompressed(const runtime::JobResult &r);
+
+/// Unpack a copy of the decompressed block from a runtime JobResult
+/// (throws as snappy_decompressed does).
 SnapKernelResult decode_snappy_decompress_result(
     const runtime::JobResult &r);
 

@@ -92,21 +92,29 @@ harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
     res.lane = lane;
 
     res.extracts.reserve(plan.extracts.size());
-    for (const MemExtract &e : plan.extracts) {
-        std::uint64_t len = e.len;
-        if (e.end_reg >= 0) {
-            const Word end = ln.reg(static_cast<unsigned>(e.end_reg));
-            if (end < e.offset)
-                throw UdpError("runtime: job '" + plan.name +
-                               "' extract cursor before its base");
-            len = end - e.offset;
-        }
-        if (std::uint64_t{e.offset} + len > plan.window_bytes)
-            throw UdpError("runtime: job '" + plan.name +
-                           "' extract outside its window");
+    for (std::size_t i = 0; i < plan.extracts.size(); ++i) {
+        const MemExtract &e = plan.extracts[i];
+        std::uint64_t end = std::uint64_t{e.offset} + e.len;
+        if (e.end_reg >= 0)
+            end = ln.reg(static_cast<unsigned>(e.end_reg));
         Bytes buf = pool ? pool->acquire() : Bytes{};
-        m.unstage(window_base + e.offset, static_cast<std::size_t>(len),
-                  buf);
+        if (end >= e.offset && end <= plan.window_bytes) {
+            m.unstage(window_base + e.offset,
+                      static_cast<std::size_t>(end - e.offset), buf);
+        } else if (!res.fault) {
+            // The cursor holds whatever the program left in it, so a
+            // bad one faults this job (retry, quarantine, post-mortems)
+            // instead of failing every job of the run.
+            res.status = LaneStatus::Faulted;
+            res.fault.code = FaultCode::FetchOutOfRange;
+            res.fault.lane = lane;
+            res.fault.cycle = res.stats.cycles;
+            res.fault.detail = "job '" + plan.name + "' extract " +
+                               std::to_string(i) + " cursor " +
+                               std::to_string(end) + " outside [" +
+                               std::to_string(e.offset) + ", " +
+                               std::to_string(plan.window_bytes) + "]";
+        }
         res.extracts.push_back(std::move(buf));
     }
     return res;

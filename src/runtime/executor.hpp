@@ -59,6 +59,11 @@ void stage_job(Machine &m, unsigned lane, ByteAddr window_base,
  * acquired from it, so a recycled steady state copies into retained
  * capacity instead of allocating per attempt (runtime/arena.hpp).
  * Contents are byte-identical either way.
+ *
+ * An `end_reg` extract whose cursor lies before its offset or past the
+ * window comes back empty, and faults the job: status Faulted with
+ * FaultCode::FetchOutOfRange and a detail naming the job and the
+ * extract, unless the run had already faulted.
  */
 JobResult harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
                       const JobPlan &plan, LaneStatus status,

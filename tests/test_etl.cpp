@@ -3,13 +3,49 @@
  * Tests for the columnar store and the Figure 1 ETL loaders.
  */
 #include "etl/loader.hpp"
+#include "kernels/csv.hpp"
+#include "kernels/snappy.hpp"
+#include "runtime/scheduler.hpp"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 namespace udp {
 namespace {
 
 using namespace etl;
+
+/// Column-by-column equality: names, types, values and dictionaries
+/// (dictionary order included).
+void
+expect_same_table(const Table &a, const Table &b)
+{
+    ASSERT_EQ(a.num_rows(), b.num_rows());
+    ASSERT_EQ(a.num_cols(), b.num_cols());
+    for (std::size_t c = 0; c < a.num_cols(); ++c) {
+        const Column &x = a.col(c), &y = b.col(c);
+        EXPECT_EQ(x.name, y.name) << c;
+        EXPECT_EQ(x.type, y.type) << c;
+        EXPECT_EQ(x.ints, y.ints) << c;
+        EXPECT_EQ(x.doubles, y.doubles) << c;
+        EXPECT_EQ(x.codes, y.codes) << c;
+        EXPECT_EQ(x.dict.values, y.dict.values) << c;
+    }
+}
+
+/// The field stream the CSV kernel extracts for `rows`.
+std::string
+field_stream(const std::vector<std::vector<std::string>> &rows)
+{
+    std::string s;
+    for (const auto &row : rows) {
+        for (const auto &f : row)
+            s += f + '\n';
+        s += '\x1E';
+    }
+    return s;
+}
 
 TEST(Columnar, TypedAppendAndStats)
 {
@@ -38,6 +74,59 @@ TEST(Columnar, DeserializationValidates)
     EXPECT_THROW(d.append_raw({"not a date"}), UdpError);
 }
 
+TEST(Columnar, FieldStreamMatchesAppendRaw)
+{
+    const std::vector<std::pair<std::string, ColType>> schema = {
+        {"i", ColType::Int64}, {"d", ColType::Double},
+        {"t", ColType::Date},  {"s", ColType::Text},
+        {"u", ColType::Text}};
+    const char *const words[] = {"", "alpha", "beta", "", "gamma"};
+    std::mt19937 rng(7);
+    std::vector<std::vector<std::string>> rows;
+    for (int r = 0; r < 500; ++r) {
+        char date[16];
+        const unsigned y = 1990 + rng() % 30, mo = 1 + rng() % 12,
+                       d = 1 + rng() % 28;
+        if (rng() % 2)
+            std::snprintf(date, sizeof(date), "%04u-%02u-%02u", y, mo, d);
+        else
+            std::snprintf(date, sizeof(date), "%02u/%02u/%04u", mo, d, y);
+        rows.push_back({std::to_string(int(rng() % 2000000) - 1000000),
+                        std::to_string(double(rng() % 100000) / 64.0),
+                        date, words[rng() % std::size(words)],
+                        "w" + std::to_string(rng() % 7)});
+    }
+    Table raw("t", schema);
+    for (const auto &row : rows)
+        raw.append_raw(row);
+    const std::string stream = field_stream(rows);
+    Table streamed("t", schema);
+    EXPECT_EQ(streamed.append_field_stream(stream), stream.size());
+    expect_same_table(streamed, raw);
+
+    // An unfinished last row is left for the stream that continues it.
+    Table part("t", schema);
+    const std::string head = field_stream({rows[0], rows[1]});
+    EXPECT_EQ(part.append_field_stream(head + "1\n2.5\n"), head.size());
+    EXPECT_EQ(part.num_rows(), 2u);
+    EXPECT_EQ(part.append_field_stream("1\n2.5"), 0u);
+    EXPECT_EQ(part.num_rows(), 2u);
+
+    // Arity and field checks still apply, as in append_raw.
+    auto short_row = rows[0];
+    short_row.pop_back();
+    auto long_row = rows[0];
+    long_row.push_back("extra");
+    auto bad_int = rows[0];
+    bad_int[0] = "12x";
+    for (const auto &row : {short_row, long_row, bad_int}) {
+        Table t("t", schema);
+        EXPECT_THROW(t.append_raw(row), UdpError);
+        EXPECT_THROW(t.append_field_stream(field_stream({row})), UdpError);
+    }
+    EXPECT_THROW(raw.append_field_stream("1\x1E"), UdpError);
+}
+
 TEST(Columnar, DateArithmetic)
 {
     EXPECT_EQ(parse_date("1970-01-01"), 0);
@@ -62,26 +151,135 @@ TEST(EtlLoad, CpuPipelineLoadsLineitem)
     EXPECT_GT(bd.cpu_seconds(), bd.io);
 }
 
+/// CSV jobs of the offload's parse stage over `csv` (12 KiB chunks on
+/// row boundaries, as the loader cuts them).
+std::vector<runtime::JobPlan>
+csv_jobs(const std::string &csv)
+{
+    return runtime::chunk_jobs(
+        kernels::csv_kernel_spec(),
+        runtime::ArenaSlice::borrow(BytesView(
+            reinterpret_cast<const std::uint8_t *>(csv.data()),
+            csv.size())),
+        12 * 1024, runtime::align_after_delim('\n'));
+}
+
 TEST(EtlLoad, UdpOffloadProducesIdenticalTable)
 {
-    const std::string csv = lineitem_csv(0.05);
+    const std::string csv = lineitem_csv(0.25);
     const Bytes comp = compress_for_load(csv);
+    const std::size_t jobs = csv_jobs(csv).size();
 
     Table cpu_t("lineitem", lineitem_schema());
     load_cpu(comp, cpu_t);
 
     Machine m(AddressingMode::Restricted);
-    Table udp_t("lineitem", lineitem_schema());
-    const LoadBreakdown bd = load_udp_offload(m, comp, udp_t, 8);
-
-    ASSERT_EQ(udp_t.num_rows(), cpu_t.num_rows());
-    for (std::size_t c = 0; c < cpu_t.num_cols(); ++c) {
-        EXPECT_EQ(udp_t.col(c).ints, cpu_t.col(c).ints) << c;
-        EXPECT_EQ(udp_t.col(c).doubles, cpu_t.col(c).doubles) << c;
-        EXPECT_EQ(udp_t.col(c).codes, cpu_t.col(c).codes) << c;
+    for (const unsigned lanes : {1u, 3u, 8u, 32u}) {
+        SCOPED_TRACE(lanes);
+        if (lanes > 1) {
+            EXPECT_NE(jobs % lanes, 0u); // the last slice is partial
+        }
+        Table udp_t("lineitem", lineitem_schema());
+        const LoadBreakdown bd = load_udp_offload(m, comp, udp_t, lanes);
+        expect_same_table(udp_t, cpu_t);
+        EXPECT_EQ(bd.rows, cpu_t.num_rows());
+        EXPECT_EQ(bd.csv_bytes, csv.size());
+        EXPECT_GT(bd.decompress, 0.0);
+        EXPECT_GT(bd.parse, 0.0);
+        EXPECT_GT(bd.deserialize, 0.0);
     }
-    EXPECT_GT(bd.decompress, 0.0);
-    EXPECT_GT(bd.parse, 0.0);
+}
+
+TEST(EtlLoad, SlicedParseMatchesOneSchedule)
+{
+    // The offload runs the CSV jobs one wave-sized slice at a time; the
+    // summed machine time must be one Scheduler::run's over them all.
+    const std::string csv = lineitem_csv(0.3);
+    const Bytes comp = compress_for_load(csv);
+    const auto parse_jobs = csv_jobs(csv);
+    // The decompress stage's jobs: one per frame (u32 compressed
+    // length, u32 raw length, then a Snappy block past its varint).
+    std::vector<runtime::JobPlan> dec_jobs;
+    const auto arena = runtime::ArenaSlice::borrow(comp);
+    for (std::size_t pos = 0; pos < comp.size();) {
+        const std::size_t clen = comp[pos] | (comp[pos + 1] << 8) |
+                                 (comp[pos + 2] << 16) |
+                                 (std::size_t{comp[pos + 3]} << 24);
+        std::size_t p = pos + 8;
+        while (comp[p] & 0x80)
+            ++p;
+        ++p;
+        dec_jobs.push_back(kernels::snappy_decompress_spec().make_job(
+            arena.subslice(p, clen - (p - pos - 8))));
+        pos += 8 + clen;
+    }
+
+    Machine m(AddressingMode::Restricted);
+    for (const unsigned lanes : {3u, 32u}) {
+        SCOPED_TRACE(lanes);
+        runtime::SchedulerOptions o;
+        o.max_jobs_per_wave = lanes;
+        runtime::Scheduler sched(m, o);
+        const Cycles dec = sched.run(dec_jobs).wall_cycles;
+        const Cycles parse = sched.run(parse_jobs).wall_cycles;
+        Table t("lineitem", lineitem_schema());
+        const LoadBreakdown bd = load_udp_offload(m, comp, t, lanes);
+        EXPECT_EQ(bd.decompress, double(dec) / kClockHz);
+        EXPECT_EQ(bd.parse, double(parse) / kClockHz);
+    }
+}
+
+TEST(EtlLoad, BadFieldInALateWaveThrows)
+{
+    // A malformed integer fails the load on either side of the overlap:
+    // in the last slice, and in the first one while the next simulates.
+    const std::string good = lineitem_csv(0.3);
+    const std::size_t last_row = good.rfind('\n', good.size() - 2) + 1;
+    for (const std::size_t at : {last_row, std::size_t{0}}) {
+        SCOPED_TRACE(at);
+        std::string csv = good;
+        csv[at] = 'x'; // l_orderkey
+        const Bytes comp = compress_for_load(csv);
+        Table cpu_t("lineitem", lineitem_schema());
+        EXPECT_THROW(load_cpu(comp, cpu_t), UdpError);
+        Machine m(AddressingMode::Restricted);
+        for (const unsigned lanes : {3u, 32u}) {
+            Table udp_t("lineitem", lineitem_schema());
+            EXPECT_THROW(load_udp_offload(m, comp, udp_t, lanes), UdpError);
+        }
+    }
+}
+
+TEST(EtlLoad, TruncatedStreamThrows)
+{
+    const Bytes comp = compress_for_load(lineitem_csv(0.05));
+    const std::vector<Bytes> cuts = {
+        Bytes(comp.begin(), comp.begin() + 3),   // inside the first header
+        Bytes(comp.begin(), comp.end() - 5),     // inside the last frame
+        Bytes{1, 0, 0, 0, 0, 0, 0, 0, 0x80}};    // varint never ends
+    // Each error names the byte offset of the frame it stopped at.
+    const auto expect_error_at_byte = [](const auto &load) {
+        try {
+            load();
+            ADD_FAILURE() << "no error";
+        } catch (const UdpError &e) {
+            EXPECT_NE(std::string(e.what()).find("at byte"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    Machine m(AddressingMode::Restricted);
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+        SCOPED_TRACE(i);
+        Table a("lineitem", lineitem_schema());
+        if (i < 2) // the varint is the Snappy decoder's own to read
+            expect_error_at_byte([&] { load_cpu(cuts[i], a); });
+        else
+            EXPECT_THROW(load_cpu(cuts[i], a), UdpError);
+        Table b("lineitem", lineitem_schema());
+        expect_error_at_byte(
+            [&] { load_udp_offload(m, cuts[i], b, 8); });
+    }
 }
 
 TEST(EtlLoad, OffloadScalesWithLanes)

@@ -7,7 +7,9 @@
  * post-mortem routing — plus the cancellation-race and concurrent-client
  * coverage the sanitizer jobs run.
  */
+#include "kernels/csv.hpp"
 #include "kernels/trigger.hpp"
+#include "runtime/executor.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/kernel_spec.hpp"
 #include "runtime/scheduler.hpp"
@@ -133,6 +135,78 @@ TEST(Scheduler, RetryJoinsTheNextWave)
     EXPECT_EQ(r.jobs[10].status, LaneStatus::Done);
     EXPECT_EQ(r.jobs[10].wave, 1u);
     EXPECT_EQ(r.jobs[10].attempts, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Scheduler: an extract cursor the program left outside its window.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// CSV rows for the extract tests; static so the arenas the jobs borrow
+/// outlive every run.
+const Bytes &
+csv_rows()
+{
+    static const Bytes rows = [] {
+        std::string s;
+        for (int i = 0; i < 64; ++i)
+            s += std::to_string(i) + ",left,right\n";
+        return Bytes(s.begin(), s.end());
+    }();
+    return rows;
+}
+
+JobPlan
+csv_job()
+{
+    return kernels::csv_kernel_spec().make_job(ArenaSlice::borrow(csv_rows()));
+}
+
+/// A CSV job whose output cursor r5 starts at 40000, past its 32 KiB
+/// window.  The plan is valid and the run completes; only the harvest
+/// can tell that the extract ends outside the window.
+JobPlan
+csv_job_past_window()
+{
+    JobPlan p = csv_job();
+    p.init_regs = {{5, 40000}};
+    return p;
+}
+
+} // namespace
+
+TEST(Scheduler, ExtractPastWindowFaultsOnlyItsJob)
+{
+    Scheduler s;
+    const auto ref = s.run({csv_job(), csv_job()});
+    // The bad job runs last in the wave, so its stores past its window
+    // land in banks no other job of the wave uses.
+    const auto r = s.run({csv_job(), csv_job(), csv_job_past_window()});
+    ASSERT_EQ(r.waves.size(), 1u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(r.jobs[i].status, LaneStatus::Done);
+        expect_results_eq(ref.jobs[i], r.jobs[i]);
+    }
+    const JobResult &bad = r.jobs[2];
+    EXPECT_EQ(bad.status, LaneStatus::Faulted);
+    EXPECT_TRUE(bad.quarantined);
+    EXPECT_EQ(r.quarantined, 1u);
+    EXPECT_EQ(bad.fault.code, FaultCode::FetchOutOfRange);
+    EXPECT_EQ(bad.fault.lane, 4u);
+    EXPECT_NE(bad.fault.detail.find("job 'csv' extract 0 cursor"),
+              std::string::npos)
+        << bad.fault.detail;
+    ASSERT_EQ(bad.extracts.size(), 1u);
+    EXPECT_TRUE(bad.extracts[0].empty());
+    EXPECT_THROW(kernels::csv_field_stream(bad), UdpError);
+
+    // A direct run returns the same fault instead of throwing.
+    Machine m(AddressingMode::Restricted);
+    const JobResult direct = run_job_on(m, 0, 0, csv_job_past_window());
+    EXPECT_EQ(direct.status, LaneStatus::Faulted);
+    EXPECT_EQ(direct.fault.code, FaultCode::FetchOutOfRange);
+    EXPECT_THROW(kernels::decode_csv_result(direct), UdpError);
 }
 
 // ---------------------------------------------------------------------------
@@ -648,6 +722,24 @@ TEST(Service, BreakerIsolatesHostileTenant)
     auto out = gc.wait(gc.submit(trigger_jobs(4)[1]), 60.0);
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out->state, JobState::Done);
+}
+
+TEST(Service, ExtractPastWindowFaultsTheJob)
+{
+    // The run loop used to throw out of its thread here, which ended the
+    // process.  Now the job is quarantined and the service carries on.
+    Service svc;
+    auto client = svc.client(svc.register_tenant(open_tenant("csv")));
+    auto bad = client.wait(client.submit(csv_job_past_window()), 60.0);
+    ASSERT_TRUE(bad.has_value());
+    EXPECT_EQ(bad->state, JobState::Quarantined);
+    EXPECT_EQ(bad->result.fault.code, FaultCode::FetchOutOfRange);
+
+    auto good = client.wait(client.submit(csv_job()), 60.0);
+    ASSERT_TRUE(good.has_value());
+    EXPECT_EQ(good->state, JobState::Done);
+    svc.drain();
+    EXPECT_TRUE(svc.stats().drained);
 }
 
 TEST(Service, PostmortemsRoutedPerTenant)
