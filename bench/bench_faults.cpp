@@ -139,14 +139,14 @@ main(int argc, char **argv)
             attach_schedule(p, rep, samples.size());
             rec.add_workload(p);
             // Post-mortem demo: the victim faulted once per attempt, so
-            // with --postmortem the scheduler captured one report per
+            // with --postmortem the bench's sink captured one report per
             // faulted run (queryable in memory, serialized to the dir).
-            if (!bench_postmortem_dir().empty()) {
-                const auto &pms = sched.postmortems();
+            // The clean and reference runs before it fault nowhere.
+            if (const runtime::PostmortemSink *pm = rec.postmortems()) {
+                const auto &pms = pm->reports();
                 std::printf("\npostmortem: %u report(s) in %s "
                             "(victim state @0x%x, %u recent events)\n",
-                            unsigned(pms.size()),
-                            bench_postmortem_dir().c_str(),
+                            unsigned(pms.size()), pm->dir().c_str(),
                             pms.empty() ? 0u
                                         : pms.back().fault.state_base,
                             pms.empty()

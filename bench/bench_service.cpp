@@ -25,7 +25,9 @@
  * CI gate reads), --metrics <path> (Prometheus exposition of the
  * shared registry, including the per-tenant labeled series; validated
  * by tools/check_exposition.py), --threads N, --tenants N (default 3),
- * --window S (seconds per scenario, default 1.0).
+ * --window S (seconds per scenario, default 1.0), --postmortem <dir>
+ * (every faulted run's FaultReport JSON, written by the Service's
+ * scheduler through the bench's PostmortemSink).
  */
 #include "support.hpp"
 

@@ -104,7 +104,6 @@ namespace {
 unsigned g_sim_threads = 0;
 std::vector<runtime::TelemetrySink *> g_sinks;
 Tracer *g_lane_tracer = nullptr;
-std::string g_postmortem_dir;
 
 /// Lane micro-event ring per lane for --trace.  Modest on purpose: the
 /// Scheduler absorbs (and the SpanTracer caps) per wave, so a deep ring
@@ -131,12 +130,6 @@ bench_lane_tracer()
     return g_lane_tracer;
 }
 
-const std::string &
-bench_postmortem_dir()
-{
-    return g_postmortem_dir;
-}
-
 runtime::SchedulerOptions
 sched_options()
 {
@@ -144,9 +137,6 @@ sched_options()
     opts.threads = g_sim_threads;
     opts.sinks = g_sinks;
     opts.lane_tracer = g_lane_tracer;
-    opts.postmortem.dir = g_postmortem_dir;
-    if (!g_postmortem_dir.empty())
-        opts.postmortem.keep_last = 16;
     return opts;
 }
 
@@ -227,7 +217,8 @@ MetricsRecorder::MetricsRecorder(std::string bench, int argc, char **argv)
                              bench_.c_str());
                 std::exit(2);
             }
-            postmortem_dir_ = argv[++i];
+            postmortems_ = std::make_unique<runtime::PostmortemSink>(
+                argv[++i], /*keep_last=*/16);
         }
     }
     // Attach sinks to every sched_options() Scheduler only when asked
@@ -240,7 +231,8 @@ MetricsRecorder::MetricsRecorder(std::string bench, int argc, char **argv)
         g_lane_tracer = lane_tracer_.get();
         g_sinks.push_back(spans_.get());
     }
-    g_postmortem_dir = postmortem_dir_;
+    if (postmortems_)
+        g_sinks.push_back(postmortems_.get());
 }
 
 MetricsRecorder::~MetricsRecorder()
@@ -248,7 +240,6 @@ MetricsRecorder::~MetricsRecorder()
     g_sinks.clear();
     if (g_lane_tracer == lane_tracer_.get())
         g_lane_tracer = nullptr;
-    g_postmortem_dir.clear();
 }
 
 int

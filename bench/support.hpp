@@ -16,6 +16,7 @@
 
 #include "core/energy.hpp"
 #include "core/machine.hpp"
+#include "runtime/postmortem.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/spantrace.hpp"
 
@@ -89,12 +90,9 @@ unsigned sim_threads_option();
  */
 Tracer *bench_lane_tracer();
 
-/// The --postmortem directory ("" when the flag was absent).
-const std::string &bench_postmortem_dir();
-
 /// Scheduler options every bench run starts from (threads, the
-/// MetricsRecorder's sinks, lane tracer and post-mortem capture
-/// prefilled from the flags).
+/// MetricsRecorder's sinks — post-mortem capture included — and lane
+/// tracer prefilled from the flags).
 runtime::SchedulerOptions sched_options();
 
 /// Record a scheduled multi-lane run on `p`: real 64-lane throughput
@@ -132,9 +130,10 @@ void attach_sim(WorkloadPerf &p, const LaneStats &total, Cycles wall,
  * `--trace <path>` adds a SpanTracer and attaches a lane Tracer;
  * `finish()` writes the merged runtime+lane Chrome trace there
  * (validated by tools/check_trace.py).
- * `--postmortem <dir>` enables post-mortem capture: every faulted run
- * writes a structured FaultReport JSON into <dir>
- * (docs/OBSERVABILITY.md "Tracing & post-mortems").
+ * `--postmortem <dir>` adds a PostmortemSink: every faulted run writes
+ * a structured FaultReport JSON into <dir>, and the last 16 reports
+ * stay readable through postmortems() (docs/OBSERVABILITY.md "Tracing
+ * & post-mortems").
  */
 class MetricsRecorder
 {
@@ -154,6 +153,11 @@ class MetricsRecorder
     /// schedulers and dumped when --metrics was given).
     runtime::MetricRegistry &registry() { return registry_; }
 
+    /// The --postmortem sink (nullptr when the flag was absent).
+    const runtime::PostmortemSink *postmortems() const {
+        return postmortems_.get();
+    }
+
     /// Write the JSON/exposition files for the flags that were given.
     /// Returns a main() exit code.
     int finish() const;
@@ -163,7 +167,6 @@ class MetricsRecorder
     std::string path_;
     std::string metrics_path_;   ///< --metrics exposition dump
     std::string trace_path_;     ///< --trace merged Chrome trace
-    std::string postmortem_dir_; ///< --postmortem report directory
     std::vector<WorkloadPerf> workloads_;
     std::vector<std::pair<std::string, double>> metrics_;
     runtime::MetricRegistry registry_;
@@ -171,6 +174,7 @@ class MetricsRecorder
     // --trace machinery, created only when the flag is present.
     std::unique_ptr<Tracer> lane_tracer_;
     std::unique_ptr<runtime::SpanTracer> spans_;
+    std::unique_ptr<runtime::PostmortemSink> postmortems_; ///< --postmortem
 };
 
 /// Wall-clock MB/s of `fn` over `bytes` of input (repeats for stability).

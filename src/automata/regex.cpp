@@ -284,20 +284,4 @@ parse_regex(const std::string &pattern)
     return Parser(pattern).parse();
 }
 
-std::unique_ptr<RegexNode>
-literal_regex(const std::string &text)
-{
-    auto seq = std::make_unique<RegexNode>();
-    seq->kind = RegexNode::Kind::Concat;
-    for (const char c : text) {
-        auto n = std::make_unique<RegexNode>();
-        n->kind = RegexNode::Kind::Class;
-        n->cls = CharClass::single(static_cast<std::uint8_t>(c));
-        seq->children.push_back(std::move(n));
-    }
-    if (seq->children.empty())
-        seq->kind = RegexNode::Kind::Empty;
-    return seq;
-}
-
 } // namespace udp

@@ -39,7 +39,4 @@ struct RegexNode {
 /// Parse `pattern`; throws UdpError with a position on syntax errors.
 std::unique_ptr<RegexNode> parse_regex(const std::string &pattern);
 
-/// Convenience: a regex AST matching the literal string exactly.
-std::unique_ptr<RegexNode> literal_regex(const std::string &text);
-
 } // namespace udp

@@ -21,7 +21,6 @@
 #include "local_memory.hpp"
 #include "program.hpp"
 #include "stats.hpp"
-#include "vector_regfile.hpp"
 
 #include <memory>
 #include <optional>
@@ -80,9 +79,7 @@ class Machine
 
     LocalMemory &memory() { return mem_; }
     const LocalMemory &memory() const { return mem_; }
-    VectorRegFile &vregs() { return vregs_; }
     Lane &lane(unsigned idx);
-    const UdpCostModel &cost_model() const { return cost_; }
 
     /// Stage bytes into local memory at a physical byte address (host /
     /// DLT-engine side, not charged to lane cycles).
@@ -151,7 +148,6 @@ class Machine
     MachineResult collect(Cycles wall);
 
     LocalMemory mem_;
-    VectorRegFile vregs_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::vector<JobSpec> jobs_;
     UdpCostModel cost_;

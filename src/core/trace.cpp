@@ -7,7 +7,6 @@
 #include "isa.hpp"
 #include "metrics_json.hpp"
 
-#include <fstream>
 #include <ostream>
 
 namespace udp {
@@ -216,17 +215,6 @@ write_chrome_trace(std::ostream &os, const Tracer &tracer)
     w.end_array();
     w.field("displayTimeUnit", "ns");
     w.end_object();
-}
-
-bool
-write_chrome_trace_file(const std::string &path, const Tracer &tracer)
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    write_chrome_trace(os, tracer);
-    os.flush();
-    return bool(os);
 }
 
 } // namespace udp

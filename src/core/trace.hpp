@@ -111,9 +111,6 @@ class Tracer
 /// Serialize the retained events as Chrome trace_event JSON.
 void write_chrome_trace(std::ostream &os, const Tracer &tracer);
 
-/// Convenience: write a Chrome trace file; false on I/O failure.
-bool write_chrome_trace_file(const std::string &path, const Tracer &tracer);
-
 // --- Merged-timeline export hooks (runtime/spantrace.hpp) ------------------
 // The runtime span tracer interleaves lane micro-events with its own
 // scheduler spans in one traceEvents array.  Lane cycle stamps are

@@ -52,10 +52,6 @@ inline constexpr std::size_t kLocalMemBytes = kBankBytes * kNumBanks;
 /// Dispatch window size in 32-bit words addressable by a 12-bit target.
 inline constexpr std::size_t kDispatchWords = 1u << 12;
 
-/// Vector register file: 64 registers x 2048 bits (paper Figure 3a).
-inline constexpr unsigned kNumVectorRegs = 64;
-inline constexpr std::size_t kVectorRegBytes = 2048 / 8;
-
 /// Number of scalar data registers per lane (r0..r15; r15 = stream index).
 inline constexpr unsigned kNumScalarRegs = 16;
 

@@ -45,30 +45,6 @@ Table::Table(std::string name,
         throw UdpError("Table: empty schema");
 }
 
-void
-Table::append_row(const std::vector<Value> &values)
-{
-    if (values.size() != cols_.size())
-        throw UdpError("Table: row arity mismatch");
-    for (std::size_t i = 0; i < cols_.size(); ++i) {
-        Column &c = cols_[i];
-        switch (c.type) {
-          case ColType::Int64:
-          case ColType::Date:
-            c.ints.push_back(std::get<std::int64_t>(values[i]));
-            break;
-          case ColType::Double:
-            c.doubles.push_back(std::get<double>(values[i]));
-            break;
-          case ColType::Text:
-            c.codes.push_back(
-                c.dict.intern(std::get<std::string>(values[i])));
-            break;
-        }
-    }
-    ++rows_;
-}
-
 template <typename FieldAt>
 void
 Table::append_fields(FieldAt field)

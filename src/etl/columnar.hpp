@@ -12,7 +12,6 @@
 
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 namespace udp::etl {
@@ -48,10 +47,6 @@ class Table
     std::size_t num_rows() const { return rows_; }
     std::size_t num_cols() const { return cols_.size(); }
     const Column &col(std::size_t i) const { return cols_.at(i); }
-
-    /// Append one row of already-deserialized values.
-    using Value = std::variant<std::int64_t, double, std::string>;
-    void append_row(const std::vector<Value> &values);
 
     /// Deserialize and append one row of raw CSV fields.
     /// Throws UdpError on a malformed field (the "validation" step).

@@ -1,13 +1,16 @@
 /**
  * @file
- * FaultReport serialization.
+ * FaultReport capture and serialization.
  */
 #include "postmortem.hpp"
 
+#include "assembler/disasm.hpp"
 #include "core/metrics_json.hpp"
+#include "runtime/job.hpp"
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 namespace udp::runtime {
 
@@ -88,6 +91,62 @@ postmortem_filename(const FaultReport &r)
 {
     return "postmortem-job" + std::to_string(r.job_index) + "-attempt" +
            std::to_string(r.attempt) + ".json";
+}
+
+PostmortemSink::PostmortemSink(std::string dir, std::size_t keep_last)
+    : dir_(std::move(dir)), keep_last_(keep_last)
+{
+}
+
+void
+PostmortemSink::on_schedule(std::size_t /*jobs*/)
+{
+    files_written_ = 0;
+    history_.clear();
+}
+
+void
+PostmortemSink::on_job_run(const JobRunEvent &e)
+{
+    const JobResult &r = e.result;
+    if (r.cancelled || (r.status != LaneStatus::Faulted &&
+                        r.status != LaneStatus::TimedOut))
+        return;
+    std::vector<AttemptOutcome> &history = history_[e.trace_id];
+    FaultReport fr;
+    fr.job_name = e.plan.name;
+    fr.job_index = e.job_index;
+    fr.trace_id = e.trace_id;
+    fr.wave = r.wave;
+    fr.attempt = r.attempts;
+    fr.max_attempts = e.max_attempts;
+    fr.lane = r.lane;
+    fr.status = r.status;
+    fr.fault = r.fault;
+    fr.quarantined = r.quarantined;
+    fr.will_retry = e.requeued;
+    fr.queue_wait_cycles = r.queue_wait_cycles;
+    fr.service_cycles = r.service_cycles;
+    fr.attempt_history = history;
+    // The lane's recent micro-events: its ring still holds this wave's
+    // run (the Scheduler clears the rings only after the wave's sinks).
+    if (e.lane_tracer) {
+        fr.recent_events = e.lane_tracer->events(r.lane);
+        fr.dropped_events = e.lane_tracer->dropped(r.lane);
+    }
+    fr.disassembly = disassemble_state(*e.plan.program, r.fault.state_base);
+    history.push_back(
+        {r.wave, r.attempts, r.status, r.fault.code, r.fault.cycle});
+
+    if (!dir_.empty() && files_written_ < kMaxPostmortemFiles) {
+        write_fault_report_file(dir_ + "/" + postmortem_filename(fr), fr);
+        ++files_written_;
+    }
+    if (keep_last_ == 0)
+        return;
+    reports_.push_back(std::move(fr));
+    while (reports_.size() > keep_last_)
+        reports_.pop_front();
 }
 
 } // namespace udp::runtime

@@ -2,23 +2,28 @@
  * @file
  * Post-mortem fault reports (docs/ROBUSTNESS.md, docs/OBSERVABILITY.md).
  *
- * Aggregate fault counters (PR 6) say *how often* lanes trap; a
- * post-mortem says what lane 37 was doing in the cycles before it did.
- * When a scheduled run ends Faulted or TimedOut the Scheduler snapshots
- * a `FaultReport`: the structured LaneFault, the job's attempt history,
- * the lane's recent micro-event ring (when a Tracer is attached), and a
- * defensive disassembly of the state the automaton trapped in.  Reports
- * are serialized via `metrics_json` to a `--postmortem <dir>` path and
- * the Scheduler keeps the last N queryable in memory — the future
- * `udpd` `/debug` endpoint reads that deque.
+ * Aggregate fault counters say *how often* lanes trap; a post-mortem
+ * says what lane 37 was doing in the cycles before it did.
+ * `PostmortemSink` is a lifecycle sink (telemetry.hpp): put it in
+ * `SchedulerOptions::sinks` and every scheduled run that ends Faulted or
+ * TimedOut becomes a `FaultReport` — the structured LaneFault, the
+ * job's attempt history, the lane's recent micro-event ring (when a
+ * Tracer is attached), and a defensive disassembly of the state the
+ * automaton trapped in.  The sink serializes reports via `metrics_json`
+ * into its directory (a bench's `--postmortem <dir>`) and keeps the last
+ * N queryable in memory; udp_service drains its own sink into
+ * per-tenant rings after every batch.
  */
 #pragma once
 
 #include "core/fault.hpp"
 #include "core/lane.hpp"
 #include "core/trace.hpp"
+#include "runtime/telemetry.hpp"
 
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -73,23 +78,53 @@ bool write_fault_report_file(const std::string &path, const FaultReport &r);
 /// "postmortem-job<index>-attempt<N>.json".
 std::string postmortem_filename(const FaultReport &r);
 
-/// Cap on report *files* one scheduler run writes into
-/// `PostmortemPolicy::dir` (a mass-timeout run can fault hundreds of
-/// times; the first reports carry the diagnosis).  In-memory capture
-/// ignores this cap.  Filenames are deterministic per (job, attempt),
-/// so successive runs into the same dir overwrite matching reports.
+/// Cap on report *files* a PostmortemSink writes per scheduler run (a
+/// mass-timeout run can fault hundreds of times; the first reports
+/// carry the diagnosis).  In-memory capture ignores this cap.
+/// Filenames are deterministic per (job, attempt), so successive runs
+/// into the same dir overwrite matching reports.
 inline constexpr std::size_t kMaxPostmortemFiles = 64;
 
-/// Post-mortem capture knobs (SchedulerOptions::postmortem).
-struct PostmortemPolicy {
-    /// Directory reports are written to ("" = don't write files;
-    /// in-memory capture still happens when `keep_last` > 0).  Created
-    /// on first write if missing.  At most kMaxPostmortemFiles per run.
-    std::string dir;
-    /// Reports the Scheduler keeps queryable in memory, oldest evicted
-    /// (0 = none).  Capture is fully off — one branch per faulted run —
-    /// when this is 0 and `dir` is empty (the default).
-    std::size_t keep_last = 0;
+/**
+ * Post-mortem capture as a lifecycle sink.  Each Faulted or TimedOut
+ * run that was not cancelled becomes one FaultReport, written as
+ * `<dir>/postmortem_filename(report)` (at most kMaxPostmortemFiles per
+ * scheduler run; `dir` is created on first write) when `dir` is set,
+ * and appended to reports(), which keeps the newest `keep_last` (0
+ * keeps none).  `on_schedule` restarts the file cap and the attempt
+ * history, so one sink can serve any number of Schedulers in turn and
+ * a report lists only its own run's attempts.
+ *
+ * Not thread-safe, like SpanTracer: events arrive from the thread that
+ * drives the Scheduler, and reports() is read from that thread or after
+ * it is joined.
+ */
+class PostmortemSink final : public TelemetrySink
+{
+  public:
+    explicit PostmortemSink(std::string dir = {},
+                            std::size_t keep_last = ~std::size_t{0});
+
+    void on_schedule(std::size_t jobs) override;
+    void on_job_run(const JobRunEvent &e) override;
+    void on_wave(const WaveEvent &) override {}
+
+    /// The newest `keep_last` reports, oldest first.  A caller may
+    /// drain it (udp_service clears it after every batch).
+    std::deque<FaultReport> &reports() { return reports_; }
+    const std::deque<FaultReport> &reports() const { return reports_; }
+
+    /// Directory reports are written to ("" = none).
+    const std::string &dir() const { return dir_; }
+
+  private:
+    std::string dir_;
+    std::size_t keep_last_;
+    std::size_t files_written_ = 0; ///< this scheduler run's files
+    /// Faulted attempts of each job of this run, oldest first, keyed by
+    /// trace id: the next report's attempt history.
+    std::map<std::uint64_t, std::vector<AttemptOutcome>> history_;
+    std::deque<FaultReport> reports_;
 };
 
 } // namespace udp::runtime

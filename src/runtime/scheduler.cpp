@@ -10,13 +10,12 @@
  */
 #include "scheduler.hpp"
 
-#include "assembler/disasm.hpp"
+#include "core/trace.hpp"
 #include "executor.hpp"
 
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <map>
 #include <utility>
 
 namespace udp::runtime {
@@ -98,12 +97,10 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
     const std::uint64_t trace_base = g_next_trace_id.fetch_add(jobs.size());
     for (TelemetrySink *sink : opts_.sinks)
         sink->on_schedule(jobs.size());
-    const bool capture_postmortems =
-        opts_.postmortem.keep_last > 0 || !opts_.postmortem.dir.empty();
-    // Faulted attempts of each job, oldest first, feeding the next
-    // report's attempt history.  Only populated while capturing.
-    std::map<std::size_t, std::vector<AttemptOutcome>> fault_history;
-    std::size_t postmortem_files_written = 0;
+    const auto emit = [this](const JobRunEvent &ev) {
+        for (TelemetrySink *sink : opts_.sinks)
+            sink->on_job_run(ev);
+    };
 
     const auto t0 = std::chrono::steady_clock::now();
     unsigned wave_index = 0;
@@ -130,6 +127,10 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
                 ++report.cancelled;
                 recycle(std::move(report.jobs[p.job]));
                 report.jobs[p.job] = std::move(jr);
+                if (!opts_.sinks.empty())
+                    emit({jobs[p.job], report.jobs[p.job], p.job,
+                          trace_base + p.job, opts_.retry.max_attempts,
+                          /*requeued=*/false, /*ran=*/false, nullptr});
                 pending.pop_front();
                 continue;
             }
@@ -237,71 +238,10 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
             } else {
                 ++wr.completed;
             }
-            const std::uint64_t trace_id = trace_base + pl.job;
-            if (faulted && capture_postmortems) {
-                FaultReport fr;
-                fr.job_name = plan.name;
-                fr.job_index = pl.job;
-                fr.trace_id = trace_id;
-                fr.wave = wave_index;
-                fr.attempt = pl.attempt;
-                fr.max_attempts = opts_.retry.max_attempts;
-                fr.lane = pl.start_bank;
-                fr.status = jr.status;
-                fr.fault = jr.fault;
-                fr.quarantined = jr.quarantined;
-                fr.will_retry = retried_now;
-                fr.queue_wait_cycles = queue_wait;
-                fr.service_cycles = jr.service_cycles;
-                fr.attempt_history = fault_history[pl.job];
-                // The lane's recent micro-events — rings still hold this
-                // wave's run (they are cleared only after harvesting).
-                if (const Tracer *t = machine_->tracer()) {
-                    fr.recent_events = t->events(pl.start_bank);
-                    fr.dropped_events = t->dropped(pl.start_bank);
-                }
-                fr.disassembly = disassemble_state(*plan.program,
-                                                   jr.fault.state_base);
-                if (!opts_.postmortem.dir.empty() &&
-                    postmortem_files_written < kMaxPostmortemFiles) {
-                    write_fault_report_file(opts_.postmortem.dir + "/" +
-                                                postmortem_filename(fr),
-                                            fr);
-                    ++postmortem_files_written;
-                }
-                if (opts_.postmortem.keep_last > 0) {
-                    postmortems_.push_back(std::move(fr));
-                    while (postmortems_.size() >
-                           opts_.postmortem.keep_last)
-                        postmortems_.pop_front();
-                }
-            }
-            if (faulted && capture_postmortems)
-                fault_history[pl.job].push_back({wave_index, pl.attempt,
-                                                 jr.status, jr.fault.code,
-                                                 jr.fault.cycle});
-            if (!opts_.sinks.empty()) {
-                JobRunEvent ev;
-                ev.job_name = plan.name;
-                ev.job_index = pl.job;
-                ev.trace_id = trace_id;
-                ev.wave = wave_index;
-                ev.attempt = pl.attempt;
-                ev.lane = pl.start_bank;
-                ev.status = jr.status;
-                ev.fault = jr.fault.code;
-                ev.queue_wait_cycles = jr.queue_wait_cycles;
-                ev.service_cycles = jr.service_cycles;
-                ev.e2e_cycles = jr.e2e_cycles;
-                ev.input_bytes =
-                    static_cast<std::uint64_t>(jr.stats.input_bytes());
-                ev.final_disposition = !retried_now;
-                ev.retried = retried_now;
-                ev.quarantined = jr.quarantined;
-                ev.cancelled = jr.cancelled;
-                for (TelemetrySink *sink : opts_.sinks)
-                    sink->on_job_run(ev);
-            }
+            if (!opts_.sinks.empty())
+                emit({plan, jr, pl.job, trace_base + pl.job,
+                      opts_.retry.max_attempts, retried_now, /*ran=*/true,
+                      machine_->tracer()});
             // Always the latest attempt's result; a retried job's entry
             // is overwritten when its final attempt lands — its buffers
             // go back to the pool instead of being freed.
@@ -326,27 +266,16 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
         report.host_harvest_seconds += wr.host_harvest_seconds;
         Tracer *const lane_tracer = machine_->tracer();
         if (!opts_.sinks.empty()) {
-            WaveEvent ev;
-            ev.index = wave_index;
-            ev.jobs = wr.jobs;
-            ev.banks_used = wr.banks_used;
-            ev.completed = wr.completed;
-            ev.retried = wr.retried;
-            ev.quarantined = wr.quarantined;
-            ev.cancelled = wr.cancelled;
-            ev.start_cycle = queue_wait;
-            ev.wall_cycles = wr.wall_cycles;
-            ev.host_seconds = wr.host_seconds;
-            ev.lane_tracer = lane_tracer;
+            const WaveEvent ev{wr, wave_index, queue_wait, lane_tracer};
             for (TelemetrySink *sink : opts_.sinks)
                 sink->on_wave(ev);
+            // Lane cycle stamps restart every wave (Machine::assign
+            // hard-resets lanes), so once the sinks have read this
+            // wave's rings they are cleared: the next wave's readers
+            // must see only their own wave.
+            if (lane_tracer)
+                lane_tracer->clear();
         }
-        // Lane cycle stamps restart every wave (Machine::assign
-        // hard-resets lanes), so once the sinks and post-mortems have
-        // read this wave's rings they are cleared: the next wave's
-        // readers must see only their own wave.
-        if (lane_tracer && (!opts_.sinks.empty() || capture_postmortems))
-            lane_tracer->clear();
         report.waves.push_back(std::move(wr));
         ++wave_index;
     }

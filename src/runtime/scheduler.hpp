@@ -21,6 +21,12 @@
  * executed exactly as before the retry layer existed — bit-identical
  * reports (pinned by test_runtime).
  *
+ * Lifecycle observers attach through `SchedulerOptions::sinks`: each
+ * event (telemetry.hpp) points at the plan, result or wave report it
+ * describes, so metrics, span traces and post-mortem fault reports
+ * (postmortem.hpp) are all sinks, and the Scheduler keeps no report of
+ * its own.
+ *
  * Host data path (runtime/arena.hpp): job inputs are arena-pinned views
  * — staging and retrying never copy payload bytes (a retry re-pins the
  * same arena via the plan it re-reads) — and results are harvested
@@ -32,10 +38,8 @@
 
 #include "core/machine.hpp"
 #include "runtime/job.hpp"
-#include "runtime/postmortem.hpp"
 #include "runtime/telemetry.hpp"
 
-#include <deque>
 #include <memory>
 
 namespace udp::runtime {
@@ -126,21 +130,19 @@ struct SchedulerOptions {
     /// never changes results.
     JobControl *control = nullptr;
     /// Lifecycle-event receivers (telemetry.hpp): RegistryTelemetry,
-    /// SpanTracer (spantrace.hpp), ...  Every event goes to each sink
-    /// once, in list order, from the caller's thread.  Empty (the
-    /// default) builds no event; simulated results are bit-identical
-    /// either way.
+    /// SpanTracer (spantrace.hpp), PostmortemSink (postmortem.hpp), ...
+    /// Every event goes to each sink once, in list order, from the
+    /// caller's thread.  Empty (the default) builds no event; simulated
+    /// results are bit-identical either way.
     std::vector<TelemetrySink *> sinks{};
-    /// Post-mortem capture on faulted runs (postmortem.hpp).  Off by
-    /// default (keep_last == 0, empty dir).
-    PostmortemPolicy postmortem;
     /// Lane micro-event tracer to attach to the scheduler's machine at
     /// construction (core/trace.hpp) — how benches route one shared
     /// Tracer into schedulers that own their machines.  Sinks see it in
-    /// every WaveEvent and post-mortems snapshot the faulting lane's
-    /// ring from it; while either reads it the Scheduler clears it after
-    /// every wave, otherwise its rings survive the run.  nullptr leaves
-    /// the machine's existing attachment (if any) untouched.
+    /// every JobRunEvent and WaveEvent (a PostmortemSink snapshots the
+    /// faulting lane's ring from it); while any sink is attached the
+    /// Scheduler clears it after every wave, otherwise its rings survive
+    /// the run.  nullptr leaves the machine's existing attachment (if
+    /// any) untouched.
     Tracer *lane_tracer = nullptr;
 };
 
@@ -211,13 +213,6 @@ class Scheduler
     /// UdpError before any lane runs.
     ScheduleReport run(const std::vector<JobPlan> &jobs);
 
-    /// The last-N post-mortem reports captured across runs, oldest
-    /// first (see PostmortemPolicy::keep_last) — the in-memory query
-    /// surface the future `udpd` `/debug` endpoint will expose.
-    const std::deque<FaultReport> &postmortems() const {
-        return postmortems_;
-    }
-
     /// The output/extract buffer pool this scheduler harvests through.
     /// Warm across run() calls: a steady-state serving loop that
     /// recycles its results makes the wave loop's allocation count
@@ -234,7 +229,6 @@ class Scheduler
     SchedulerOptions opts_;
     std::unique_ptr<Machine> owned_;
     Machine *machine_;
-    std::deque<FaultReport> postmortems_;
     BufferPool pool_;
 };
 

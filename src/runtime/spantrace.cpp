@@ -5,6 +5,7 @@
 #include "spantrace.hpp"
 
 #include "core/metrics_json.hpp"
+#include "runtime/scheduler.hpp"
 
 #include <algorithm>
 #include <fstream>
@@ -36,21 +37,23 @@ SpanTracer::on_job_run(const JobRunEvent &e)
         ++dropped_spans_;
         return;
     }
+    const JobResult &r = e.result;
     AttemptSpan s;
-    s.job_name = std::string(e.job_name);
+    s.job_name = e.plan.name;
     s.trace_id = e.trace_id;
     s.job_index = e.job_index;
-    s.wave = e.wave;
-    s.attempt = e.attempt;
-    s.lane = e.lane;
-    s.status = e.status;
-    s.fault = e.fault;
+    s.wave = r.wave;
+    s.attempt = r.attempts;
+    s.lane = r.lane;
+    s.status = r.status;
+    s.fault = r.fault.code;
     s.submit = run_base_;
-    s.start = run_base_ + e.queue_wait_cycles;
-    s.service = e.service_cycles;
-    s.end = run_base_ + e.e2e_cycles;
-    s.final_disposition = e.final_disposition;
-    s.quarantined = e.quarantined;
+    s.start = run_base_ + r.queue_wait_cycles;
+    s.service = r.service_cycles;
+    s.end = run_base_ + r.e2e_cycles;
+    s.final_disposition = !e.requeued;
+    s.quarantined = r.quarantined;
+    s.ran = e.ran;
     timeline_end_ = std::max(timeline_end_, s.end);
     attempts_.push_back(std::move(s));
 }
@@ -70,11 +73,11 @@ SpanTracer::on_wave(const WaveEvent &e)
     // 0-based run ordinal (on_schedule pre-increments; waves seen
     // before any on_schedule count as run 0).
     s.run = run_ordinal_ ? run_ordinal_ - 1 : 0;
-    s.jobs = e.jobs;
-    s.banks_used = e.banks_used;
+    s.jobs = e.report.jobs;
+    s.banks_used = e.report.banks_used;
     s.start = run_base_ + e.start_cycle;
-    s.wall = e.wall_cycles;
-    s.host_seconds = e.host_seconds;
+    s.wall = e.report.wall_cycles;
+    s.host_seconds = e.report.host_seconds;
     timeline_end_ = std::max(timeline_end_, s.start + s.wall);
     waves_.push_back(s);
 }
@@ -208,7 +211,8 @@ SpanTracer::write_chrome_trace(std::ostream &os) const
     write_thread_metadata(w, kSchedulerPid, kJobTid, "jobs");
     std::set<unsigned> lanes;
     for (const AttemptSpan &a : attempts_)
-        lanes.insert(a.lane);
+        if (a.ran)
+            lanes.insert(a.lane);
     for (const PlacedEvent &pe : lane_events_)
         lanes.insert(pe.ev.lane);
     for (const unsigned lane : lanes)
@@ -241,15 +245,18 @@ SpanTracer::write_chrome_trace(std::ostream &os) const
     }
     for (std::size_t i = 0; i < attempts_.size(); ++i) {
         const AttemptSpan &a = attempts_[i];
-        // The lane-track slice: the lane was busy [start, start+service].
-        recs.push_back({kMachinePid, a.lane, a.start, 400, a.service,
-                        Rec::Type::AttemptSlice, i});
-        // The job-track async span: b/e per attempt, nested inside the
-        // job span for final dispositions.
-        recs.push_back({kSchedulerPid, kJobTid, a.start, 1, 0,
-                        Rec::Type::AttemptBegin, i});
-        recs.push_back({kSchedulerPid, kJobTid, a.start + a.service, 900,
-                        0, Rec::Type::AttemptEnd, i});
+        if (a.ran) {
+            // The lane-track slice: the lane was busy
+            // [start, start+service].
+            recs.push_back({kMachinePid, a.lane, a.start, 400, a.service,
+                            Rec::Type::AttemptSlice, i});
+            // The job-track async span: b/e per attempt, nested inside
+            // the job span for final dispositions.
+            recs.push_back({kSchedulerPid, kJobTid, a.start, 1, 0,
+                            Rec::Type::AttemptBegin, i});
+            recs.push_back({kSchedulerPid, kJobTid, a.start + a.service,
+                            900, 0, Rec::Type::AttemptEnd, i});
+        }
         if (a.final_disposition) {
             recs.push_back({kSchedulerPid, kJobTid, a.submit, 0, 0,
                             Rec::Type::JobBegin, i});

@@ -47,6 +47,9 @@ struct AttemptSpan {
     Cycles end = 0;     ///< global cycle the result became visible
     bool final_disposition = false;
     bool quarantined = false;
+    /// False for a job cancelled before staging: only its job span is
+    /// drawn, with no attempt on a lane.
+    bool ran = true;
 };
 
 /// One closed scheduler wave on the shared timeline.

@@ -7,6 +7,7 @@
 #include "telemetry.hpp"
 
 #include "core/metrics_json.hpp"
+#include "runtime/scheduler.hpp"
 
 #include <bit>
 #include <cmath>
@@ -442,40 +443,45 @@ RegistryTelemetry::kernel(std::string_view name)
 void
 RegistryTelemetry::on_job_run(const JobRunEvent &e)
 {
-    runs_.add();
-    queue_wait_.record(e.queue_wait_cycles);
-    service_.record(e.service_cycles);
+    const JobResult &r = e.result;
+    if (e.ran) {
+        runs_.add();
+        queue_wait_.record(r.queue_wait_cycles);
+        service_.record(r.service_cycles);
+        KernelCounters &kc = kernel(e.plan.name);
+        kc.runs->add();
+        kc.input_bytes->add(
+            static_cast<std::uint64_t>(r.stats.input_bytes()));
+    }
     // Faulted means Faulted/TimedOut, as ScheduleReport::faulted_runs
     // counts it; a Reject completes, as in WaveReport::completed.
-    if (e.cancelled)
+    if (r.cancelled)
         jobs_cancelled_.add();
-    else if (e.status == LaneStatus::Faulted ||
-             e.status == LaneStatus::TimedOut)
+    else if (r.status == LaneStatus::Faulted ||
+             r.status == LaneStatus::TimedOut)
         runs_faulted_.add();
     else
         jobs_completed_.add();
-    if (e.retried)
+    if (e.requeued)
         retries_.add();
-    if (e.quarantined)
+    else
+        e2e_.record(r.e2e_cycles);
+    if (r.quarantined)
         jobs_quarantined_.add();
-    if (e.final_disposition)
-        e2e_.record(e.e2e_cycles);
-    const unsigned code = static_cast<unsigned>(e.fault);
+    const unsigned code = static_cast<unsigned>(r.fault.code);
     if (code != 0 && code < kNumFaultCodes)
         fault_counters_[code]->add();
-    KernelCounters &kc = kernel(e.job_name);
-    kc.runs->add();
-    kc.input_bytes->add(e.input_bytes);
 }
 
 void
 RegistryTelemetry::on_wave(const WaveEvent &e)
 {
+    const WaveReport &w = e.report;
     waves_.add();
-    wave_occupancy_.record(e.jobs);
-    wave_banks_.record(e.banks_used);
-    wave_wall_.record(e.wall_cycles);
-    occupancy_.set(double(e.jobs) / double(kNumLanes));
+    wave_occupancy_.record(w.jobs);
+    wave_banks_.record(w.banks_used);
+    wave_wall_.record(w.wall_cycles);
+    occupancy_.set(double(w.jobs) / double(kNumLanes));
 }
 
 } // namespace udp::runtime

@@ -25,11 +25,15 @@
  *    scale-out primitive for per-shard registries.
  *  - Lifecycle events: the Scheduler sends `JobRunEvent` / `WaveEvent`
  *    records to every `TelemetrySink` in `SchedulerOptions::sinks`.
- *    `RegistryTelemetry` is the standard sink that turns those events
- *    into registry metrics; `SpanTracer` (spantrace.hpp) turns them
- *    into a trace.  With no sink attached (the default) no event is
- *    built — the same zero-overhead discipline as the core Tracer —
- *    and simulated results are bit-identical either way.
+ *    An event points at the run it describes (the job's plan and
+ *    result, the wave's report) instead of copying it, so every sink
+ *    reads the same record.  `RegistryTelemetry` is the standard sink
+ *    that turns those events into registry metrics; `SpanTracer`
+ *    (spantrace.hpp) turns them into a trace and `PostmortemSink`
+ *    (postmortem.hpp) into fault reports.  With no sink attached (the
+ *    default) no event is built — the same zero-overhead discipline as
+ *    the core Tracer — and simulated results are bit-identical either
+ *    way.
  */
 #pragma once
 
@@ -53,6 +57,10 @@ class Tracer; // core/trace.hpp
 }
 
 namespace udp::runtime {
+
+struct JobPlan;    // runtime/job.hpp
+struct JobResult;  // runtime/job.hpp
+struct WaveReport; // runtime/scheduler.hpp
 
 // ---------------------------------------------------------------------------
 // Metric primitives.
@@ -225,46 +233,41 @@ std::string prometheus_name(std::string_view name);
 
 /**
  * One run (attempt) of one job, emitted by the Scheduler as each wave
- * is harvested.  Latencies are *simulated* cycles, so they are
- * deterministic and thread-count independent: queue-wait is the
- * machine time of every wave that ran before this one (submission
- * happens at t = 0), service is the lane's own cycle count, end-to-end
- * is queue-wait plus the wave's wall (a wave is a barrier — results
- * become visible when it closes).
+ * is harvested, or one job the Scheduler dropped because it was
+ * cancelled before it was staged (`ran` false).  The event points at
+ * the run: `result` is the attempt's JobResult — status, LaneFault,
+ * lane, wave, attempt count, counters — and its latencies are
+ * *simulated* cycles, so they are deterministic and thread-count
+ * independent: queue-wait is the machine time of every wave that ran
+ * before this one (submission happens at t = 0), service is the lane's
+ * own cycle count, end-to-end is queue-wait plus the wave's wall (a
+ * wave is a barrier — results become visible when it closes).  Both
+ * references are valid for the duration of the call only.
  */
 struct JobRunEvent {
-    std::string_view job_name;  ///< JobPlan::name (the kernel's name)
+    const JobPlan &plan;     ///< the job's plan (name, program)
+    const JobResult &result; ///< this run's outcome
     std::size_t job_index = 0;  ///< submission-order index
     /// Unique per job across every Scheduler run in the process; shared
     /// by the job's attempts, its spans and its post-mortems.
     std::uint64_t trace_id = 0;
-    unsigned wave = 0;          ///< wave of this run
-    unsigned attempt = 1;       ///< 1-based attempt number
-    unsigned lane = 0;          ///< lane the run executed on
-    LaneStatus status = LaneStatus::Done;
-    FaultCode fault = FaultCode::None;
-    Cycles queue_wait_cycles = 0;
-    Cycles service_cycles = 0;
-    Cycles e2e_cycles = 0;
-    std::uint64_t input_bytes = 0;  ///< input consumed by this run
-    bool final_disposition = false; ///< completed or quarantined (won't rerun)
-    bool retried = false;           ///< requeued into a later wave
-    bool quarantined = false;       ///< gave up after max_attempts
-    bool cancelled = false;         ///< run discarded by JobControl::cancel
+    unsigned max_attempts = 1;  ///< the retry policy's cap
+    /// Requeued into a later wave; otherwise this is the job's final
+    /// disposition (completed, quarantined or cancelled).
+    bool requeued = false;
+    /// False for a job cancelled before it was staged: `result` is its
+    /// Cancelled disposition and no lane ran it.
+    bool ran = true;
+    /// The machine's lane Tracer (nullptr when none is attached); its
+    /// ring for `result.lane` holds this wave's micro-events.
+    const Tracer *lane_tracer = nullptr;
 };
 
 /// One closed scheduler wave.
 struct WaveEvent {
+    const WaveReport &report; ///< the wave's accounting
     unsigned index = 0;
-    unsigned jobs = 0;       ///< jobs packed into the wave (= busy lanes)
-    unsigned banks_used = 0; ///< local-memory banks occupied (<= 64)
-    unsigned completed = 0;
-    unsigned retried = 0;
-    unsigned quarantined = 0;
-    unsigned cancelled = 0;  ///< runs discarded mid-wave by cancellation
-    Cycles start_cycle = 0;  ///< machine time of the run's earlier waves
-    Cycles wall_cycles = 0;
-    double host_seconds = 0; ///< host time to stage+simulate+harvest it
+    Cycles start_cycle = 0;   ///< machine time of the run's earlier waves
     /// The machine's lane Tracer (nullptr when none is attached), valid
     /// for the duration of the call.  Its rings hold this wave's
     /// micro-events, stamped from cycle 0 at `start_cycle`; the
@@ -302,6 +305,10 @@ class TelemetrySink
  *   histograms job.queue_wait_cycles, job.service_cycles (per run),
  *              job.e2e_cycles (final dispositions only),
  *              wave.occupancy_lanes, wave.banks_used, wave.wall_cycles
+ *
+ * scheduler.runs, the per-run histograms and the per-kernel counters
+ * count only events that ran; a job cancelled before staging still
+ * counts once in scheduler.jobs.cancelled and job.e2e_cycles.
  *
  * All fixed-name metrics are resolved once at construction; per-kernel
  * counters are resolved on first sight of each kernel name.

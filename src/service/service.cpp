@@ -150,13 +150,8 @@ Service::Service(ServiceOptions opts)
 
     runtime::SchedulerOptions sopts = opts_.sched;
     sopts.sinks.push_back(telemetry_.get());
+    sopts.sinks.push_back(&postmortems_);
     sopts.control = control_.get();
-    // In-memory capture must out-survive one batch's worst case so
-    // finalize_batch can route every new report to its tenant.
-    const std::size_t per_batch = std::size_t{opts_.max_batch_jobs} *
-                                  std::max(4u, sopts.retry.max_attempts);
-    sopts.postmortem.keep_last =
-        std::max(sopts.postmortem.keep_last, per_batch);
     scheduler_ = std::make_unique<runtime::Scheduler>(sopts);
 
     loop_ = std::thread([this] { run_loop(); });
@@ -594,24 +589,15 @@ Service::finalize_batch(const std::vector<std::shared_ptr<JobRecord>> &batch,
         make_terminal(rec, state, now);
     }
 
-    // Route this batch's new post-mortems to their tenants.  The
-    // scheduler's deque holds up to keep_last reports across batches;
-    // the last `faulted_runs` entries are this run's captures (the
-    // ctor sizes keep_last so a batch's worst case fits).
-    if (rep.faulted_runs > 0) {
-        const auto &pms = scheduler_->postmortems();
-        std::size_t fresh = std::min<std::size_t>(rep.faulted_runs,
-                                                  pms.size());
-        for (auto it = pms.end() - static_cast<std::ptrdiff_t>(fresh);
-             it != pms.end(); ++it) {
-            if (it->job_index >= batch.size())
-                continue;
-            Tenant &t = *tenants_[batch[it->job_index]->tenant];
-            t.pms.push_back(*it);
-            while (t.pms.size() > kPostmortemsPerTenant)
-                t.pms.pop_front();
-        }
+    // Route this batch's post-mortems to their tenants, then empty the
+    // sink for the next batch (only the run loop touches it).
+    for (runtime::FaultReport &fr : postmortems_.reports()) {
+        Tenant &t = *tenants_[batch[fr.job_index]->tenant];
+        t.pms.push_back(std::move(fr));
+        while (t.pms.size() > kPostmortemsPerTenant)
+            t.pms.pop_front();
     }
+    postmortems_.reports().clear();
 
     ++batches_;
     waves_ += rep.waves.size();

@@ -26,6 +26,10 @@
  *    attempt's result and suppresses retries.
  *  - *Circuit breakers*: a tenant whose jobs keep quarantining trips
  *    into cool-down (admission.hpp) instead of burning retry budget.
+ *  - *Per-tenant post-mortems*: the service's own `PostmortemSink`
+ *    captures every faulted run of a batch; after the batch the run
+ *    loop moves each report into its tenant's ring of 8, so a tenant
+ *    sees only its own faults.
  *  - *Graceful drain*: `drain()` stops admitting, finishes queued and
  *    in-flight waves (breakers no longer hold jobs back), flushes
  *    telemetry and post-mortems, and joins the run loop.
@@ -174,10 +178,11 @@ struct ServiceStats {
 /// Service construction knobs.
 struct ServiceOptions {
     /// Scheduler configuration the run loop uses (retry policy, host
-    /// threads, cycle budgets...).  `control` and `postmortem.keep_last`
-    /// are managed by the service itself, which also appends its
-    /// registry sink to `sinks`: caller sinks (a SpanTracer, say) still
-    /// see every event.
+    /// threads, cycle budgets...).  `control` is managed by the service
+    /// itself, which also appends its registry sink and its post-mortem
+    /// sink to `sinks`: caller sinks (a SpanTracer, or a PostmortemSink
+    /// writing report files) still see every event, from the run-loop
+    /// thread — read them after drain().
     runtime::SchedulerOptions sched;
     /// Jobs per Scheduler batch (>= 1; one 64-lane wave by default).
     unsigned max_batch_jobs = kNumLanes;
@@ -301,6 +306,10 @@ class Service
     std::unique_ptr<runtime::MetricRegistry> owned_registry_;
     runtime::MetricRegistry *registry_;
     std::unique_ptr<runtime::RegistryTelemetry> telemetry_;
+    /// This service's post-mortem capture: every faulted run of a batch,
+    /// moved into the owning tenant's ring by finalize_batch.  Only the
+    /// run-loop thread touches it.
+    runtime::PostmortemSink postmortems_;
     std::unique_ptr<runtime::Scheduler> scheduler_;
 
     mutable std::mutex mu_;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <sstream>
 #include <thread>
 
 using namespace udp;
@@ -111,6 +112,37 @@ struct WaveCancelSink final : TelemetrySink {
     }
     void on_job_run(const JobRunEvent &) override {}
 };
+
+std::uint64_t
+counter_of(const MetricRegistry &reg, const std::string &name)
+{
+    for (const auto &[n, v] : reg.counters())
+        if (n == name)
+            return v;
+    ADD_FAILURE() << "no counter " << name;
+    return 0;
+}
+
+std::uint64_t
+samples_of(const MetricRegistry &reg, const std::string &name)
+{
+    for (const auto &[n, h] : reg.histograms())
+        if (n == name)
+            return h.count;
+    ADD_FAILURE() << "no histogram " << name;
+    return 0;
+}
+
+/// Non-overlapping occurrences of `needle` in `text`.
+std::size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
 
 } // namespace
 
@@ -316,6 +348,56 @@ TEST(Scheduler, CancelWhileQueuedForRetryDropsRetry)
     EXPECT_EQ(rep.jobs[1].attempts, 1u); // the faulted first run only
     EXPECT_EQ(rep.jobs[0].status, LaneStatus::Done);
     EXPECT_EQ(rep.jobs[2].status, LaneStatus::Done);
+}
+
+TEST(Scheduler, JobsDroppedBeforeStagingReachTheSinks)
+{
+    // A job the Scheduler drops before staging — its queued retry
+    // cancelled, or cancelled before its first run — still reaches
+    // every sink once, as its final disposition: counted cancelled,
+    // one end-to-end sample and one job span, but no run and no
+    // attempt on a lane.
+    auto jobs = trigger_jobs(3);
+    FaultInjector inj(0xBEEF);
+    inj.force_trap(jobs[1], 300, 1); // transient: a retry would succeed
+
+    for (const bool before_first_run : {false, true}) {
+        SCOPED_TRACE(before_first_run ? "before its first run"
+                                      : "queued for retry");
+        JobControl control(jobs.size());
+        if (before_first_run)
+            control.cancel(1);
+        WaveCancelSink cancel;
+        cancel.control = &control;
+        cancel.wave = 0;
+        cancel.job = 1;
+        MetricRegistry reg;
+        RegistryTelemetry telemetry(reg);
+        SpanTracer spans;
+        SchedulerOptions o;
+        o.control = &control;
+        o.sinks = {&cancel, &telemetry, &spans};
+        o.retry.max_attempts = 3;
+        Scheduler s(o);
+        const auto rep = s.run(jobs);
+        const std::uint64_t runs = before_first_run ? 2 : 3;
+
+        ASSERT_EQ(rep.cancelled, 1u);
+        EXPECT_EQ(rep.jobs[1].status, LaneStatus::Cancelled);
+        EXPECT_EQ(counter_of(reg, "scheduler.jobs.cancelled"),
+                  rep.cancelled);
+        EXPECT_EQ(counter_of(reg, "scheduler.runs"), runs);
+        EXPECT_EQ(counter_of(reg, "kernel.trigger-p6.runs"), runs);
+        EXPECT_EQ(samples_of(reg, "job.service_cycles"), runs);
+        EXPECT_EQ(samples_of(reg, "job.e2e_cycles"), jobs.size());
+
+        std::ostringstream os;
+        spans.write_chrome_trace(os);
+        const std::string trace = os.str();
+        // Every job span begins and ends once; attempts run on lanes.
+        EXPECT_EQ(occurrences(trace, "\"name\":\"job "), 2 * jobs.size());
+        EXPECT_EQ(occurrences(trace, "\"cat\":\"udp.attempt\""), runs);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -763,6 +845,61 @@ TEST(Service, PostmortemsRoutedPerTenant)
     EXPECT_EQ(hpm.back().status, LaneStatus::Faulted);
     EXPECT_FALSE(hpm.back().disassembly.empty());
     EXPECT_TRUE(svc.postmortems(g).empty()); // and nobody else's
+}
+
+TEST(Service, CallerPostmortemSinkSeesEveryFaultedRun)
+{
+    // A caller's PostmortemSink in sched.sinks receives every faulted
+    // run of every tenant, while each tenant's ring keeps only its own
+    // reports, at most 8.  Job names tell the tenants apart.
+    PostmortemSink caller;
+    ServiceOptions so;
+    so.sched.retry.max_attempts = 2;
+    so.sched.sinks = {&caller};
+    Service svc(so);
+    const TenantId a = svc.register_tenant(open_tenant("a"));
+    const TenantId b = svc.register_tenant(open_tenant("b"));
+    const TenantId c = svc.register_tenant(open_tenant("clean"));
+
+    FaultInjector inj(0xF01D);
+    const auto plans = trigger_jobs(9);
+    std::vector<JobId> ids;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        JobPlan plan = plans[i];
+        TenantId t = c;
+        if (i < 6) { // faults on every attempt: 12 runs for tenant a
+            plan.name = "a-job";
+            inj.force_trap(plan, 300);
+            t = a;
+        } else if (i < 8) { // 4 runs for tenant b
+            plan.name = "b-job";
+            inj.force_trap(plan, 300);
+            t = b;
+        }
+        ids.push_back(svc.submit(t, std::move(plan)));
+    }
+    for (const JobId id : ids)
+        ASSERT_TRUE(svc.wait(id, 60.0).has_value());
+    svc.drain(); // joins the run loop: the caller's sink is ours again
+
+    std::size_t a_runs = 0, b_runs = 0;
+    for (const FaultReport &fr : caller.reports()) {
+        a_runs += fr.job_name == "a-job";
+        b_runs += fr.job_name == "b-job";
+    }
+    EXPECT_EQ(a_runs, 12u);
+    EXPECT_EQ(b_runs, 4u);
+    EXPECT_EQ(caller.reports().size(), 16u);
+
+    const auto apm = svc.postmortems(a);
+    const auto bpm = svc.postmortems(b);
+    EXPECT_EQ(apm.size(), 8u); // the newest 8 of 12
+    EXPECT_EQ(bpm.size(), 4u);
+    for (const FaultReport &fr : apm)
+        EXPECT_EQ(fr.job_name, "a-job");
+    for (const FaultReport &fr : bpm)
+        EXPECT_EQ(fr.job_name, "b-job");
+    EXPECT_TRUE(svc.postmortems(c).empty());
 }
 
 TEST(Service, DrainCompletesQueuedJobsAndRejectsNewOnes)

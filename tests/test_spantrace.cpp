@@ -191,11 +191,12 @@ TEST(SpanTrace, RingWraparoundCountsDrops)
 
     // The span-side caps drop keep-first as well.
     SpanTracer capped(/*max_spans=*/2, /*max_lane_events=*/4);
+    JobPlan plan;
+    plan.name = "j";
+    const JobResult result;
     for (unsigned i = 0; i < 5; ++i) {
-        JobRunEvent ev;
-        ev.job_name = "j";
+        JobRunEvent ev{plan, result};
         ev.job_index = i;
-        ev.final_disposition = true;
         capped.on_job_run(ev);
     }
     EXPECT_EQ(capped.attempts().size(), 2u);
@@ -212,11 +213,12 @@ TEST(SpanTrace, HostileJobNamesAreEscaped)
     spans.on_schedule(3);
     const char *names[] = {"quote\"inside", "back\\slash",
                            "ctrl\x01\ttab\nnewline"};
+    const JobResult result;
     for (unsigned i = 0; i < 3; ++i) {
-        JobRunEvent ev;
-        ev.job_name = names[i];
+        JobPlan plan;
+        plan.name = names[i];
+        JobRunEvent ev{plan, result};
         ev.job_index = i;
-        ev.final_disposition = true;
         spans.on_job_run(ev);
     }
     const std::string text = exported(spans);
@@ -326,9 +328,9 @@ TEST(SpanTrace, ResultsBitIdenticalWithAllSinksAttached)
         SpanTracer spans;
         SchedulerOptions opts;
         opts.threads = threads;
-        opts.sinks = {&sink, &spans};
+        PostmortemSink postmortems({}, 4);
+        opts.sinks = {&sink, &spans, &postmortems};
         opts.lane_tracer = &tracer;
-        opts.postmortem.keep_last = 4;
         Scheduler observed(opts);
         const ScheduleReport rep = observed.run(jobs);
 
@@ -357,15 +359,16 @@ TEST(Postmortem, QuarantineCapturesOneReportPerAttempt)
     inj.poison_program(jobs[5]); // BadDispatch on every attempt
 
     Tracer tracer;
+    PostmortemSink postmortems({}, 8);
     SchedulerOptions opts;
     opts.retry.max_attempts = 3;
     opts.lane_tracer = &tracer;
-    opts.postmortem.keep_last = 8;
+    opts.sinks = {&postmortems};
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
     EXPECT_EQ(rep.quarantined, 1u);
 
-    const auto &pms = sched.postmortems();
+    const auto &pms = postmortems.reports();
     ASSERT_EQ(pms.size(), 3u);
     for (unsigned i = 0; i < 3; ++i) {
         const FaultReport &fr = pms[i];
@@ -396,15 +399,16 @@ TEST(Postmortem, ForcedTrapCapturesRecentRingEvents)
     inj.force_trap(jobs[2], 500, /*attempts=*/1);
 
     Tracer tracer;
+    PostmortemSink postmortems({}, 4);
     SchedulerOptions opts;
     opts.retry.max_attempts = 2;
     opts.lane_tracer = &tracer;
-    opts.postmortem.keep_last = 4;
+    opts.sinks = {&postmortems};
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
     EXPECT_EQ(rep.quarantined, 0u); // recovered on attempt 2
 
-    const auto &pms = sched.postmortems();
+    const auto &pms = postmortems.reports();
     ASSERT_EQ(pms.size(), 1u);
     const FaultReport &fr = pms.front();
     EXPECT_EQ(fr.fault.code, FaultCode::ForcedTrap);
@@ -430,14 +434,15 @@ TEST(Postmortem, RecentEventsHoldOnlyTheFaultingWave)
     inj.force_trap(jobs[70], 50, /*attempts=*/1);
 
     Tracer tracer;
+    PostmortemSink postmortems({}, 4);
     SchedulerOptions opts;
     opts.lane_tracer = &tracer;
-    opts.postmortem.keep_last = 4;
+    opts.sinks = {&postmortems};
     Scheduler sched(opts);
     sched.run(jobs);
 
-    ASSERT_EQ(sched.postmortems().size(), 1u);
-    const FaultReport &fr = sched.postmortems().front();
+    ASSERT_EQ(postmortems.reports().size(), 1u);
+    const FaultReport &fr = postmortems.reports().front();
     EXPECT_EQ(fr.job_index, 70u);
     EXPECT_EQ(fr.wave, 1u);
     ASSERT_FALSE(fr.recent_events.empty());
@@ -457,23 +462,24 @@ TEST(Postmortem, TraceIdsAreDistinctAndMatchAttemptSpans)
     inj.force_trap(jobs[5], 50, /*attempts=*/1);
 
     // Without spans, distinct faulted jobs still get distinct ids.
+    PostmortemSink unspanned_pms({}, 4);
     SchedulerOptions bare;
-    bare.postmortem.keep_last = 4;
+    bare.sinks = {&unspanned_pms};
     Scheduler unspanned(bare);
     unspanned.run(jobs);
-    ASSERT_EQ(unspanned.postmortems().size(), 2u);
-    EXPECT_NE(unspanned.postmortems()[0].trace_id,
-              unspanned.postmortems()[1].trace_id);
+    ASSERT_EQ(unspanned_pms.reports().size(), 2u);
+    EXPECT_NE(unspanned_pms.reports()[0].trace_id,
+              unspanned_pms.reports()[1].trace_id);
 
     // With spans, each report's id is its job's attempt-span id.
     SpanTracer spans;
+    PostmortemSink spanned_pms({}, 4);
     SchedulerOptions opts;
-    opts.sinks = {&spans};
-    opts.postmortem.keep_last = 4;
+    opts.sinks = {&spans, &spanned_pms};
     Scheduler spanned(opts);
     spanned.run(jobs);
-    ASSERT_EQ(spanned.postmortems().size(), 2u);
-    for (const FaultReport &fr : spanned.postmortems()) {
+    ASSERT_EQ(spanned_pms.reports().size(), 2u);
+    for (const FaultReport &fr : spanned_pms.reports()) {
         std::size_t matched = 0;
         for (const AttemptSpan &a : spans.attempts()) {
             if (a.job_index != fr.job_index)
@@ -495,15 +501,16 @@ TEST(Postmortem, ReportSerializesToValidJsonFile)
         (std::filesystem::path(testing::TempDir()) / "pm_out").string();
     std::filesystem::remove_all(dir);
     Tracer tracer;
+    PostmortemSink postmortems(dir, 0);
     SchedulerOptions opts;
     opts.retry.max_attempts = 2;
     opts.lane_tracer = &tracer;
-    opts.postmortem.dir = dir;
+    opts.sinks = {&postmortems};
     Scheduler sched(opts);
     sched.run(jobs);
 
-    // keep_last stayed 0: files were written, memory kept nothing.
-    EXPECT_TRUE(sched.postmortems().empty());
+    // keep_last 0: files were written, memory kept nothing.
+    EXPECT_TRUE(postmortems.reports().empty());
     unsigned files = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
         ++files;
@@ -538,17 +545,17 @@ TEST(Postmortem, KeepLastTrimsAndMaxFilesCapsWrites)
     const std::string dir =
         (std::filesystem::path(testing::TempDir()) / "pm_cap").string();
     std::filesystem::remove_all(dir);
+    PostmortemSink postmortems(dir, 5);
     SchedulerOptions opts;
     opts.max_cycles_per_lane = 64;
     opts.retry.max_attempts = 2;
-    opts.postmortem.dir = dir;
-    opts.postmortem.keep_last = 5;
+    opts.sinks = {&postmortems};
     Scheduler sched(opts);
     const ScheduleReport rep = sched.run(jobs);
     EXPECT_EQ(rep.faulted_runs, 2 * jobs.size());
     EXPECT_EQ(rep.quarantined, jobs.size());
 
-    const auto &pms = sched.postmortems();
+    const auto &pms = postmortems.reports();
     ASSERT_EQ(pms.size(), 5u); // oldest evicted
     for (const FaultReport &fr : pms) {
         EXPECT_EQ(fr.status, LaneStatus::TimedOut);
@@ -561,6 +568,61 @@ TEST(Postmortem, KeepLastTrimsAndMaxFilesCapsWrites)
         ++files;
     }
     EXPECT_EQ(files, kMaxPostmortemFiles);
+}
+
+TEST(Postmortem, OneSinkServesSuccessiveSchedulers)
+{
+    // One sink, two Schedulers in turn: the report ring spans both
+    // runs, while the file cap and the attempt history restart with
+    // each run.  All 40 jobs time out on both attempts, so each run
+    // faults 80 times against the 64-file cap.
+    std::vector<JobPlan> jobs;
+    for (int copy = 0; copy < 5; ++copy)
+        for (JobPlan &p : trace_fleet(8))
+            jobs.push_back(std::move(p));
+    const std::string dir =
+        (std::filesystem::path(testing::TempDir()) / "pm_two_runs")
+            .string();
+    std::filesystem::remove_all(dir);
+    const auto files = [&dir] {
+        std::size_t n = 0;
+        for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+            (void)entry;
+            ++n;
+        }
+        return n;
+    };
+    PostmortemSink postmortems(dir);
+    SchedulerOptions opts;
+    opts.max_cycles_per_lane = 64;
+    opts.retry.max_attempts = 2;
+    opts.sinks = {&postmortems};
+
+    Scheduler first(opts);
+    first.run(jobs);
+    ASSERT_EQ(postmortems.reports().size(), 2 * jobs.size());
+    EXPECT_EQ(files(), kMaxPostmortemFiles);
+
+    std::filesystem::remove_all(dir);
+    Scheduler second(opts);
+    second.run(jobs);
+    EXPECT_EQ(files(), kMaxPostmortemFiles); // the cap restarted
+
+    const auto &pms = postmortems.reports();
+    ASSERT_EQ(pms.size(), 4 * jobs.size()); // one ring, oldest first
+    const std::uint64_t second_base = pms[2 * jobs.size()].trace_id;
+    for (std::size_t i = 0; i < pms.size(); ++i) {
+        const FaultReport &fr = pms[i];
+        const bool in_second = i >= 2 * jobs.size();
+        EXPECT_EQ(fr.trace_id >= second_base, in_second) << i;
+        // Each report lists only its own run's earlier attempts.
+        ASSERT_EQ(fr.attempt_history.size(), fr.attempt - 1) << i;
+        for (const AttemptOutcome &h : fr.attempt_history) {
+            EXPECT_EQ(h.attempt, 1u);
+            EXPECT_EQ(h.wave, 0u);
+            EXPECT_EQ(h.status, LaneStatus::TimedOut);
+        }
+    }
 }
 
 TEST(Postmortem, DisassemblyIsDefensiveOnHostileBases)
@@ -577,13 +639,14 @@ TEST(Postmortem, DisassemblyIsDefensiveOnHostileBases)
     auto poisoned = trace_fleet(2);
     FaultInjector inj(13);
     inj.poison_program(poisoned[0]);
+    PostmortemSink postmortems({}, 1);
     SchedulerOptions opts;
     opts.retry.max_attempts = 1;
-    opts.postmortem.keep_last = 1;
+    opts.sinks = {&postmortems};
     Scheduler sched(opts);
     sched.run(poisoned);
-    ASSERT_EQ(sched.postmortems().size(), 1u);
-    const FaultReport &fr = sched.postmortems().front();
+    ASSERT_EQ(postmortems.reports().size(), 1u);
+    const FaultReport &fr = postmortems.reports().front();
     EXPECT_FALSE(fr.disassembly.empty());
     EXPECT_EQ(fr.fault.code, FaultCode::BadDispatch);
 }

@@ -367,13 +367,13 @@ TEST(Telemetry, ConcurrentSinksMergeToFleetView)
         for (unsigned t = 0; t < kShards; ++t)
             pool.emplace_back([&shards, t] {
                 RegistryTelemetry sink(shards[t]);
+                JobPlan plan;
+                plan.name = "csv";
                 for (unsigned i = 0; i < kPer; ++i) {
-                    JobRunEvent ev;
-                    ev.job_name = "csv";
-                    ev.service_cycles = 100 + i;
-                    ev.e2e_cycles = 150 + i;
-                    ev.final_disposition = true;
-                    sink.on_job_run(ev);
+                    JobResult result;
+                    result.service_cycles = 100 + i;
+                    result.e2e_cycles = 150 + i;
+                    sink.on_job_run({plan, result});
                 }
             });
     }

@@ -18,6 +18,10 @@
  *    included.  Both interpreters must produce it identically, fault
  *    detail text and all (docs/ROBUSTNESS.md).
  *
+ * A seeded fuzz extends the corpus: 2,000 copies of the kernels with
+ * 1-3 random bits flipped anywhere in their dispatch and action images
+ * must run identically on both interpreters.
+ *
  * Also pinned here: the `step_once` entry, also on a lane that switches
  * interpreter between steps, run_lockstep, also with lanes on different
  * interpreters, the `set_sim_backend` toggle across every run entry
@@ -949,6 +953,50 @@ TEST(ThreadedCode, NfaTargetPastTheImageFaultsOnBothBackends)
     EXPECT_EQ(threaded.fault.code, FaultCode::BadDispatch);
     expect_identical(threaded, legacy);
     EXPECT_EQ(threaded.fault.detail, legacy.fault.detail);
+}
+
+TEST(ThreadedCode, BitFlippedImagesAgreeAcrossInterpreters)
+{
+    // Seeded differential fuzz: flip 1-3 random bits anywhere in one
+    // kernel's dispatch and action images and run the damaged program
+    // on both interpreters under a cycle cap.  They must agree on the
+    // whole record, fault detail included.  A divergence is an engine
+    // bug: the failing case names its kernel and case number, and the
+    // fixed seed replays it.
+    constexpr unsigned kCases = 2000;
+    constexpr std::uint64_t kCycleCap = 20'000;
+    const auto plans = kernel_plans();
+    runtime::FaultInjector rng(0xB17F'11D5ull);
+    unsigned faulted = 0, finished = 0;
+    for (unsigned c = 0; c < kCases && !HasFailure(); ++c) {
+        const auto &[name, base] = plans[rng.next_below(plans.size())];
+        auto prog = std::make_shared<Program>(*base.program);
+        const std::size_t words = prog->dispatch.size() + prog->actions.size();
+        const unsigned flips = 1 + static_cast<unsigned>(rng.next_below(3));
+        for (unsigned f = 0; f < flips; ++f) {
+            const std::size_t at = rng.next_below(words);
+            Word &w = at < prog->dispatch.size()
+                          ? prog->dispatch[at]
+                          : prog->actions[at - prog->dispatch.size()];
+            w ^= Word{1} << rng.next_below(32);
+        }
+        runtime::JobPlan plan = base;
+        plan.program = prog;
+        plan.compiled = nullptr; // a stale image would run the original
+
+        SCOPED_TRACE(name + " case " + std::to_string(c));
+        const auto threaded =
+            run_backend(plan, SimBackend::Threaded, kCycleCap);
+        const auto legacy = run_backend(plan, SimBackend::Legacy, kCycleCap);
+        expect_identical(threaded, legacy);
+        EXPECT_EQ(threaded.fault.detail, legacy.fault.detail);
+        faulted += threaded.status == LaneStatus::Faulted;
+        finished += threaded.status == LaneStatus::Done ||
+                    threaded.status == LaneStatus::Reject;
+    }
+    // Both outcomes must be common, or the comparison proves little.
+    EXPECT_GE(faulted * 10, kCases) << faulted << " of " << kCases;
+    EXPECT_GE(finished * 10, kCases) << finished << " of " << kCases;
 }
 
 TEST(ThreadedCode, WatchdogCutsEveryBackendAtTheSameCycle)
