@@ -8,13 +8,14 @@
  *   --trace <path>   merged Chrome trace (shared bench flag; this bench
  *                    additionally instruments the first dataset's probe
  *                    run with the shared lane tracer)
- *   --profile        hot-state / hot-action report for the same run
+ *   --profile        hot-state / hot-action report for the same run (from
+ *                    the shared lane tracer, or a local one without
+ *                    --trace)
  */
 #include "support.hpp"
 
 #include "assembler/disasm.hpp"
 #include "baselines/csv.hpp"
-#include "core/profile.hpp"
 #include "core/trace.hpp"
 #include "kernels/csv.hpp"
 #include "workloads/generators.hpp"
@@ -48,7 +49,10 @@ main(int argc, char **argv)
                  {"dataset", "CPU MB/s", "UDP lane MB/s", "lane/thread",
                   "UDP32 MB/s", "TPut/W ratio"});
 
-    Profiler profiler;
+    Tracer local_tracer;
+    Tracer *const probe_tracer =
+        bench_lane_tracer() ? bench_lane_tracer()
+                            : want_profile ? &local_tracer : nullptr;
     bool first = true;
     for (const auto &ds : sets) {
         const Bytes data(ds.text.begin(), ds.text.end());
@@ -57,13 +61,12 @@ main(int argc, char **argv)
         p.cpu_mbps = time_cpu_mbps(
             [&] { baselines::parse_csv(data); }, data.size());
         // Instrument only the first dataset, on a separate machine, so
-        // the flags never perturb the reported rates.  The lane tracer
-        // is the shared --trace one: its events land in the merged
+        // the flags never perturb the reported rates.  Under --trace the
+        // lane tracer is the shared one: its events land in the merged
         // trace MetricsRecorder::finish() writes.
-        if (first && (bench_lane_tracer() || want_profile)) {
+        if (first && probe_tracer) {
             Machine probe(AddressingMode::Restricted);
-            probe.set_tracer(bench_lane_tracer());
-            probe.set_profiler(&profiler);
+            probe.set_tracer(probe_tracer);
             kernels::run_csv_kernel(probe, 0, data, 0);
         }
         Machine m(AddressingMode::Restricted);
@@ -85,7 +88,8 @@ main(int argc, char **argv)
     if (want_profile) {
         const Program prog = kernels::csv_parser_program();
         std::printf("\n%s",
-                    profiler.report(10, make_state_symbolizer(prog))
+                    probe_tracer->profile()
+                        .report(10, make_state_symbolizer(prog))
                         .c_str());
     }
     return rec.finish();

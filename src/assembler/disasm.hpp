@@ -5,8 +5,8 @@
  */
 #pragma once
 
-#include "core/profile.hpp"
 #include "core/program.hpp"
+#include "core/trace.hpp"
 
 #include <string>
 
@@ -23,7 +23,7 @@ std::string format_action(const Action &a);
 /// " [r0-dispatch]" suffix for register-sourced states).
 std::string state_label(const Program &prog, std::uint32_t base);
 
-/// Symbolizer for Profiler::report(): resolves dispatch bases to the
+/// Symbolizer for Profile::report(): resolves dispatch bases to the
 /// same labels disassemble() prints.  Snapshots the state table, so the
 /// returned callable does not reference `prog` afterwards.
 StateSymbolizer make_state_symbolizer(const Program &prog);

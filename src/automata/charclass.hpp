@@ -34,10 +34,6 @@ class CharClass
     }
 
     void add(std::uint8_t c) { bits_.set(c); }
-    void add_range(std::uint8_t lo, std::uint8_t hi) {
-        for (unsigned c = lo; c <= hi; ++c)
-            bits_.set(c);
-    }
     void negate() { bits_.flip(); }
     void unite(const CharClass &o) { bits_ |= o.bits_; }
 

@@ -9,24 +9,6 @@
 
 namespace udp::baselines {
 
-unsigned
-HuffmanCode::max_length() const
-{
-    unsigned m = 0;
-    for (const auto l : length)
-        m = std::max<unsigned>(m, l);
-    return m;
-}
-
-unsigned
-HuffmanCode::alphabet_size() const
-{
-    unsigned n = 0;
-    for (const auto l : length)
-        n += l ? 1 : 0;
-    return n;
-}
-
 HuffmanCode
 build_huffman(BytesView data)
 {

@@ -22,10 +22,6 @@ struct HuffmanCode {
     std::array<std::uint8_t, 256> length{};
     /// Per-symbol code value, MSB-first in the low `length` bits.
     std::array<std::uint16_t, 256> code{};
-
-    unsigned max_length() const;
-    /// Number of symbols with non-zero length.
-    unsigned alphabet_size() const;
 };
 
 /// Build a canonical code from the byte frequencies of `data`.

@@ -37,8 +37,8 @@ std::uint64_t program_fingerprint(const Program &prog);
  *  - Legacy: the decode-per-step reference interpreter;
  *  - Threaded: the flat threaded-code op stream and arc tables
  *    (core/threaded_program.hpp).
- * A lane with a tracer or profiler attached runs the reference under
- * either setting.
+ * A lane with a tracer attached runs the reference under either
+ * setting.
  */
 enum class SimBackend : std::uint8_t {
     Legacy = 0,

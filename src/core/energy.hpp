@@ -64,11 +64,6 @@ struct UdpCostModel {
     /// Whole-system power in watts (the paper's perf/W denominator).
     double system_power_w() const { return system_mw / 1000.0; }
 
-    /// Logic-only power (excludes the 1 MiB local memory), watts.
-    double logic_power_w() const {
-        return (lanes64_mw + vector_regs_mw + dlt_engine_mw) / 1000.0;
-    }
-
     /// Table 3 rows, in paper order.
     std::vector<ComponentCost> lane_breakdown() const;
     std::vector<ComponentCost> system_breakdown() const;

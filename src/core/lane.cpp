@@ -8,15 +8,14 @@
  * lowers each decoded word with the compiler's helper and calls the
  * same op handler the threaded engine's op stream calls, so every
  * opcode's semantics are written once (core/threaded_program.cpp).
- * The tracer and profiler hooks live only here: a lane with either
- * attached always runs the reference, and a bare lane with a compiled
- * image runs `ThreadedEngine`.  Simulated results are bit-identical
- * either way (tests/test_threaded.cpp).
+ * The tracer hooks live only here: a lane with a tracer attached always
+ * runs the reference, and a bare lane with a compiled image runs
+ * `ThreadedEngine`.  Simulated results are bit-identical either way
+ * (tests/test_threaded.cpp).
  */
 #include "lane.hpp"
 
 #include "decoded_program.hpp"
-#include "profile.hpp"
 #include "threaded_program.hpp"
 #include "trace.hpp"
 
@@ -459,8 +458,8 @@ Lane::step(const StateMeta &meta)
  * The reference action unit: fetch and decode one word at a time, lower
  * it exactly as the compiler does, and run the op's handler — the same
  * function the compiled op stream calls.  Fetch faults are raised here,
- * before the charges a decoded word would incur; the tracer and
- * profiler hooks wrap each op.
+ * before the charges a decoded word would incur; the tracer hooks wrap
+ * each op.
  */
 LaneStatus
 Lane::exec_actions(std::size_t addr)
@@ -497,10 +496,9 @@ Lane::exec_actions(std::size_t addr)
                                     stats_.cycles,
                                     ThreadedEngine::emitlut_entry(*this, o),
                                     0);
+                tracer_->record_action(id_, a.op,
+                                       1 + (stats_.cycles - act_start));
             }
-            if (profiler_)
-                profiler_->record_action(a.op,
-                                         1 + (stats_.cycles - act_start));
             if (e != OpExit::Next)
                 return e == OpExit::Done ? LaneStatus::Done
                                          : LaneStatus::Reject;
@@ -529,7 +527,7 @@ Lane::run_steps_legacy(std::uint64_t n)
                 "Lane: dispatch into unknown state base " +
                     std::to_string(cur_state_));
         StepResult r;
-        if (profiler_) {
+        if (tracer_) {
             // Everything the step charges (dispatch, miss penalty,
             // attached actions, stalls) is attributed to this state.
             const Cycles c0 = stats_.cycles;
@@ -537,8 +535,8 @@ Lane::run_steps_legacy(std::uint64_t n)
             const std::uint64_t s0 = stats_.stall_cycles;
             r = step(*meta);
             if (stats_.cycles != c0) // zero delta = end-of-stream probe
-                profiler_->record_state(
-                    static_cast<std::uint32_t>(cur_state_),
+                tracer_->record_state(
+                    id_, static_cast<std::uint32_t>(cur_state_),
                     stats_.cycles - c0, stats_.sig_misses - m0,
                     stats_.stall_cycles - s0);
         } else {
@@ -666,13 +664,13 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
                     ++stats_.cycles;
                     ++stats_.dispatches;
                     ++stats_.dispatch_reads;
-                    if (tracer_)
+                    if (tracer_) {
                         tracer_->record(
                             id_, TraceEventKind::Dispatch, stats_.cycles,
                             static_cast<std::uint32_t>(tgt), 0);
-                    if (profiler_)
-                        profiler_->record_state(
-                            static_cast<std::uint32_t>(tgt), 1, 0, 0);
+                        tracer_->record_state(
+                            id_, static_cast<std::uint32_t>(tgt), 1, 0, 0);
+                    }
                     stamp[tgt] = generation;
                     set.push_back(tgt);
                     std::size_t act;
@@ -764,9 +762,9 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
             }
             // `have == false`: this activation dies, after charging the
             // dispatch + miss cycles profiled below.
-            if (profiler_)
-                profiler_->record_state(
-                    static_cast<std::uint32_t>(base),
+            if (tracer_)
+                tracer_->record_state(
+                    id_, static_cast<std::uint32_t>(base),
                     stats_.cycles - prof_c0, stats_.sig_misses - prof_m0,
                     stats_.stall_cycles - prof_s0);
         }

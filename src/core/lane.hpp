@@ -22,9 +22,9 @@
  * Host-side interpretation runs on one of two interpreters
  * (docs/PERFORMANCE.md):
  *   - `ThreadedEngine` over a shared compiled image (the default), for
- *     any lane with no tracer or profiler attached;
+ *     any lane with no tracer attached;
  *   - the decode-per-step reference in lane.cpp, for the Legacy backend
- *     and for every lane with a tracer or profiler attached.
+ *     and for every lane with a tracer attached.
  * Both call the same op handlers, and simulated counters never depend
  * on the interpreter taken.  Their data paths differ in one place: on
  * the threaded engine with no bank arbiter, Loopcpy moves an in-range
@@ -47,7 +47,6 @@
 namespace udp {
 
 class Tracer;          // trace.hpp
-class Profiler;        // profile.hpp
 class CompiledProgram; // threaded_program.hpp
 class ThreadedEngine;  // threaded_program.hpp
 
@@ -99,11 +98,11 @@ class Lane
     const CompiledProgram *compiled() const { return compiled_.get(); }
 
     /// Whether the run entries take ThreadedEngine: a compiled image is
-    /// bound and neither a tracer nor a profiler is attached.  Otherwise
-    /// they run the reference interpreter.  It also gates the block
-    /// data path (with no bank arbiter attached): off the fast path,
-    /// every byte goes through the per-byte memory path.
-    bool fast_path() const { return compiled_ && !tracer_ && !profiler_; }
+    /// bound and no tracer is attached.  Otherwise they run the
+    /// reference interpreter.  It also gates the block data path (with
+    /// no bank arbiter attached): off the fast path, every byte goes
+    /// through the per-byte memory path.
+    bool fast_path() const { return compiled_ && !tracer_; }
 
     /// Attach the input stream (not copied).
     void set_input(BytesView data);
@@ -170,23 +169,19 @@ class Lane
     /// window base, dispatch window, forced trap and attached input, so
     /// a reassigned lane cannot observe any state from the previous
     /// wave — nor read its program, which may be freed by now.  Run
-    /// configuration (tracer, profiler) survives; the arbiter is
-    /// attached only during run_lockstep.  load() a program before the
-    /// next run.
+    /// configuration (the tracer) survives; the arbiter is attached
+    /// only during run_lockstep.  load() a program before the next run.
     void hard_reset();
 
     /// Bank arbiter charged for every memory reference (nullptr = none,
     /// the default); Machine::run_lockstep attaches one for its run.
     void set_arbiter(BankArbiter *arbiter) { arbiter_ = arbiter; }
 
-    /// Attach an event tracer (nullptr = off, the default; survives
-    /// reset()/load() — it is run configuration).
+    /// Attach the lane observer: its events and per-state/per-opcode
+    /// profile land in this lane's entry of `t` (nullptr = off, the
+    /// default; survives reset()/load() — it is run configuration).
     void set_tracer(Tracer *t) { tracer_ = t; }
     Tracer *tracer() const { return tracer_; }
-
-    /// Attach a profiling aggregator (nullptr = off, the default).
-    void set_profiler(Profiler *p) { profiler_ = p; }
-    Profiler *profiler() const { return profiler_; }
 
   private:
     /// The threaded-code engine is the lane's inner loop whenever
@@ -211,7 +206,7 @@ class Lane
 
     /// Reference action unit: execute the action chain at action-memory
     /// word address `addr`, decoding one word at a time and running the
-    /// threaded engine's op handlers; carries the tracer/profiler hooks.
+    /// threaded engine's op handlers; carries the tracer hooks.
     LaneStatus exec_actions(std::size_t addr);
 
     /// Record `fault_`, halt the lane and return the terminal status
@@ -267,8 +262,7 @@ class Lane
     /// Cap on stored AcceptEvents (counts keep accumulating past it).
     static constexpr std::size_t kAcceptCapacity = 1 << 16;
     BankArbiter *arbiter_ = nullptr; ///< lockstep bank contention
-    Tracer *tracer_ = nullptr;     ///< event sink; off when null
-    Profiler *profiler_ = nullptr; ///< aggregation sink; off when null
+    Tracer *tracer_ = nullptr;     ///< lane observer; off when null
     std::size_t cur_state_ = 0;   ///< full base of the active state
     bool started_ = false;
     bool halted_ = false;

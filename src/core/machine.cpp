@@ -4,7 +4,6 @@
  */
 #include "machine.hpp"
 
-#include "profile.hpp"
 #include "trace.hpp"
 
 #include <algorithm>
@@ -40,14 +39,6 @@ Machine::set_tracer(Tracer *t)
 }
 
 void
-Machine::set_profiler(Profiler *p)
-{
-    profiler_ = p;
-    for (auto &ln : lanes_)
-        ln->set_profiler(p);
-}
-
-void
 Machine::stage(ByteAddr phys, BytesView data)
 {
     if (std::uint64_t{phys} + data.size() > mem_.raw().size())
@@ -74,11 +65,6 @@ Machine::unstage(ByteAddr phys, std::size_t len, Bytes &out) const
 unsigned
 Machine::resolved_sim_threads() const
 {
-    // The Profiler aggregates into maps shared by all lanes, so a
-    // profiled run is pinned to the serial backend (docs/RUNTIME.md);
-    // the Tracer's per-lane rings need no such fallback.
-    if (profiler_)
-        return 1;
     unsigned n = sim_threads_;
     if (n == 0) {
         if (const char *env = std::getenv("UDP_SIM_THREADS")) {

@@ -2,9 +2,9 @@
  * @file
  * The full 64-lane UDP machine (paper Figure 3a) and its run harness.
  *
- * A `Machine` owns the shared local memory, the vector register file and
- * 64 lanes.  Work is described by a `JobSpec` per lane (program, input
- * view, memory window, initial registers).  Two run modes:
+ * A `Machine` owns the shared local memory and 64 lanes.  Work is
+ * described by a `JobSpec` per lane (program, input view, memory
+ * window, initial registers).  Two run modes:
  *
  *  - `run_parallel()` — each lane runs to completion independently.  This
  *    is exact for the paper's data-parallel kernels, whose lanes touch
@@ -107,13 +107,13 @@ class Machine
      * the calling thread among them (`set_sim_threads`).  Parallel-mode
      * lanes touch disjoint memory windows, so the result cannot depend
      * on the thread count: LaneStats, wall cycles and energy are
-     * bit-identical for any count.  A run with an attached Profiler
-     * stays on one thread (its aggregation is shared across lanes);
-     * the Tracer's per-lane rings are safe under threads: every lane
-     * records only into its own ring (each `tracer_->record(id_, ...)`
-     * site passes the recording lane's id), so worker threads never
-     * share a ring — pinned byte-for-byte, under TSan in CI, by
-     * `SpanTrace.TracerIsIdenticalUnderThreadedBackend`.
+     * bit-identical for any count.  An attached Tracer is safe under
+     * threads: every lane records its events and profile only into its
+     * own entry (each `tracer_->record*(id_, ...)` site passes the
+     * recording lane's id), so worker threads never share one — pinned
+     * under TSan in CI by `SpanTrace.TracerIsIdenticalUnderThreadedBackend`
+     * (events) and `Runtime.ProfiledRunUsesThreadsAndStaysNeutral`
+     * (profile).
      */
     MachineResult run_parallel();
 
@@ -125,8 +125,7 @@ class Machine
      */
     void set_sim_threads(unsigned n) { sim_threads_ = n; }
 
-    /// The thread count run_parallel will actually use (>= 1; always 1
-    /// while a Profiler is attached).
+    /// The thread count run_parallel will actually use (>= 1).
     unsigned resolved_sim_threads() const;
 
     /// Run with per-round shared bank arbitration.
@@ -135,14 +134,10 @@ class Machine
     /// Energy of the last run, in joules (see run_energy_joules).
     double last_run_energy_j() const { return last_energy_j_; }
 
-    /// Attach an event tracer to every lane (nullptr detaches; see
+    /// Attach the lane observer to every lane (nullptr detaches; see
     /// core/trace.hpp).  Costs nothing when detached (the default).
     void set_tracer(Tracer *t);
     Tracer *tracer() const { return tracer_; }
-
-    /// Attach a profiling aggregator to every lane (core/profile.hpp).
-    void set_profiler(Profiler *p);
-    Profiler *profiler() const { return profiler_; }
 
   private:
     MachineResult collect(Cycles wall);
@@ -154,7 +149,6 @@ class Machine
     unsigned sim_threads_ = 0; ///< 0 = resolve from UDP_SIM_THREADS
     double last_energy_j_ = 0.0;
     Tracer *tracer_ = nullptr;
-    Profiler *profiler_ = nullptr;
 };
 
 } // namespace udp

@@ -41,8 +41,8 @@
  * accepts, faults and trap cycles are bit-identical to the reference
  * (pinned by tests/test_threaded.cpp).  It is the default;
  * `set_sim_backend()` (decoded_program.hpp) selects the reference
- * instead, and a lane with a tracer or profiler attached always runs
- * the reference.
+ * instead, and a lane with a tracer attached always runs the
+ * reference.
  */
 #pragma once
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Tracer implementation and the Chrome trace_event exporter.
+ * Tracer and Profile implementation.
  */
 #include "trace.hpp"
 
-#include "isa.hpp"
-#include "metrics_json.hpp"
-
-#include <ostream>
+#include <algorithm>
+#include <cstdio>
+#include <sstream>
 
 namespace udp {
 
@@ -25,6 +24,99 @@ trace_event_kind_name(TraceEventKind k)
     }
     return "?";
 }
+
+// ---------------------------------------------------------------------------
+// Profile.
+// ---------------------------------------------------------------------------
+
+Cycles
+Profile::total_state_cycles() const
+{
+    Cycles total = 0;
+    for (const auto &[base, p] : states_)
+        total += p.cycles;
+    return total;
+}
+
+std::vector<std::pair<std::uint32_t, StateProfile>>
+Profile::hot_states(std::size_t top_n) const
+{
+    std::vector<std::pair<std::uint32_t, StateProfile>> out(
+        states_.begin(), states_.end());
+    std::sort(out.begin(), out.end(), [](const auto &x, const auto &y) {
+        if (x.second.cycles != y.second.cycles)
+            return x.second.cycles > y.second.cycles;
+        return x.first < y.first; // deterministic order among ties
+    });
+    if (out.size() > top_n)
+        out.resize(top_n);
+    return out;
+}
+
+std::vector<std::pair<Opcode, ActionProfile>>
+Profile::hot_actions(std::size_t top_n) const
+{
+    std::vector<std::pair<Opcode, ActionProfile>> out(actions_.begin(),
+                                                      actions_.end());
+    std::sort(out.begin(), out.end(), [](const auto &x, const auto &y) {
+        if (x.second.cycles != y.second.cycles)
+            return x.second.cycles > y.second.cycles;
+        return x.first < y.first;
+    });
+    if (out.size() > top_n)
+        out.resize(top_n);
+    return out;
+}
+
+std::string
+Profile::report(std::size_t top_n, const StateSymbolizer &sym) const
+{
+    std::ostringstream os;
+    const double total = double(std::max<Cycles>(total_state_cycles(), 1));
+
+    os << "hot states (top " << top_n << " of " << states_.size() << "):\n";
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "  %-32s %12s %6s %12s %9s %12s\n",
+                  "state", "cycles", "cyc%", "visits", "miss%",
+                  "stall cyc");
+    os << buf;
+    for (const auto &[base, p] : hot_states(top_n)) {
+        std::string name;
+        if (sym)
+            name = sym(base);
+        if (name.empty()) {
+            std::snprintf(buf, sizeof(buf), "state @0x%x", base);
+            name = buf;
+        }
+        std::snprintf(buf, sizeof(buf),
+                      "  %-32s %12llu %5.1f%% %12llu %8.2f%% %12llu\n",
+                      name.c_str(),
+                      static_cast<unsigned long long>(p.cycles),
+                      100.0 * double(p.cycles) / total,
+                      static_cast<unsigned long long>(p.visits),
+                      100.0 * p.sig_miss_rate(),
+                      static_cast<unsigned long long>(p.stall_cycles));
+        os << buf;
+    }
+
+    os << "hot actions (top " << top_n << " of " << actions_.size()
+       << "):\n";
+    std::snprintf(buf, sizeof(buf), "  %-32s %12s %12s\n", "opcode",
+                  "cycles", "count");
+    os << buf;
+    for (const auto &[op, p] : hot_actions(top_n)) {
+        std::snprintf(buf, sizeof(buf), "  %-32s %12llu %12llu\n",
+                      std::string(opcode_name(op)).c_str(),
+                      static_cast<unsigned long long>(p.cycles),
+                      static_cast<unsigned long long>(p.count));
+        os << buf;
+    }
+    return os.str();
+}
+
+// ---------------------------------------------------------------------------
+// Tracer.
+// ---------------------------------------------------------------------------
 
 Tracer::Tracer(std::size_t ring_capacity) : capacity_(ring_capacity)
 {
@@ -49,10 +141,37 @@ Tracer::record(unsigned lane, TraceEventKind kind, Cycles cycle,
         r.buf.push_back(ev);
     } else {
         r.buf[r.next] = ev;
-        r.next = (r.next + 1) % capacity_;
+        if (++r.next == capacity_)
+            r.next = 0;
     }
     ++r.total;
     ++r.by_kind[static_cast<unsigned>(kind)];
+}
+
+void
+Tracer::record_state(unsigned lane, std::uint32_t base, Cycles cycles,
+                     std::uint64_t sig_misses, std::uint64_t stall_cycles)
+{
+    if (lane >= kNumLanes)
+        throw UdpError("Tracer: lane id out of range");
+    StateProfile &p = rings_[lane].states[base];
+    ++p.visits;
+    p.cycles += cycles;
+    p.sig_misses += sig_misses;
+    p.stall_cycles += stall_cycles;
+}
+
+void
+Tracer::record_action(unsigned lane, Opcode op, Cycles cycles)
+{
+    if (lane >= kNumLanes)
+        throw UdpError("Tracer: lane id out of range");
+    std::vector<ActionProfile> &actions = rings_[lane].actions;
+    const auto i = static_cast<std::size_t>(op);
+    if (i >= actions.size())
+        actions.resize(i + 1);
+    ++actions[i].count;
+    actions[i].cycles += cycles;
 }
 
 std::vector<TraceEvent>
@@ -103,6 +222,30 @@ Tracer::active_lanes() const
     return out;
 }
 
+Profile
+Tracer::profile() const
+{
+    Profile out;
+    for (const LaneRing &r : rings_) {
+        for (const auto &[base, p] : r.states) {
+            StateProfile &m = out.states_[base];
+            m.visits += p.visits;
+            m.cycles += p.cycles;
+            m.sig_misses += p.sig_misses;
+            m.stall_cycles += p.stall_cycles;
+        }
+        for (std::size_t op = 0; op < r.actions.size(); ++op) {
+            const ActionProfile &p = r.actions[op];
+            if (p.count == 0)
+                continue; // an opcode this lane never ran
+            ActionProfile &m = out.actions_[static_cast<Opcode>(op)];
+            m.count += p.count;
+            m.cycles += p.cycles;
+        }
+    }
+    return out;
+}
+
 void
 Tracer::clear()
 {
@@ -112,109 +255,6 @@ Tracer::clear()
         r.total = 0;
         r.by_kind.fill(0);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace_event export.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Cycle stamp -> microseconds at the nominal clock (1 cycle = 1 ns).
-double
-cycles_to_us(Cycles c)
-{
-    return double(c) * (1e6 / kClockHz);
-}
-
-} // namespace
-
-void
-write_trace_event(JsonWriter &w, const TraceEvent &ev, Cycles base)
-{
-    // Durationful kinds render as "X" (complete) slices; the rest as
-    // instant events so chrome://tracing draws them as markers.
-    const bool slice = ev.kind == TraceEventKind::Dispatch ||
-                       ev.kind == TraceEventKind::Action ||
-                       ev.kind == TraceEventKind::Stall;
-    const Cycles dur =
-        ev.kind == TraceEventKind::Stall ? Cycles{ev.b} : Cycles{1};
-
-    w.begin_object();
-    w.field("name", trace_event_kind_name(ev.kind));
-    w.field("cat", "udp");
-    w.field("ph", slice ? "X" : "i");
-    // Events are stamped *after* the cycle charge; start the slice at the
-    // cycle the work occupied (clamped into this run's window, so a
-    // rebased slice can never start before its wave).
-    const Cycles start = base + (ev.cycle >= dur ? ev.cycle - dur : 0);
-    w.field("ts", cycles_to_us(slice ? start : base + ev.cycle));
-    if (slice)
-        w.field("dur", cycles_to_us(dur));
-    else
-        w.field("s", "t"); // thread-scoped instant
-    w.field("pid", 0);
-    w.field("tid", std::uint64_t{ev.lane});
-    w.key("args").begin_object();
-    switch (ev.kind) {
-      case TraceEventKind::Dispatch:
-      case TraceEventKind::SigMiss:
-        w.field("state_base", std::uint64_t{ev.a});
-        w.field("symbol", std::uint64_t{ev.b});
-        break;
-      case TraceEventKind::Action:
-        w.field("addr", std::uint64_t{ev.a});
-        if (opcode_valid(ev.b))
-            w.field("op", opcode_name(static_cast<Opcode>(ev.b)));
-        else
-            w.field("op", std::uint64_t{ev.b});
-        break;
-      case TraceEventKind::MemRead:
-      case TraceEventKind::MemWrite:
-        w.field("addr", std::uint64_t{ev.a});
-        break;
-      case TraceEventKind::Stall:
-        w.field("addr", std::uint64_t{ev.a});
-        w.field("stall_cycles", std::uint64_t{ev.b});
-        break;
-      case TraceEventKind::Accept:
-        w.field("id", std::uint64_t{ev.a});
-        break;
-    }
-    w.end_object();
-    w.field("cycle", std::uint64_t{base + ev.cycle});
-    w.end_object();
-}
-
-void
-write_lane_track_metadata(JsonWriter &w, unsigned lane)
-{
-    // Thread-name metadata so the track reads "lane N".
-    w.begin_object();
-    w.field("name", "thread_name");
-    w.field("ph", "M");
-    w.field("pid", 0);
-    w.field("tid", std::uint64_t{lane});
-    w.key("args").begin_object();
-    w.field("name", "lane " + std::to_string(lane));
-    w.end_object();
-    w.end_object();
-}
-
-void
-write_chrome_trace(std::ostream &os, const Tracer &tracer)
-{
-    JsonWriter w(os, /*pretty=*/false);
-    w.begin_object();
-    w.key("traceEvents").begin_array();
-    for (const unsigned lane : tracer.active_lanes()) {
-        write_lane_track_metadata(w, lane);
-        for (const TraceEvent &ev : tracer.events(lane))
-            write_trace_event(w, ev);
-    }
-    w.end_array();
-    w.field("displayTimeUnit", "ns");
-    w.end_object();
 }
 
 } // namespace udp

@@ -72,8 +72,8 @@ LoadBreakdown load_cpu(BytesView compressed, Table &table);
 LoadBreakdown load_udp_offload(Machine &m, BytesView compressed,
                                Table &table, unsigned lanes = 32);
 
-/// Compress a CSV text for the loaders (Snappy, 16 KiB blocks so each
-/// block fits a UDP lane window).
+/// Compress a CSV text for the loaders (Snappy, 12 KiB frames so each
+/// decompressed frame fits a UDP lane bank).
 Bytes compress_for_load(const std::string &csv);
 
 } // namespace udp::etl

@@ -126,8 +126,10 @@ run_job_on(Machine &m, unsigned lane, ByteAddr window_base,
 {
     stage_job(m, lane, window_base, plan);
     Lane &ln = m.lane(lane);
-    const LaneStatus st = plan.nfa_mode ? ln.run_nfa(max_cycles)
-                                        : ln.run(max_cycles);
+    const std::uint64_t budget = plan.max_cycles ? plan.max_cycles
+                                                 : max_cycles;
+    const LaneStatus st = plan.nfa_mode ? ln.run_nfa(budget)
+                                        : ln.run(budget);
     JobResult res = harvest_job(m, lane, window_base, plan, st);
     res.service_cycles = res.stats.cycles;
     res.e2e_cycles = res.stats.cycles; // no queue ahead of a direct run

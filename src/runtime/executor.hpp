@@ -77,8 +77,9 @@ JobResult harvest_job(Machine &m, unsigned lane, ByteAddr window_base,
  * Interpreter errors and watchdog expiry do not throw: they surface as
  * `JobResult::status` Faulted / TimedOut with the diagnosis in
  * `JobResult::fault`.  Callers that need a clean completion must check
- * the status (or call `require_done`) — a run cut short by `max_cycles`
- * is *not* a success.
+ * the status (or call `require_done`) — a run cut short by its budget
+ * is *not* a success.  The budget is the plan's `max_cycles` when
+ * nonzero, as in the Scheduler, else `max_cycles`.
  *
  * Latencies are filled as for a job that never queued: zero queue
  * wait, service and end-to-end both the lane's cycle count.

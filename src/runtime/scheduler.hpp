@@ -200,7 +200,7 @@ class Scheduler
     explicit Scheduler(SchedulerOptions opts = {});
 
     /// Borrow an existing machine (caller keeps ownership; its addressing
-    /// mode, memory, tracer and profiler attachments are used as-is).
+    /// mode, memory and tracer attachment are used as-is).
     explicit Scheduler(Machine &m, SchedulerOptions opts = {});
 
     Machine &machine() { return *machine_; }

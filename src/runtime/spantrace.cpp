@@ -4,6 +4,7 @@
  */
 #include "spantrace.hpp"
 
+#include "core/isa.hpp"
 #include "core/metrics_json.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -122,7 +123,7 @@ cycles_to_us(Cycles c)
 }
 
 /// Process ids of the merged trace: the machine's lane tracks sit under
-/// pid 0 (matching the core exporter), the scheduler above them.
+/// pid 0, the scheduler above them.
 constexpr int kMachinePid = 0;
 constexpr int kSchedulerPid = 1;
 constexpr std::uint64_t kWaveTid = 0;
@@ -134,7 +135,7 @@ constexpr std::uint64_t kJobTid = 1;
 /// ones ("b" before children, longer "X" first, "e" closes inner-out).
 struct Rec {
     enum class Type : std::uint8_t {
-        Micro,        ///< lane micro-event (write_trace_event)
+        Micro,        ///< lane micro-event (write_lane_event)
         AttemptSlice, ///< X slice on the lane track
         WaveSlice,    ///< X slice on the scheduler wave track
         JobBegin,     ///< async b on the scheduler job track
@@ -194,6 +195,85 @@ trace_id_string(std::uint64_t id)
     return "job-" + std::to_string(id);
 }
 
+/// Lane micro-events with a duration render as "X" (complete) slices;
+/// the rest as instant events, which chrome://tracing draws as markers.
+bool
+is_slice(TraceEventKind k)
+{
+    return k == TraceEventKind::Dispatch || k == TraceEventKind::Action ||
+           k == TraceEventKind::Stall;
+}
+
+/// The sort record of a lane micro-event whose wave opened at global
+/// cycle `base`.  Events are stamped *after* the cycle charge, so a
+/// slice starts at the cycle the work occupied, clamped into its wave
+/// so a rebased slice can never start before the wave.
+Rec
+lane_event_rec(const TraceEvent &ev, Cycles base, std::size_t idx)
+{
+    Rec r;
+    r.pid = kMachinePid;
+    r.tid = ev.lane;
+    r.type = Rec::Type::Micro;
+    r.idx = idx;
+    if (is_slice(ev.kind)) {
+        r.dur = ev.kind == TraceEventKind::Stall ? Cycles{ev.b} : Cycles{1};
+        r.ts = base + (ev.cycle >= r.dur ? ev.cycle - r.dur : 0);
+    } else {
+        r.ts = base + ev.cycle;
+    }
+    return r;
+}
+
+/// Emit one lane micro-event at the stamp `r` holds; `cycle` is its
+/// global cycle stamp.
+void
+write_lane_event(JsonWriter &w, const TraceEvent &ev, const Rec &r,
+                 Cycles cycle)
+{
+    const bool slice = is_slice(ev.kind);
+    w.begin_object();
+    w.field("name", trace_event_kind_name(ev.kind));
+    w.field("cat", "udp");
+    w.field("ph", slice ? "X" : "i");
+    w.field("ts", cycles_to_us(r.ts));
+    if (slice)
+        w.field("dur", cycles_to_us(r.dur));
+    else
+        w.field("s", "t"); // thread-scoped instant
+    w.field("pid", kMachinePid);
+    w.field("tid", std::uint64_t{ev.lane});
+    w.key("args").begin_object();
+    switch (ev.kind) {
+      case TraceEventKind::Dispatch:
+      case TraceEventKind::SigMiss:
+        w.field("state_base", std::uint64_t{ev.a});
+        w.field("symbol", std::uint64_t{ev.b});
+        break;
+      case TraceEventKind::Action:
+        w.field("addr", std::uint64_t{ev.a});
+        if (opcode_valid(ev.b))
+            w.field("op", opcode_name(static_cast<Opcode>(ev.b)));
+        else
+            w.field("op", std::uint64_t{ev.b});
+        break;
+      case TraceEventKind::MemRead:
+      case TraceEventKind::MemWrite:
+        w.field("addr", std::uint64_t{ev.a});
+        break;
+      case TraceEventKind::Stall:
+        w.field("addr", std::uint64_t{ev.a});
+        w.field("stall_cycles", std::uint64_t{ev.b});
+        break;
+      case TraceEventKind::Accept:
+        w.field("id", std::uint64_t{ev.a});
+        break;
+    }
+    w.end_object();
+    w.field("cycle", std::uint64_t{cycle});
+    w.end_object();
+}
+
 } // namespace
 
 void
@@ -216,33 +296,16 @@ SpanTracer::write_chrome_trace(std::ostream &os) const
     for (const PlacedEvent &pe : lane_events_)
         lanes.insert(pe.ev.lane);
     for (const unsigned lane : lanes)
-        write_lane_track_metadata(w, lane);
+        write_thread_metadata(w, kMachinePid, lane,
+                              "lane " + std::to_string(lane));
 
     // Build the sortable record list.
     std::vector<Rec> recs;
     recs.reserve(lane_events_.size() + attempts_.size() * 4 +
                  waves_.size());
-    for (std::size_t i = 0; i < lane_events_.size(); ++i) {
-        const PlacedEvent &pe = lane_events_[i];
-        // Mirror write_trace_event's stamp math so sort order matches
-        // the emitted ts exactly.
-        const bool slice = pe.ev.kind == TraceEventKind::Dispatch ||
-                           pe.ev.kind == TraceEventKind::Action ||
-                           pe.ev.kind == TraceEventKind::Stall;
-        const Cycles dur = pe.ev.kind == TraceEventKind::Stall
-                               ? Cycles{pe.ev.b}
-                               : Cycles{1};
-        Rec r;
-        r.pid = kMachinePid;
-        r.tid = pe.ev.lane;
-        r.ts = slice ? pe.base +
-                           (pe.ev.cycle >= dur ? pe.ev.cycle - dur : 0)
-                     : pe.base + pe.ev.cycle;
-        r.dur = slice ? dur : 0;
-        r.type = Rec::Type::Micro;
-        r.idx = i;
-        recs.push_back(r);
-    }
+    for (std::size_t i = 0; i < lane_events_.size(); ++i)
+        recs.push_back(
+            lane_event_rec(lane_events_[i].ev, lane_events_[i].base, i));
     for (std::size_t i = 0; i < attempts_.size(); ++i) {
         const AttemptSpan &a = attempts_[i];
         if (a.ran) {
@@ -275,7 +338,7 @@ SpanTracer::write_chrome_trace(std::ostream &os) const
         switch (r.type) {
           case Rec::Type::Micro: {
             const PlacedEvent &pe = lane_events_[r.idx];
-            write_trace_event(w, pe.ev, pe.base);
+            write_lane_event(w, pe.ev, r, pe.base + pe.ev.cycle);
             break;
           }
           case Rec::Type::AttemptSlice: {

@@ -13,7 +13,9 @@
  * scheduler's decisions stacked directly above the micro-ops they
  * caused.  Timestamps are deterministic *simulated* cycles (1 cycle =
  * 1 ns at the nominal clock); per-wave host seconds ride along in span
- * args as a secondary clock.
+ * args as a secondary clock.  It is the one trace exporter: a Tracer
+ * driven outside any Scheduler exports through `absorb_lane_events`
+ * then `write_chrome_trace`.
  *
  * Purely observational, following the telemetry sink discipline: a
  * Scheduler without sinks (the default) builds no event and changes

@@ -3,7 +3,7 @@
  * Runtime telemetry: metric registry, latency histograms, and job/wave
  * lifecycle events (docs/OBSERVABILITY.md).
  *
- * The core simulator's Tracer/Profiler answer "what did one lane do?".
+ * The core simulator's Tracer answers "what did one lane do?".
  * This layer answers the service-level question the ROADMAP's `udpd`
  * front-end and rack-scale items need: "what did thousands of jobs
  * flowing through the Scheduler look like?" — p50/p99/p999 queue-wait
@@ -16,8 +16,7 @@
  *    double) and `Histogram` (log-bucketed u64 distribution with
  *    exact-count percentiles).  All updates are lock-free atomics, so
  *    metrics can be recorded concurrently — including from inside the
- *    `std::jthread` simulation backend — with *exact* totals and no
- *    Profiler-style serial pinning.
+ *    `std::jthread` simulation backend — with *exact* totals.
  *  - `MetricRegistry`: named metrics, created on first use, stable
  *    references (hot paths look up once and keep the reference).
  *    Snapshotable to JSON (via `JsonWriter`) and to a Prometheus-style

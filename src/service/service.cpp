@@ -60,20 +60,6 @@ job_state_name(JobState s)
     return "?";
 }
 
-std::string_view
-reject_reason_name(RejectReason r)
-{
-    switch (r) {
-    case RejectReason::None: return "none";
-    case RejectReason::RateLimited: return "rate_limited";
-    case RejectReason::QueueFull: return "queue_full";
-    case RejectReason::BreakerOpen: return "breaker_open";
-    case RejectReason::ShuttingDown: return "shutting_down";
-    case RejectReason::Timeout: return "timeout";
-    }
-    return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Internal records.
 // ---------------------------------------------------------------------------
@@ -138,7 +124,7 @@ Service::Service(ServiceOptions opts)
     : opts_(std::move(opts)), epoch_(std::chrono::steady_clock::now())
 {
     if (opts_.max_batch_jobs == 0)
-        opts_.max_batch_jobs = 1;
+        throw UdpError("Service: max_batch_jobs must be >= 1");
     if (opts_.registry) {
         registry_ = opts_.registry;
     } else {

@@ -112,7 +112,6 @@ enum class RejectReason : std::uint8_t {
 };
 
 std::string_view job_state_name(JobState s);
-std::string_view reject_reason_name(RejectReason r);
 
 /// Per-submission knobs.
 struct SubmitOptions {
@@ -184,7 +183,8 @@ struct ServiceOptions {
     /// writing report files) still see every event, from the run-loop
     /// thread — read them after drain().
     runtime::SchedulerOptions sched;
-    /// Jobs per Scheduler batch (>= 1; one 64-lane wave by default).
+    /// Jobs per Scheduler batch (>= 1, else construction throws; one
+    /// 64-lane wave by default).
     unsigned max_batch_jobs = kNumLanes;
     /// External metric registry to publish into (nullptr = the service
     /// owns a private one; see Service::registry()).

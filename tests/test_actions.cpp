@@ -5,7 +5,7 @@
  */
 #include "assembler/builder.hpp"
 #include "core/lane.hpp"
-#include "core/profile.hpp"
+#include "core/trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -329,7 +329,7 @@ TEST_F(ActionsFixture, IllegalConfigurationsFaultTheLane)
 // Loopcpy: the threaded engine's block datapath against the per-byte path.
 //
 // A bare lane runs the threaded engine, which moves a span that lies
-// wholly in the lane's range in one block; a lane with a Profiler
+// wholly in the lane's range in one block; a lane with a Tracer
 // attached runs the reference, which moves every byte through the
 // memory path.  Each case runs both from identical memory.
 // ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ struct CopyLane {
     CopyLane(const CopySetup &cfg, bool profiled)
         : mem(cfg.mode), lane(cfg.lane, mem), id(cfg.lane), base(cfg.base) {
         if (profiled)
-            lane.set_profiler(&prof);
+            lane.set_tracer(&tracer);
     }
 
     LaneStatus run(const Program &prog, Word src, Word dst, Word n) {
@@ -412,7 +412,7 @@ struct CopyLane {
     }
 
     LocalMemory mem;
-    Profiler prof;
+    Tracer tracer;
     Lane lane;
     unsigned id;
     ByteAddr base;

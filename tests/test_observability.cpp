@@ -2,16 +2,16 @@
  * @file
  * Observability-layer tests: the tracer's event counts against the
  * LaneStats counters, ring-buffer retention semantics, Chrome trace
- * export, the JSON writer/validator round-trip, and the profiler's
- * attribution + disassembler-matched state labels.
+ * export, the JSON writer/validator round-trip, and the tracer
+ * profile's attribution + disassembler-matched state labels.
  */
 #include "assembler/builder.hpp"
 #include "assembler/disasm.hpp"
 #include "core/machine.hpp"
 #include "core/metrics_json.hpp"
-#include "core/profile.hpp"
 #include "core/trace.hpp"
 #include "kernels/csv.hpp"
+#include "runtime/spantrace.hpp"
 #include "workloads/generators.hpp"
 
 #include <gtest/gtest.h>
@@ -24,10 +24,9 @@ namespace {
 
 using namespace kernels;
 
-/// A traced + profiled CSV-kernel run on a small synthetic file.
+/// A traced CSV-kernel run on a small synthetic file.
 struct TracedCsvRun {
     Tracer tracer;
-    Profiler profiler;
     LaneStats stats;
 
     TracedCsvRun()
@@ -36,7 +35,6 @@ struct TracedCsvRun {
         const Bytes data(text.begin(), text.end());
         Machine m(AddressingMode::Restricted);
         m.set_tracer(&tracer);
-        m.set_profiler(&profiler);
         const auto res = run_csv_kernel(m, 0, data, 0);
         stats = res.stats;
     }
@@ -131,8 +129,10 @@ TEST(Trace, RingRetainsNewestButCountsEverything)
 TEST(Trace, ChromeExportIsWellFormedJson)
 {
     TracedCsvRun run;
+    runtime::SpanTracer spans;
+    spans.absorb_lane_events(run.tracer, 0);
     std::ostringstream os;
-    write_chrome_trace(os, run.tracer);
+    spans.write_chrome_trace(os);
     const std::string text = os.str();
 
     EXPECT_TRUE(json_parse_ok(text)) << text.substr(0, 200);
@@ -265,7 +265,7 @@ TEST(Json, LaneStatsSerializationCarriesEveryCounter)
 TEST(Profile, AttributionSumsToLaneStats)
 {
     TracedCsvRun run;
-    const Profiler &p = run.profiler;
+    const Profile p = run.tracer.profile();
     const LaneStats &s = run.stats;
 
     // Every cycle the lane charged is attributed to exactly one state.
@@ -294,22 +294,23 @@ TEST(Profile, HotStateLabelsMatchTheDisassembler)
     const std::string listing = disassemble(prog);
     const StateSymbolizer sym = make_state_symbolizer(prog);
 
-    const auto hot = run.profiler.hot_states(10);
+    const Profile prof = run.tracer.profile();
+    const auto hot = prof.hot_states(10);
     ASSERT_FALSE(hot.empty());
     for (const auto &[base, sp] : hot) {
         const std::string label = sym(base);
-        // The profiler-reported name is exactly a line of the listing.
+        // The profile-reported name is exactly a line of the listing.
         EXPECT_NE(listing.find(label + "\n"), std::string::npos)
             << label;
         EXPECT_EQ(label, state_label(prog, base));
     }
 
     // The rendered report uses those labels and ranks by cycles.
-    const std::string rep = run.profiler.report(10, sym);
+    const std::string rep = prof.report(10, sym);
     EXPECT_NE(rep.find("hot states"), std::string::npos);
     EXPECT_NE(rep.find(sym(hot.front().first)), std::string::npos);
 
-    const auto hot_acts = run.profiler.hot_actions(10);
+    const auto hot_acts = prof.hot_actions(10);
     ASSERT_FALSE(hot_acts.empty());
     for (std::size_t i = 1; i < hot.size(); ++i)
         EXPECT_GE(hot[i - 1].second.cycles, hot[i].second.cycles);

@@ -7,11 +7,11 @@
 #include "baselines/csv.hpp"
 #include "baselines/dictionary.hpp"
 #include "baselines/histogram.hpp"
-#include "core/profile.hpp"
 #include "core/trace.hpp"
 #include "kernels/csv.hpp"
 #include "kernels/dictionary.hpp"
 #include "kernels/histogram.hpp"
+#include "kernels/trigger.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/kernel_spec.hpp"
@@ -204,29 +204,62 @@ TEST(Runtime, TracerIsNeutralUnderThreads)
         expect_results_eq(ref.jobs[i], rep.jobs[i]);
 }
 
-TEST(Runtime, ProfilerForcesSerialBackendAndStaysNeutral)
+TEST(Runtime, ProfiledRunUsesThreadsAndStaysNeutral)
 {
+    // Each lane profiles into its own Tracer entry, so a profiled run
+    // keeps the pool it asked for, and its results and merged profile
+    // equal the serial run's.
     const auto xs = workloads::fp_values(10'000, 11);
     const auto spec = kernels::histogram_kernel_spec(
         baselines::Histogram::uniform(10, 41.2, 42.5).edges());
     const auto jobs =
         histogram_fleet(spec, kernels::pack_fp_stream(xs), 32);
 
-    Machine bare(AddressingMode::Restricted);
-    Scheduler plain(bare, {.threads = 1});
+    Machine serial(AddressingMode::Restricted);
+    Tracer serial_tracer;
+    serial.set_tracer(&serial_tracer);
+    Scheduler plain(serial, {.threads = 1});
     const ScheduleReport ref = plain.run(jobs);
 
-    Machine profiled(AddressingMode::Restricted);
-    Profiler profiler;
-    profiled.set_profiler(&profiler);
-    // Even when a pool is requested, a profiled machine must resolve to
-    // the serial backend (shared aggregation maps).
-    Scheduler sched(profiled, {.threads = 16});
-    EXPECT_EQ(profiled.resolved_sim_threads(), 1u);
+    Machine pooled(AddressingMode::Restricted);
+    Tracer pooled_tracer;
+    pooled.set_tracer(&pooled_tracer);
+    Scheduler sched(pooled, {.threads = 8});
+    EXPECT_EQ(pooled.resolved_sim_threads(), 8u);
     const ScheduleReport rep = sched.run(jobs);
-    EXPECT_EQ(rep.sim_threads, 1u);
+    EXPECT_EQ(rep.sim_threads, 8u);
     EXPECT_EQ(ref.wall_cycles, rep.wall_cycles);
     expect_stats_eq(ref.total, rep.total);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expect_results_eq(ref.jobs[i], rep.jobs[i]);
+
+    const Profile a = serial_tracer.profile();
+    const Profile b = pooled_tracer.profile();
+    EXPECT_EQ(a.total_state_cycles(), ref.total.cycles);
+    EXPECT_EQ(a.states(), b.states());
+    EXPECT_EQ(a.actions(), b.actions());
+    EXPECT_FALSE(a.actions().empty());
+}
+
+TEST(Runtime, DirectRunHonoursThePlanBudget)
+{
+    // A plan's own cycle budget overrides the caller's on the direct
+    // path as it does in the Scheduler: both runs time out alike.
+    const Bytes samples =
+        kernels::samples_from_bits(workloads::waveform(20'000, 13));
+    JobPlan plan = kernels::trigger_kernel_spec(6).make_job(samples);
+    plan.max_cycles = 64;
+
+    Machine m(AddressingMode::Restricted);
+    const JobResult direct = run_job_on(m, 0, 0, plan);
+    Scheduler sched;
+    const ScheduleReport rep = sched.run({plan});
+    ASSERT_EQ(rep.jobs.size(), 1u);
+
+    EXPECT_EQ(direct.status, LaneStatus::TimedOut);
+    EXPECT_EQ(rep.jobs[0].status, LaneStatus::TimedOut);
+    EXPECT_EQ(direct.fault.code, FaultCode::WatchdogTimeout);
+    expect_stats_eq(direct.stats, rep.jobs[0].stats);
 }
 
 TEST(Runtime, AssignResetsStaleLaneState)

@@ -517,6 +517,9 @@ TEST(Service, MalformedPlansAreRefusedAtSubmit)
     ServiceOptions zero_retry;
     zero_retry.sched.retry.max_attempts = 0;
     EXPECT_THROW(Service{zero_retry}, UdpError);
+    ServiceOptions zero_batch;
+    zero_batch.max_batch_jobs = 0;
+    EXPECT_THROW(Service{zero_batch}, UdpError);
 }
 
 TEST(Service, SpanTracerInSinksSeesEveryScheduledRun)

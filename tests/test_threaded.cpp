@@ -4,15 +4,15 @@
  *
  * The simulator has two host interpreters for one ISA: the threaded-code
  * engine over a shared `CompiledProgram`, and the decode-per-step
- * reference in lane.cpp, which also runs every lane with a tracer or
- * profiler attached.  For every kernel in src/kernels they must be
+ * reference in lane.cpp, which also runs every lane with a tracer
+ * attached.  For every kernel in src/kernels they must be
  * observationally identical: bit-identical `LaneStats`, registers,
  * outputs, accepts, and memory extracts.  Only host time may differ.
  *
  * Two properties are pinned as digests, because the tier that used to
  * cross-check them is gone:
- *  - the reference's trace-event stream and profiler aggregates for
- *    every kernel (what a tracer or profiler observes);
+ *  - the reference's trace-event stream and profile aggregates for
+ *    every kernel (what a tracer observes);
  *  - the full trap record (stats at the trap cycle included) on a
  *    malformed-image corpus, in DFA and NFA mode, poisoned aux words
  *    included.  Both interpreters must produce it identically, fault
@@ -37,7 +37,6 @@
 #include "baselines/snappy.hpp"
 #include "core/decoded_program.hpp"
 #include "core/machine.hpp"
-#include "core/profile.hpp"
 #include "core/threaded_program.hpp"
 #include "core/trace.hpp"
 #include "kernels/csv.hpp"
@@ -259,17 +258,15 @@ kernel_plans()
     return plans;
 }
 
-/// Digest of everything a tracer and a profiler observe in one run of
-/// `plan` on lane 0: the trace-event stream (with its lifetime and
-/// dropped counts) and the per-state and per-opcode aggregates.
+/// Digest of everything a tracer observes in one run of `plan` on
+/// lane 0: the trace-event stream (with its lifetime and dropped
+/// counts) and the per-state and per-opcode aggregates.
 std::uint64_t
 observer_digest(const runtime::JobPlan &plan)
 {
     Machine m(AddressingMode::Restricted);
     Tracer tracer;
-    Profiler prof;
     m.set_tracer(&tracer);
-    m.set_profiler(&prof);
     const auto res = runtime::run_job_on(m, 0, 0, plan);
     EXPECT_FALSE(m.lane(0).fast_path()) << "observed lanes run the reference";
     EXPECT_GT(res.stats.cycles, 0u);
@@ -284,6 +281,7 @@ observer_digest(const runtime::JobPlan &plan)
         d.mix(e.b);
         d.mix(e.lane);
     }
+    const Profile prof = tracer.profile();
     const std::map<std::uint32_t, StateProfile> states(
         prof.states().begin(), prof.states().end());
     for (const auto &[base, sp] : states) {
@@ -443,9 +441,8 @@ TEST(ThreadedCode, EveryKernelBitIdenticalAcrossBothBackends)
 
 TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
 {
-    // Attaching a tracer/profiler reroutes the lane off the threaded
-    // engine onto the reference; the simulated counters must not change
-    // for it.
+    // Attaching a tracer reroutes the lane off the threaded engine onto
+    // the reference; the simulated counters must not change for it.
     BackendGuard guard;
     set_sim_backend(SimBackend::Threaded);
     for (const auto &[name, plan] : kernel_plans()) {
@@ -456,9 +453,7 @@ TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
 
         Machine m(AddressingMode::Restricted);
         Tracer tracer;
-        Profiler prof;
         m.set_tracer(&tracer);
-        m.set_profiler(&prof);
         const auto instr = runtime::run_job_on(m, 0, 0, plan);
         EXPECT_FALSE(m.lane(0).fast_path());
 
@@ -470,9 +465,9 @@ TEST(ThreadedCode, InstrumentedRunsMatchBareThreadedCounters)
 
 TEST(ThreadedCode, UninstrumentedRunsMatchInstrumentedCounters)
 {
-    // The reference's chain walker gates its trace hooks and its
-    // profiler attribution separately; either observer alone must leave
-    // the architectural outcome exactly where a bare threaded run puts it.
+    // The reference's chain walker gates its trace and profile hooks on
+    // the tracer; a traced run must leave the architectural outcome
+    // exactly where a bare threaded run puts it.
     BackendGuard guard;
     set_sim_backend(SimBackend::Threaded);
     for (const auto &[name, plan] : kernel_plans()) {
@@ -487,22 +482,15 @@ TEST(ThreadedCode, UninstrumentedRunsMatchInstrumentedCounters)
         const auto t = runtime::run_job_on(traced, 0, 0, plan);
         EXPECT_FALSE(traced.lane(0).fast_path());
 
-        Machine profiled(AddressingMode::Restricted);
-        Profiler prof;
-        profiled.set_profiler(&prof);
-        const auto p = runtime::run_job_on(profiled, 0, 0, plan);
-        EXPECT_FALSE(profiled.lane(0).fast_path());
-
         expect_identical(res, t);
-        expect_identical(res, p);
         EXPECT_GT(tracer.total(0), 0u);
-        EXPECT_FALSE(prof.states().empty());
+        EXPECT_FALSE(tracer.profile().states().empty());
     }
 }
 
 TEST(ThreadedCode, ReferenceObserverStreamsMatchPinnedDigests)
 {
-    // What a tracer and a profiler observe, for every kernel including
+    // What a tracer observes, for every kernel including
     // the NFA groups, pinned from a build in which a third, since
     // removed, interpreter tier reproduced the reference's streams bit
     // for bit.  An observed lane runs the reference under either
@@ -1083,10 +1071,6 @@ TEST(ThreadedCode, ToggleControlsEveryRunEntryPoint)
     lane.set_tracer(&tracer);
     EXPECT_FALSE(lane.fast_path());
     lane.set_tracer(nullptr);
-    Profiler prof;
-    lane.set_profiler(&prof);
-    EXPECT_FALSE(lane.fast_path());
-    lane.set_profiler(nullptr);
     EXPECT_TRUE(lane.fast_path());
 
     // Each entry point, each backend: identical architectural outcome.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace_event JSON file produced by
-SpanTracer::write_chrome_trace() (src/runtime/spantrace.cpp) or the
-core Tracer's write_chrome_trace() (src/core/trace.cpp).
+SpanTracer::write_chrome_trace() (src/runtime/spantrace.cpp), the
+repository's one trace exporter.
 
 Checks, per docs/OBSERVABILITY.md "Tracing & post-mortems":
   - the file parses as JSON with a traceEvents array;

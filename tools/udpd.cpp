@@ -11,21 +11,25 @@
  * breaker in a live service.
  *
  * Flags:
- *   --tenants N      well-behaved tenants (default 3)
- *   --seconds S      submission window (default 2.0)
- *   --rate R         per-tenant token rate, jobs/s (default 200)
- *   --burst B        token-bucket burst (default 64)
+ *   --tenants N      well-behaved tenants, 0..64 (default 3); each
+ *                    tenant is one client thread
+ *   --seconds S      submission window, 0..3600 (default 2.0)
+ *   --rate R         per-tenant token rate, jobs/s, 0.01..1e6 (default 200)
+ *   --burst B        token-bucket burst, 1..1e6 (default 64)
  *   --policy P       overflow policy: shed | block | degrade (default shed)
  *   --hostile        add one hostile tenant running the fault corpus
- *   --retries N      scheduler attempts per job (>= 1, default 2)
- *   --batch N        max jobs per scheduler batch (default 64)
- *   --threads N      host simulation threads (0 = machine default)
+ *   --retries N      scheduler attempts per job, 1..16 (default 2)
+ *   --batch N        max jobs per scheduler batch, 1..4096 (default 64)
+ *   --threads N      host simulation threads, 1..256 (default: the
+ *                    machine's, UDP_SIM_THREADS or 1)
  *   --metrics PATH   write the Prometheus-style exposition on exit
  *   --json PATH      write the metrics + service JSON dump on exit
  *   --seed X         arrival/corpus seed (default 42)
  *
  * Exits 0 once the service drained, 1 if it did not, and 2 with a
- * message when the service refuses its options (e.g. `--retries 0`).
+ * message naming the flag when a value does not parse in full, leaves
+ * its range above, or names an unknown policy (e.g. `--retries 0`), or
+ * when the service refuses its options.
  */
 #include "service/service.hpp"
 
@@ -34,6 +38,7 @@
 #include "runtime/kernel_spec.hpp"
 #include "workloads/generators.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -168,48 +173,68 @@ has_flag(int argc, char **argv, const char *flag)
     return false;
 }
 
+/// The number after `flag` (`def` when the flag is absent).  A value
+/// that does not parse in full, or lies outside [lo, hi], ends the
+/// process with exit status 2 and a message naming the flag.
+double
+number_after(int argc, char **argv, const char *flag, double def,
+             double lo, double hi, bool integral)
+{
+    const char *s = arg_after(argc, argv, flag);
+    if (!s)
+        return def;
+    char *end = nullptr;
+    errno = 0;
+    const double v = integral ? double(std::strtoll(s, &end, 10))
+                              : std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE || !(v >= lo) ||
+        !(v <= hi)) {
+        std::fprintf(stderr, "udpd: %s wants %s in %g..%g, got '%s'\n",
+                     flag, integral ? "an integer" : "a number", lo, hi,
+                     s);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const unsigned tenants =
-        arg_after(argc, argv, "--tenants")
-            ? unsigned(std::atoi(arg_after(argc, argv, "--tenants")))
-            : 3;
+    const auto count = [&](const char *flag, unsigned def, unsigned lo,
+                           unsigned hi) {
+        return unsigned(number_after(argc, argv, flag, def, lo, hi, true));
+    };
+    const unsigned tenants = count("--tenants", 3, 0, 64);
     const double seconds =
-        arg_after(argc, argv, "--seconds")
-            ? std::atof(arg_after(argc, argv, "--seconds"))
-            : 2.0;
-    const double rate = arg_after(argc, argv, "--rate")
-                            ? std::atof(arg_after(argc, argv, "--rate"))
-                            : 200.0;
-    const double burst = arg_after(argc, argv, "--burst")
-                             ? std::atof(arg_after(argc, argv, "--burst"))
-                             : 64.0;
+        number_after(argc, argv, "--seconds", 2.0, 0, 3600, false);
+    const double rate =
+        number_after(argc, argv, "--rate", 200.0, 0.01, 1e6, false);
+    const double burst =
+        number_after(argc, argv, "--burst", 64.0, 1, 1e6, false);
     const bool hostile = has_flag(argc, argv, "--hostile");
-    const unsigned retries =
-        arg_after(argc, argv, "--retries")
-            ? unsigned(std::atoi(arg_after(argc, argv, "--retries")))
-            : 2;
-    const unsigned batch =
-        arg_after(argc, argv, "--batch")
-            ? unsigned(std::atoi(arg_after(argc, argv, "--batch")))
-            : kNumLanes;
-    const unsigned threads =
-        arg_after(argc, argv, "--threads")
-            ? unsigned(std::atoi(arg_after(argc, argv, "--threads")))
-            : 0;
+    const unsigned retries = count("--retries", 2, 1, 16);
+    const unsigned batch = count("--batch", kNumLanes, 1, 4096);
+    // Absent: 0, the machine's own default (UDP_SIM_THREADS, else 1).
+    const unsigned threads = count("--threads", 0, 1, 256);
     const std::uint64_t seed =
         arg_after(argc, argv, "--seed")
             ? std::strtoull(arg_after(argc, argv, "--seed"), nullptr, 0)
             : 42;
     service::OverflowPolicy policy = service::OverflowPolicy::Shed;
     if (const char *p = arg_after(argc, argv, "--policy")) {
-        if (std::strcmp(p, "block") == 0)
+        if (std::strcmp(p, "block") == 0) {
             policy = service::OverflowPolicy::Block;
-        else if (std::strcmp(p, "degrade") == 0)
+        } else if (std::strcmp(p, "degrade") == 0) {
             policy = service::OverflowPolicy::Degrade;
+        } else if (std::strcmp(p, "shed") != 0) {
+            std::fprintf(stderr,
+                         "udpd: --policy wants shed, block or degrade, "
+                         "got '%s'\n",
+                         p);
+            return 2;
+        }
     }
 
     // The shared corpus: trigger-kernel chunks over one pinned arena.
