@@ -24,10 +24,13 @@
  * Flags: --json <path> (metrics.* carries the per-scenario numbers the
  * CI gate reads), --metrics <path> (Prometheus exposition of the
  * shared registry, including the per-tenant labeled series; validated
- * by tools/check_exposition.py), --threads N, --tenants N (default 3),
- * --window S (seconds per scenario, default 1.0), --postmortem <dir>
- * (every faulted run's FaultReport JSON, written by the Service's
- * scheduler through the bench's PostmortemSink).
+ * by tools/check_exposition.py), --threads N, --tenants N (well-behaved
+ * tenants, 1..64, default 3), --window S (seconds per scenario,
+ * 0.1..600, default 1.0), --postmortem <dir> (every faulted run's
+ * FaultReport JSON, written by the Service's scheduler through the
+ * bench's PostmortemSink).  A --tenants or --window value that does not
+ * parse in full or leaves its range exits 2 with a message naming the
+ * flag.
  */
 #include "support.hpp"
 
@@ -37,7 +40,9 @@
 #include "service/service.hpp"
 #include "workloads/generators.hpp"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -241,20 +246,41 @@ arg_after(int argc, char **argv, const char *flag)
     return nullptr;
 }
 
+/// The number after `flag` (`def` when the flag is absent).  A value
+/// that does not parse in full, or lies outside [lo, hi], ends the
+/// process with exit status 2 and a message naming the flag.
+double
+number_after(int argc, char **argv, const char *flag, double def,
+             double lo, double hi, bool integral)
+{
+    const char *s = arg_after(argc, argv, flag);
+    if (!s)
+        return def;
+    char *end = nullptr;
+    errno = 0;
+    const double v = integral ? double(std::strtoll(s, &end, 10))
+                              : std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE || !(v >= lo) ||
+        !(v <= hi)) {
+        std::fprintf(stderr,
+                     "bench_service: %s wants %s in %g..%g, got '%s'\n",
+                     flag, integral ? "an integer" : "a number", lo, hi, s);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    MetricsRecorder rec("bench_service", argc, argv);
+    // The gates need at least one well-behaved tenant's goodput.
     const unsigned n_good =
-        arg_after(argc, argv, "--tenants")
-            ? unsigned(std::atoi(arg_after(argc, argv, "--tenants")))
-            : 3;
+        unsigned(number_after(argc, argv, "--tenants", 3, 1, 64, true));
     const double window =
-        arg_after(argc, argv, "--window")
-            ? std::atof(arg_after(argc, argv, "--window"))
-            : 1.0;
+        number_after(argc, argv, "--window", 1.0, 0.1, 600, false);
+    MetricsRecorder rec("bench_service", argc, argv);
 
     const Bytes packed = workloads::waveform(200'000, 13);
     const Bytes samples = kernels::samples_from_bits(packed);

@@ -131,7 +131,9 @@ inline constexpr std::uint8_t kNoActions = 0xFF;
     X(Setssr, 51, Imm, "setssr")  /* symbol-size register = reg[src]      \
                                      (dynamic) */                          \
     X(Setbase, 52, Imm, "setbase") /* window base register = reg[src] +   \
-                                      imm (restricted addressing) */       \
+                                      imm (restricted addressing; a data   \
+                                      base below the job's window faults)  \
+                                      */                                   \
     X(Setab, 53, Imm2, "setab")   /* action window base = reg[src] + imm; \
                                      scale = dst field */                  \
     X(Skip, 54, Imm, "skip")      /* advance stream by imm bits */         \

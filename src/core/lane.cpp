@@ -19,6 +19,8 @@
 #include "threaded_program.hpp"
 #include "trace.hpp"
 
+#include <algorithm>
+
 namespace udp {
 
 Lane::Lane(unsigned id, LocalMemory &mem) : id_(id), mem_(mem)
@@ -97,7 +99,7 @@ Lane::hard_reset()
     // the previous batch's owner may already have freed.
     prog_ = nullptr;
     compiled_ = nullptr;
-    window_base_ = 0;
+    set_window_base(0);
     trap_cycle_ = 0;
     sb_.attach(BytesView{});
     reset();
@@ -164,10 +166,21 @@ Lane::run_guarded(Body &&body)
 // Memory access with window translation and bank arbitration.
 // ---------------------------------------------------------------------------
 
-ByteAddr
-Lane::mem_translate(Word lane_addr) const
+void
+Lane::set_window_base(ByteAddr base, std::size_t bytes)
 {
-    return mem_.translate(id_, lane_addr, window_base_);
+    window_base_ = base;
+    window_start_ = bytes == 0 ? 0 : base;
+    window_end_ = bytes == 0 ? kLocalMemBytes
+                             : std::min<std::uint64_t>(
+                                   std::uint64_t{base} + bytes,
+                                   kLocalMemBytes);
+}
+
+ByteAddr
+Lane::mem_translate(Word lane_addr, unsigned len) const
+{
+    return mem_.translate(id_, lane_addr, window_base_, window_end_, len);
 }
 
 std::uint8_t *
@@ -175,7 +188,7 @@ Lane::mem_span(Word lane_addr, Word n)
 {
     if (!fast_path() || arbiter_)
         return nullptr;
-    return mem_.span(id_, lane_addr, n, window_base_);
+    return mem_.span(id_, lane_addr, n, window_base_, window_end_);
 }
 
 void
@@ -221,7 +234,7 @@ Lane::mem_write8(Word lane_addr, std::uint8_t v)
 Word
 Lane::mem_read32(Word lane_addr)
 {
-    const ByteAddr phys = mem_translate(lane_addr);
+    const ByteAddr phys = mem_translate(lane_addr, 4);
     charge_mem(phys, false);
     return mem_.read32(phys);
 }
@@ -229,7 +242,7 @@ Lane::mem_read32(Word lane_addr)
 void
 Lane::mem_write32(Word lane_addr, Word v)
 {
-    const ByteAddr phys = mem_translate(lane_addr);
+    const ByteAddr phys = mem_translate(lane_addr, 4);
     charge_mem(phys, true);
     mem_.write32(phys, v);
 }

@@ -107,8 +107,12 @@ class Lane
     /// Attach the input stream (not copied).
     void set_input(BytesView data);
 
-    /// Window base register for restricted addressing (byte address).
-    void set_window_base(ByteAddr base) { window_base_ = base; }
+    /// Window base register for restricted addressing (byte address),
+    /// and the window's size: a restricted-mode access past
+    /// `base + bytes` faults, and so does a Setbase that moves the base
+    /// below `base`.  0 bytes (the default) leaves the lane the whole
+    /// memory instead.
+    void set_window_base(ByteAddr base, std::size_t bytes = 0);
     ByteAddr window_base() const { return window_base_; }
 
     /// Scalar register access (r15 reads give the stream byte index).
@@ -224,7 +228,9 @@ class Lane
     Word fetch_symbol_bits(unsigned width);
     Word dispatch_word(std::size_t word_addr);
 
-    ByteAddr mem_translate(Word lane_addr) const;
+    /// Physical address of the `len` bytes at `lane_addr`; faults
+    /// unless all of them lie in the lane's range.
+    ByteAddr mem_translate(Word lane_addr, unsigned len = 1) const;
     /// Host pointer to the `n` bytes at `lane_addr` for a block move, or
     /// null when the move must take the per-byte path: off fast_path(),
     /// with a bank arbiter attached, or when the span leaves the lane's
@@ -249,6 +255,8 @@ class Lane
     std::array<Word, kNumScalarRegs> regs_{};
     unsigned symbol_bits_ = 8;     ///< symbol-size register
     ByteAddr window_base_ = 0;     ///< data window (restricted addressing)
+    ByteAddr window_start_ = 0;    ///< lowest base Setbase may set
+    std::uint64_t window_end_ = kLocalMemBytes; ///< one past the window
     std::size_t dispatch_base_ = 0;///< dispatch window (words)
     ByteAddr action_base_ = 0;     ///< scaled-offset action window (words)
     unsigned action_scale_ = 0;

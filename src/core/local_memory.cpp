@@ -39,33 +39,39 @@ LocalMemory::clear()
 }
 
 ByteAddr
-LocalMemory::translate(unsigned lane, ByteAddr addr, ByteAddr base) const
+LocalMemory::translate(unsigned lane, ByteAddr addr, ByteAddr base,
+                       std::uint64_t window_end, unsigned len) const
 {
+    // One compare per mode, against the end of the access's last byte.
+    const std::uint64_t end = std::uint64_t{addr} + len;
     switch (mode_) {
       case AddressingMode::Local:
         // Lane-private bank; an address past the 16 KiB bank faults.
-        if (addr >= kBankBytes)
+        if (end > kBankBytes)
             throw UdpFaultError(FaultCode::FetchOutOfRange,
                             "LocalMemory: local-mode address exceeds bank");
         return static_cast<ByteAddr>(lane * kBankBytes + addr);
       case AddressingMode::Global:
-        if (addr >= kLocalMemBytes)
+        if (end > kLocalMemBytes)
             throw UdpFaultError(FaultCode::FetchOutOfRange,
                             "LocalMemory: global address out of range");
         return addr;
-      case AddressingMode::Restricted: {
-        const std::uint64_t phys = std::uint64_t{base} + addr;
-        if (phys >= kLocalMemBytes)
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
-                            "LocalMemory: restricted address out of range");
-        return static_cast<ByteAddr>(phys);
-      }
+      case AddressingMode::Restricted:
+        if (base + end > window_end)
+            throw UdpFaultError(
+                FaultCode::FetchOutOfRange,
+                base + end > kLocalMemBytes
+                    ? "LocalMemory: restricted address out of range"
+                    : "LocalMemory: restricted address past the lane's "
+                      "window");
+        return base + addr;
     }
     throw UdpError("LocalMemory: bad addressing mode");
 }
 
 std::uint8_t *
-LocalMemory::span(unsigned lane, ByteAddr addr, std::size_t n, ByteAddr base)
+LocalMemory::span(unsigned lane, ByteAddr addr, std::size_t n, ByteAddr base,
+                  std::uint64_t window_end)
 {
     // translate()'s rule applied to the span's last byte, in 64 bits.
     const std::uint64_t end = std::uint64_t{addr} + n;
@@ -82,7 +88,7 @@ LocalMemory::span(unsigned lane, ByteAddr addr, std::size_t n, ByteAddr base)
         phys = addr;
         break;
       case AddressingMode::Restricted:
-        if (std::uint64_t{base} + end > kLocalMemBytes)
+        if (std::uint64_t{base} + end > window_end)
             return nullptr;
         phys = std::uint64_t{base} + addr;
         break;

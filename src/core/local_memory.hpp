@@ -40,9 +40,8 @@ double memory_ref_energy_pj(AddressingMode m);
  * Lanes access it through lane-relative addresses that are translated per
  * the addressing mode.  All accesses are bounds-checked; a lane escaping
  * its addressable range (its bank in Local mode, the 1 MiB memory in
- * Global and Restricted mode — the bound is the memory, not the window)
- * raises UdpFaultError(FetchOutOfRange), which the lane records as a
- * fault.
+ * Global mode, its window in Restricted mode) raises
+ * UdpFaultError(FetchOutOfRange), which the lane records as a fault.
  */
 class LocalMemory
 {
@@ -59,24 +58,32 @@ class LocalMemory
     void clear();
 
     /**
-     * Translate a lane-relative byte address to a physical byte address.
+     * Translate a lane-relative byte address to a physical byte address,
+     * faulting unless all `len` bytes from it lie in the lane's range.
      *
      * @param lane       issuing lane id
      * @param addr       lane-relative byte address
      * @param base       lane's window base register (Restricted mode only)
+     * @param window_end one past the window's last physical byte
+     *                   (Restricted mode only; at most the memory size,
+     *                   which is the default)
+     * @param len        bytes the access touches
      */
-    ByteAddr translate(unsigned lane, ByteAddr addr, ByteAddr base) const;
+    ByteAddr translate(unsigned lane, ByteAddr addr, ByteAddr base,
+                       std::uint64_t window_end = kLocalMemBytes,
+                       unsigned len = 1) const;
 
     /**
      * Host pointer to the `n` bytes at lane-relative `addr` (the first
-     * at translate(lane, addr, base)), or null unless every one of them
-     * would pass translate() and the physical bounds check; a span that
-     * wraps past 2^32 is null.  Never throws.  Block datapaths use it;
-     * on null they take the per-byte path, which faults where
-     * translate() does.
+     * at translate(lane, addr, base, window_end)), or null unless every
+     * one of them would pass translate() and the physical bounds check;
+     * a span that wraps past 2^32 is null.  Never throws.  Block
+     * datapaths use it; on null they take the per-byte path, which
+     * faults where translate() does.
      */
     std::uint8_t *span(unsigned lane, ByteAddr addr, std::size_t n,
-                       ByteAddr base);
+                       ByteAddr base,
+                       std::uint64_t window_end = kLocalMemBytes);
 
     /// Bank holding a physical byte address.
     static unsigned bank_of(ByteAddr phys) {

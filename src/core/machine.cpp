@@ -94,7 +94,7 @@ Machine::assign(std::vector<JobSpec> jobs)
         Lane &ln = *lanes_[i];
         ln.load(*j.program);
         ln.set_input(j.input);
-        ln.set_window_base(j.window_base);
+        ln.set_window_base(j.window_base, j.window_bytes);
         ln.set_forced_trap(j.trap_cycle);
         for (const auto &[r, v] : j.init_regs)
             ln.set_reg(r, v);

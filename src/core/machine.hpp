@@ -37,6 +37,10 @@ struct JobSpec {
     /// at stage/harvest time (runtime/arena.hpp).
     BytesView input{};
     ByteAddr window_base = 0;         ///< restricted-addressing window
+    /// The window's size (Lane::set_window_base): a restricted-mode
+    /// access past `window_base + window_bytes` faults, and so does a
+    /// Setbase below `window_base` (0: the lane keeps the whole memory).
+    std::size_t window_bytes = 0;
     bool nfa_mode = false;            ///< run with multi-state activation
     std::vector<std::pair<unsigned, Word>> init_regs; ///< (reg, value)
     /// Per-lane watchdog budget for run_parallel (the Scheduler's retry

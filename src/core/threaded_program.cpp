@@ -210,10 +210,14 @@ struct ThreadedEngine::Ops {
         return OpExit::Next;
     }
     UDP_THREADED_OP(Setbase) {
-        if (o.dst == 0)
-            ln.window_base_ = rs(ln, o) + o.imm_w;
+        const Word base = rs(ln, o) + o.imm_w;
+        if (o.dst != 0)
+            ln.dispatch_base_ = base;
+        else if (base < ln.window_start_) // onto an earlier job's window
+            throw UdpFaultError(FaultCode::FetchOutOfRange,
+                                "Lane: setbase below the lane's window");
         else
-            ln.dispatch_base_ = rs(ln, o) + o.imm_w;
+            ln.window_base_ = base;
         return OpExit::Next;
     }
     UDP_THREADED_OP(Setab) {

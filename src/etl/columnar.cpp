@@ -4,8 +4,10 @@
  */
 #include "columnar.hpp"
 
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 
 namespace udp::etl {
 
@@ -79,28 +81,67 @@ Table::append_raw(const std::vector<std::string> &fields)
         [&](std::size_t i) -> std::string_view { return fields[i]; });
 }
 
+namespace {
+
+/// Bit i set when byte i of the min(n, 64) at `p` is '\n' or 0x1E.
+std::uint64_t
+delimiter_bits(const char *p, std::size_t n)
+{
+    std::uint64_t bits = 0;
+    if (n < 64) {
+        for (std::size_t i = 0; i < n; ++i)
+            bits |= std::uint64_t{p[i] == '\n' || p[i] == '\x1E'} << i;
+        return bits;
+    }
+    // A fixed trip count and no branch, so compilers vectorize this.
+    std::uint8_t hit[64];
+    for (unsigned i = 0; i < 64; ++i)
+        hit[i] = (p[i] == '\n') | (p[i] == '\x1E');
+    static_assert(std::endian::native == std::endian::little,
+                  "hit[8k + j] must land in byte j of the word");
+    for (unsigned k = 0; k < 8; ++k) {
+        std::uint64_t w;
+        std::memcpy(&w, hit + 8 * k, sizeof w);
+        // Moves bit 0 of byte j to bit 56 + j; no two partial products
+        // overlap, so nothing carries.
+        bits |= ((w * 0x0102040810204080ull) >> 56) << (8 * k);
+    }
+    return bits;
+}
+
+} // namespace
+
 std::size_t
 Table::append_field_stream(std::string_view stream)
 {
+    // One pass that finds each delimiter once, 64 bytes at a time; a row
+    // is checked when its mark arrives, so an unfinished tail is never
+    // judged.
     std::vector<std::string_view> row(cols_.size());
-    std::size_t done = 0;
-    for (std::size_t mark = stream.find('\x1E');
-         mark != std::string_view::npos;
-         mark = stream.find('\x1E', done)) {
-        const std::string_view text = stream.substr(done, mark - done);
-        std::size_t n = 0;
-        for (std::size_t at = 0; at < text.size(); ++n) {
-            const std::size_t end = text.find('\n', at);
-            if (end == std::string_view::npos)
-                throw UdpError("Table: unterminated field in " + name_);
-            if (n < row.size())
-                row[n] = text.substr(at, end - at);
+    const char *const s = stream.data();
+    std::size_t done = 0; // bytes consumed through the last row mark
+    std::size_t at = 0;   // start of the current field
+    std::size_t n = 0;    // fields of the current row
+    for (std::size_t base = 0; base < stream.size(); base += 64) {
+        for (std::uint64_t bits =
+                 delimiter_bits(s + base, stream.size() - base);
+             bits; bits &= bits - 1) {
+            const std::size_t end = base + std::countr_zero(bits);
+            if (s[end] == '\n') {
+                if (n < row.size())
+                    row[n] = std::string_view(s + at, end - at);
+                ++n;
+            } else {
+                if (end != at)
+                    throw UdpError("Table: unterminated field in " + name_);
+                if (n != row.size())
+                    throw UdpError("Table: CSV arity mismatch for " + name_);
+                append_fields([&](std::size_t i) { return row[i]; });
+                done = end + 1;
+                n = 0;
+            }
             at = end + 1;
         }
-        if (n != row.size())
-            throw UdpError("Table: CSV arity mismatch for " + name_);
-        append_fields([&](std::size_t i) { return row[i]; });
-        done = mark + 1;
     }
     return done;
 }

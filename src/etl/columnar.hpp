@@ -54,10 +54,12 @@ class Table
 
     /**
      * Deserialize and append every complete row of a field stream (the
-     * CSV kernel's extract): '\n'-terminated fields, a 0x1E mark after
-     * each row.  Returns the bytes consumed, up to and including the
-     * last row mark; an unfinished tail is left for the caller to join
-     * with the stream that continues it.  Validates as append_raw does.
+     * CSV kernel's extract, and what load_cpu's parser writes):
+     * '\n'-terminated fields, a 0x1E mark after each row.  Returns the
+     * bytes consumed, up to and including the last row mark; an
+     * unfinished tail is left for the caller to join with the stream
+     * that continues it.  Validates as append_raw does, a row when its
+     * mark arrives.  Reads each byte once.
      */
     std::size_t append_field_stream(std::string_view stream);
 

@@ -175,36 +175,6 @@ for_frames(BytesView compressed, Fn &&fn)
     }
 }
 
-/// Parse the CSV text and deserialize into the table, measuring the two
-/// stages separately.
-void
-parse_and_deserialize(const std::string &csv, Table &table,
-                      LoadBreakdown &bd)
-{
-    const auto t0 = Clock::now();
-    std::vector<std::vector<std::string>> rows;
-    {
-        std::vector<std::string> cur;
-        baselines::CsvParser p(
-            [&](const char *d, std::size_t n) { cur.emplace_back(d, n); },
-            [&] {
-                rows.push_back(std::move(cur));
-                cur.clear();
-            });
-        p.feed(BytesView(
-            reinterpret_cast<const std::uint8_t *>(csv.data()),
-            csv.size()));
-        p.finish();
-    }
-    bd.parse = secs_since(t0);
-
-    const auto t1 = Clock::now();
-    for (const auto &r : rows)
-        table.append_raw(r);
-    bd.deserialize = secs_since(t1);
-    bd.rows = table.num_rows();
-}
-
 } // namespace
 
 LoadBreakdown
@@ -214,17 +184,45 @@ load_cpu(BytesView compressed, Table &table)
     bd.compressed_bytes = compressed.size();
     bd.io = double(compressed.size()) / kSsdBytesPerSec;
 
-    const auto t0 = Clock::now();
-    std::string csv;
+    // The parser writes the CSV kernel's field stream (each field then
+    // '\n', a 0x1E mark after each row) into `stream`.  After each frame
+    // the table takes every complete row, and the unfinished tail stays
+    // at the front of `stream` for the frame that continues it.
+    std::string stream;
+    std::size_t row = 0; // rows the parser has closed
+    baselines::CsvParser parser(
+        [&](const char *d, std::size_t n) {
+            if (std::any_of(d, d + n,
+                            [](char c) { return c == '\n' || c == '\x1E'; }))
+                throw UdpError("etl: CSV row " + std::to_string(row + 1) +
+                               " has a field holding a line break or "
+                               "0x1E, which the field stream cannot carry");
+            stream.append(d, n);
+            stream += '\n';
+        },
+        [&] {
+            stream += '\x1E';
+            ++row;
+        });
+    const auto timed = [](double &stage, auto &&step) {
+        const auto t0 = Clock::now();
+        step();
+        stage += secs_since(t0);
+    };
+    const auto deserialize = [&] {
+        stream.erase(0, table.append_field_stream(stream));
+    };
     for_frames(compressed, [&](BytesView frame, std::uint32_t) {
-        const Bytes raw = baselines::snappy_decompress(frame);
-        csv.append(reinterpret_cast<const char *>(raw.data()),
-                   raw.size());
+        Bytes raw;
+        timed(bd.decompress,
+              [&] { raw = baselines::snappy_decompress(frame); });
+        bd.csv_bytes += raw.size();
+        timed(bd.parse, [&] { parser.feed(raw); });
+        timed(bd.deserialize, deserialize);
     });
-    bd.decompress = secs_since(t0);
-    bd.csv_bytes = csv.size();
-
-    parse_and_deserialize(csv, table, bd);
+    timed(bd.parse, [&] { parser.finish(); });
+    timed(bd.deserialize, deserialize);
+    bd.rows = table.num_rows();
     return bd;
 }
 

@@ -54,8 +54,20 @@ inline constexpr double kSsdBytesPerSec = 500.0e6;
 
 /**
  * CPU-only load (Fig 1a/1b): Snappy-decompress `compressed`, parse the
- * CSV, deserialize into `table`.  Stage times are measured wall-clock;
- * `io` is modeled from the compressed size.
+ * CSV, deserialize into `table`.  It streams one frame at a time: the
+ * frame is decompressed, a CSV parser writes its fields in the CSV
+ * kernel's field-stream format (each field then '\n', a 0x1E mark after
+ * each row), and Table::append_field_stream takes every complete row,
+ * the deserializer load_udp_offload uses.  The whole CSV text is never
+ * held.  Stage times are measured wall-clock and summed over the
+ * frames; `io` is modeled from the compressed size.
+ *
+ * A field holding '\n' or 0x1E, which the field stream cannot carry,
+ * throws UdpError naming its row; load_udp_offload refuses such a row
+ * too.  A truncated stream or a malformed field throws UdpError as
+ * well.  After a throw `table` holds the rows deserialized before the
+ * error, a prefix of the input's, and a row that failed deserializing
+ * may have filled its first columns; discard it.
  */
 LoadBreakdown load_cpu(BytesView compressed, Table &table);
 

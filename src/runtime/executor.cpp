@@ -14,6 +14,8 @@ validate_plan(const JobPlan &plan)
     };
     if (!plan.program)
         fail("has no program");
+    if (plan.window_bytes == 0)
+        fail("has an empty window"); // the lane would get all of memory
     if (plan.window_bytes > kLocalMemBytes)
         fail("window exceeds local memory");
     for (const MemStage &s : plan.stages)
@@ -56,7 +58,7 @@ stage_job(Machine &m, unsigned lane, ByteAddr window_base,
     Lane &ln = m.lane(lane);
     ln.load(*plan.program, plan.compiled);
     ln.set_input(plan.input);
-    ln.set_window_base(window_base);
+    ln.set_window_base(window_base, plan.window_bytes);
     // Single-lane runs are always "attempt 1" of the plan's trap window.
     ln.set_forced_trap(plan.trap_attempts != 0 ? plan.force_trap_cycle
                                                : Cycles{0});

@@ -16,7 +16,8 @@ namespace udp::runtime {
 
 /**
  * Check that a plan can run at all, whatever its program does: it has a
- * program; its window fits local memory; its stages and fixed-length
+ * program; its window is not empty and fits local memory (the window
+ * bounds the lane's addresses); its stages and fixed-length
  * extracts lie inside the window; its `init_regs` and extract `end_reg`
  * indices name scalar registers (< 16); and its input and every stage
  * slice are pinned by a live arena.  Throws UdpError naming the job
@@ -36,7 +37,8 @@ void stage_regions(Machine &m, ByteAddr window_base, const JobPlan &plan);
 
 /**
  * Stage the plan's memory regions (`stage_regions`) and bind the lane:
- * load the program, attach the input, set the window base and initial
+ * load the program, attach the input, set the window (base and the
+ * plan's `window_bytes`, past which an access faults) and initial
  * registers.
  *
  * Lifetime: the lane streams *directly from the plan's arena memory*

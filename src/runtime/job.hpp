@@ -72,7 +72,9 @@ struct JobPlan {
     /// Stream contents: a non-owning view pinned by its InputArena.
     /// Assigning a `Bytes` materializes a private arena (one move).
     ArenaSlice input;
-    std::size_t window_bytes = kBankBytes;  ///< local-memory footprint
+    /// Local-memory footprint, nonzero; the lane faults on a
+    /// restricted-mode access past it.
+    std::size_t window_bytes = kBankBytes;
     bool nfa_mode = false;                  ///< run with Lane::run_nfa
     std::vector<std::pair<unsigned, Word>> init_regs;
     std::vector<MemStage> stages;

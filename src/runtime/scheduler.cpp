@@ -158,6 +158,7 @@ Scheduler::run(const std::vector<JobPlan> &jobs)
             js.program = plan.program.get();
             js.input = plan.input;
             js.window_base = base;
+            js.window_bytes = plan.window_bytes;
             js.nfa_mode = plan.nfa_mode;
             js.init_regs = plan.init_regs;
             js.max_cycles = pl.budget;

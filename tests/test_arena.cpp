@@ -10,11 +10,13 @@
  * BufferPool hands back cleared buffers with their capacity intact, the
  * pooled harvest path is bit-identical between serial and threaded
  * backends, and — via a global operator-new counter — the steady-state
- * wave loop's allocation count is O(jobs), not O(bytes).
+ * wave loop's allocation count is O(jobs), not O(bytes), and the CPU
+ * ETL load's is O(frames), not O(fields).
  *
  * This file runs under the CI AddressSanitizer, ThreadSanitizer and
  * UndefinedBehaviorSanitizer jobs (`-R "Arena\."`).
  */
+#include "etl/loader.hpp"
 #include "kernels/csv.hpp"
 #include "kernels/trigger.hpp"
 #include "runtime/executor.hpp"
@@ -451,6 +453,25 @@ TEST(Arena, SteadyStateAllocationBound)
     // And recycling keeps it flat run over run (no slow leak of the
     // pool's benefit).
     EXPECT_LE(run2, run1 + run1 / 4);
+}
+
+TEST(Arena, CpuLoadAllocatesPerFrame)
+{
+    // SF 1: 6,000 rows, 96,000 fields, 67 compressed frames.
+    const std::string csv = etl::lineitem_csv(1.0);
+    const Bytes comp = etl::compress_for_load(csv);
+    const std::size_t frames = ceil_div(csv.size(), 12 * 1024);
+    etl::Table table("lineitem", etl::lineitem_schema());
+
+    const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+    etl::load_cpu(comp, table);
+    const std::uint64_t allocs =
+        g_alloc_calls.load(std::memory_order_relaxed) - before;
+
+    // The load streams frame by frame through one reused field-stream
+    // buffer: a copy or a string per field would exceed this by far.
+    ASSERT_EQ(table.num_rows(), 6000u);
+    EXPECT_LE(allocs, 4 * frames + 1000) << frames << " frames";
 }
 
 } // namespace

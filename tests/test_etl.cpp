@@ -282,6 +282,39 @@ TEST(EtlLoad, TruncatedStreamThrows)
     }
 }
 
+TEST(EtlLoad, LoadersRefuseAFieldHoldingALineBreak)
+{
+    // A field of the kernel's stream ends at '\n' and a row at 0x1E, so
+    // neither can sit inside a field: both loaders refuse the row,
+    // load_cpu naming it.
+    const std::string good = lineitem_csv(0.1); // 600 rows
+    const std::string comment = ",carefully packed deliveries nag furiously\n";
+    std::size_t row42 = 0;
+    for (int r = 1; r < 42; ++r)
+        row42 = good.find('\n', row42) + 1;
+    const std::size_t at = good.find(comment, row42);
+    ASSERT_LT(at, good.find('\n', row42));
+    for (const std::string bad : {",\"carefully packed\ndeliveries\"\n",
+                                  ",carefully\x1E" "packed\n"}) {
+        SCOPED_TRACE(bad);
+        std::string csv = good;
+        csv.replace(at, comment.size(), bad);
+        const Bytes comp = compress_for_load(csv);
+        Table cpu_t("lineitem", lineitem_schema());
+        try {
+            load_cpu(comp, cpu_t);
+            ADD_FAILURE() << "load_cpu loaded the row";
+        } catch (const UdpError &e) {
+            EXPECT_NE(std::string(e.what()).find("row 42 "),
+                      std::string::npos)
+                << e.what();
+        }
+        Machine m(AddressingMode::Restricted);
+        Table udp_t("lineitem", lineitem_schema());
+        EXPECT_THROW(load_udp_offload(m, comp, udp_t, 8), UdpError);
+    }
+}
+
 TEST(EtlLoad, OffloadScalesWithLanes)
 {
     const std::string csv = lineitem_csv(0.1);

@@ -34,6 +34,14 @@ TEST(LocalMemory, RestrictedModeAddsWindowBase)
     // A lane may reach any bank by moving its base register.
     EXPECT_EQ(mem.translate(0, 0, 63 * kBankBytes), 63 * kBankBytes);
     EXPECT_THROW(mem.translate(0, kBankBytes, 63 * kBankBytes), UdpError);
+    // Unless a window end bounds it, the access's last byte included.
+    const ByteAddr base = 3 * kBankBytes;
+    const std::uint64_t end = base + 2 * kBankBytes;
+    EXPECT_EQ(mem.translate(0, 2 * kBankBytes - 1, base, end), end - 1);
+    EXPECT_THROW(mem.translate(0, 2 * kBankBytes, base, end), UdpError);
+    EXPECT_EQ(mem.translate(0, 2 * kBankBytes - 4, base, end, 4), end - 4);
+    EXPECT_THROW(mem.translate(0, 2 * kBankBytes - 3, base, end, 4),
+                 UdpError);
 }
 
 TEST(LocalMemory, ReadWriteRoundTrip)
@@ -59,10 +67,11 @@ TEST(LocalMemory, SpanIsTranslateOverEveryByte)
     const Word lengths[] = {1, 2, 7, 8, 9, 100};
     const ByteAddr bases[] = {0, 3 * kBankBytes};
     auto every_byte_translates = [](const LocalMemory &mem, unsigned lane,
-                                    Word addr, Word n, ByteAddr base) {
+                                    Word addr, Word n, ByteAddr base,
+                                    std::uint64_t end) {
         try {
             for (Word i = 0; i < n; ++i)
-                mem.translate(lane, addr + i, base);
+                mem.translate(lane, addr + i, base, end);
         } catch (const UdpError &) {
             return false;
         }
@@ -74,23 +83,30 @@ TEST(LocalMemory, SpanIsTranslateOverEveryByte)
         LocalMemory mem(mode);
         for (const unsigned lane : {0u, 5u, 63u})
             for (const ByteAddr base : bases)
-                for (const Word addr : edges) {
-                    EXPECT_NO_THROW(mem.span(lane, addr, 0, base));
-                    for (const Word n : lengths) {
-                        SCOPED_TRACE(testing::Message()
-                                     << addressing_mode_name(mode)
-                                     << " lane " << lane << " base " << base
-                                     << " addr " << addr << " n " << n);
-                        const bool every =
-                            every_byte_translates(mem, lane, addr, n, base);
-                        const std::uint8_t *p = mem.span(lane, addr, n, base);
-                        ASSERT_EQ(p != nullptr, every);
-                        if (p) {
-                            EXPECT_EQ(p, mem.raw().data() +
-                                             mem.translate(lane, addr, base));
+                // The memory's end, and a two-bank window's.
+                for (const std::uint64_t end :
+                     {std::uint64_t{kLocalMemBytes},
+                      std::uint64_t{base} + 2 * kBankBytes})
+                    for (const Word addr : edges) {
+                        EXPECT_NO_THROW(mem.span(lane, addr, 0, base, end));
+                        for (const Word n : lengths) {
+                            SCOPED_TRACE(testing::Message()
+                                         << addressing_mode_name(mode)
+                                         << " lane " << lane << " base "
+                                         << base << " end " << end
+                                         << " addr " << addr << " n " << n);
+                            const bool every = every_byte_translates(
+                                mem, lane, addr, n, base, end);
+                            const std::uint8_t *p =
+                                mem.span(lane, addr, n, base, end);
+                            ASSERT_EQ(p != nullptr, every);
+                            if (p) {
+                                EXPECT_EQ(p, mem.raw().data() +
+                                                 mem.translate(lane, addr,
+                                                               base, end));
+                            }
                         }
                     }
-                }
     }
 }
 

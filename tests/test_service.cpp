@@ -7,6 +7,8 @@
  * post-mortem routing — plus the cancellation-race and concurrent-client
  * coverage the sanitizer jobs run.
  */
+#include "assembler/builder.hpp"
+#include "core/decoded_program.hpp"
 #include "kernels/csv.hpp"
 #include "kernels/trigger.hpp"
 #include "runtime/executor.hpp"
@@ -195,13 +197,14 @@ csv_job()
     return kernels::csv_kernel_spec().make_job(ArenaSlice::borrow(csv_rows()));
 }
 
-/// A CSV job whose output cursor r5 starts at 40000, past its 32 KiB
-/// window.  The plan is valid and the run completes; only the harvest
-/// can tell that the extract ends outside the window.
+/// A CSV job with no input whose output cursor r5 starts at 40000, past
+/// its 32 KiB window.  The plan is valid, and the run stores nothing and
+/// completes; only the harvest can tell that the extract ends outside
+/// the window.  (Given input, its first field store would fault.)
 JobPlan
 csv_job_past_window()
 {
-    JobPlan p = csv_job();
+    JobPlan p = kernels::csv_kernel_spec().make_job(ArenaSlice{});
     p.init_regs = {{5, 40000}};
     return p;
 }
@@ -212,8 +215,6 @@ TEST(Scheduler, ExtractPastWindowFaultsOnlyItsJob)
 {
     Scheduler s;
     const auto ref = s.run({csv_job(), csv_job()});
-    // The bad job runs last in the wave, so its stores past its window
-    // land in banks no other job of the wave uses.
     const auto r = s.run({csv_job(), csv_job(), csv_job_past_window()});
     ASSERT_EQ(r.waves.size(), 1u);
     for (std::size_t i = 0; i < 2; ++i) {
@@ -239,6 +240,72 @@ TEST(Scheduler, ExtractPastWindowFaultsOnlyItsJob)
     EXPECT_EQ(direct.status, LaneStatus::Faulted);
     EXPECT_EQ(direct.fault.code, FaultCode::FetchOutOfRange);
     EXPECT_THROW(kernels::decode_csv_result(direct), UdpError);
+}
+
+TEST(Scheduler, OutOfWindowStoreFaultsOnlyItsJob)
+{
+    // A scribbler stores 'Z' once per input byte from r1 on, after the
+    // `prologue` actions, into a wave-mate's two-bank CSV window.
+    const auto scribbler = [](std::vector<Action> prologue, Opcode store,
+                              Word offset) {
+        prologue.push_back(act_imm(Opcode::Movi, 2, 0, 'Z'));
+        prologue.push_back(act_imm(store, 2, 1, 0));
+        prologue.push_back(act_imm(Opcode::Addi, 1, 1, 1));
+        ProgramBuilder b;
+        const StateId st = b.add_state();
+        b.on_any(st, st, b.add_block(std::move(prologue)));
+        b.set_entry(st);
+        JobPlan p;
+        p.name = "scribbler";
+        p.program = std::make_shared<const Program>(b.build());
+        p.input = Bytes(64, 'x');
+        p.window_bytes = 2 * kBankBytes;
+        p.init_regs = {{1, offset}};
+        return p;
+    };
+    struct Case {
+        const char *what;
+        JobPlan bad;
+        bool bad_first; ///< else the CSV job runs first in the wave
+    };
+    struct Restore {
+        ~Restore() { set_sim_backend(SimBackend::Threaded); }
+    } restore;
+    for (const SimBackend backend : {SimBackend::Threaded, SimBackend::Legacy}) {
+        set_sim_backend(backend);
+        const Case cases[] = {
+            // Past its window: the CSV job's staged input from byte 100.
+            {"stb", scribbler({}, Opcode::Stb, 2 * kBankBytes + 100), true},
+            // A word whose first two bytes end its own window.
+            {"stw", scribbler({}, Opcode::Stw, 2 * kBankBytes - 2), true},
+            // Its base moved down onto the first job's window, then
+            // stores into that job's extracted fields.
+            {"setbase",
+             scribbler({act_imm(Opcode::Setbase, 0, 0, 0)}, Opcode::Stb,
+                       kernels::kCsvOutBase + 10),
+             false}};
+        for (const Case &c : cases)
+            for (const unsigned threads : {1u, 2u}) {
+                SCOPED_TRACE(testing::Message()
+                             << sim_backend_name(backend) << ", " << c.what
+                             << ", " << threads << " threads");
+                SchedulerOptions o;
+                o.threads = threads;
+                Scheduler s(o);
+                const auto solo = s.run({csv_job()});
+                const auto r = c.bad_first ? s.run({c.bad, csv_job()})
+                                           : s.run({csv_job(), c.bad});
+                ASSERT_EQ(r.jobs.size(), 2u);
+                const JobResult &bad = r.jobs[c.bad_first ? 0 : 1];
+                const JobResult &good = r.jobs[c.bad_first ? 1 : 0];
+                EXPECT_EQ(bad.status, LaneStatus::Faulted);
+                EXPECT_EQ(bad.fault.code, FaultCode::FetchOutOfRange);
+                EXPECT_EQ(bad.fault.lane, c.bad_first ? 0u : 2u);
+                EXPECT_EQ(bad.stats.mem_writes, 0u);
+                EXPECT_EQ(good.status, LaneStatus::Done);
+                expect_results_eq(solo.jobs[0], good);
+            }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -495,8 +562,9 @@ TEST(Service, MalformedPlansAreRefusedAtSubmit)
     auto client = svc.client(tid);
     const JobPlan good = trigger_jobs(1)[0];
 
-    std::vector<JobPlan> bad(6, good);
+    std::vector<JobPlan> bad(7, good);
     bad[0].window_bytes = kLocalMemBytes + 1;
+    bad[6].window_bytes = 0; // would leave the lane unbounded
     bad[1].program = nullptr;
     bad[2].stages.push_back(
         {static_cast<ByteAddr>(bad[2].window_bytes), good.input});
