@@ -30,8 +30,13 @@ class CsvParser
     /// Feed a chunk; may be called repeatedly (streaming).
     void feed(BytesView chunk);
 
-    /// Signal end of input (flushes a trailing unterminated row).
+    /// Signal end of input (flushes a trailing unterminated row, a quoted
+    /// field left open included, as libcsv does).
     void finish();
+
+    /// True inside a quoted field whose closing quote has not come yet;
+    /// a caller that refuses an open quote at the end checks it first.
+    bool in_quoted_field() const { return state_ == State::Quoted; }
 
     std::uint64_t fields() const { return fields_; }
     std::uint64_t rows() const { return rows_; }

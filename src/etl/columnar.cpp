@@ -214,30 +214,32 @@ two_digits(std::string_view s, std::size_t at)
 DateDays
 parse_date(std::string_view s)
 {
-    // "MM/DD/YYYY[ hh:mm:ss]" (Crimes-style) or "YYYY-MM-DD".
-    if (s.size() >= 10 && s[2] == '/' && s[5] == '/') {
-        const int m = two_digits(s, 0);
-        const int d = two_digits(s, 3);
-        const int y = two_digits(s, 6) * 100 + two_digits(s, 8);
-        if (m < 1 || m > 12 || d < 1 ||
-            d > (m == 2 ? (is_leap(y) ? 29 : 28)
-                        : (m == 4 || m == 6 || m == 9 || m == 11 ? 30
-                                                                 : 31)))
+    // "YYYY-MM-DD", or Crimes-style "MM/DD/YYYY[ hh:mm:ss]".
+    int y = 0, m = 0, d = 0;
+    if (s.size() == 10 && s[4] == '-' && s[7] == '-') {
+        y = two_digits(s, 0) * 100 + two_digits(s, 2);
+        m = two_digits(s, 5);
+        d = two_digits(s, 8);
+    } else if ((s.size() == 10 || (s.size() == 19 && s[10] == ' ' &&
+                                   s[13] == ':' && s[16] == ':')) &&
+               s[2] == '/' && s[5] == '/') {
+        m = two_digits(s, 0);
+        d = two_digits(s, 3);
+        y = two_digits(s, 6) * 100 + two_digits(s, 8);
+        if (s.size() == 19 && (two_digits(s, 11) > 23 ||
+                               two_digits(s, 14) > 59 ||
+                               two_digits(s, 17) > 59))
             throw UdpError("parse_date: out-of-range '" + std::string(s) +
                            "'");
-        return days_from_civil(y, m, d);
+    } else {
+        throw UdpError("parse_date: unrecognized format '" +
+                       std::string(s) + "'");
     }
-    if (s.size() >= 10 && s[4] == '-' && s[7] == '-') {
-        const int y = two_digits(s, 0) * 100 + two_digits(s, 2);
-        const int m = two_digits(s, 5);
-        const int d = two_digits(s, 8);
-        if (m < 1 || m > 12 || d < 1 || d > 31)
-            throw UdpError("parse_date: out-of-range '" + std::string(s) +
-                           "'");
-        return days_from_civil(y, m, d);
-    }
-    throw UdpError("parse_date: unrecognized format '" + std::string(s) +
-                   "'");
+    if (m < 1 || m > 12 || d < 1 ||
+        d > (m == 2 ? (is_leap(y) ? 29 : 28)
+                    : (m == 4 || m == 6 || m == 9 || m == 11 ? 30 : 31)))
+        throw UdpError("parse_date: out-of-range '" + std::string(s) + "'");
+    return days_from_civil(y, m, d);
 }
 
 } // namespace udp::etl

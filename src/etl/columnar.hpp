@@ -78,7 +78,8 @@ class Table
 /// Deserialization helpers (exposed for tests and the loader).
 std::int64_t parse_int64(std::string_view s);
 double parse_double(std::string_view s);
-/// "MM/DD/YYYY[ ...]" or "YYYY-MM-DD" to days since epoch.
+/// "YYYY-MM-DD" or "MM/DD/YYYY[ hh:mm:ss]" to days since epoch; throws
+/// UdpError on any other shape, trailing bytes or an impossible date.
 DateDays parse_date(std::string_view s);
 
 } // namespace udp::etl

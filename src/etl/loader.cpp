@@ -11,8 +11,11 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
 #include <iterator>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -46,6 +49,10 @@ get_u32(BytesView in, std::size_t at)
 
 /// Frame size chosen so a decompressed frame fits a UDP lane bank.
 constexpr std::size_t kFrameRaw = 12 * 1024;
+
+/// Both loaders' error for a text that ends inside a quoted field.
+constexpr const char *kOpenQuote =
+    "etl: the CSV text ends inside a quoted field";
 
 const char *const kShipModes[] = {"AIR",  "RAIL", "SHIP", "TRUCK",
                                   "MAIL", "FOB",  "REG AIR"};
@@ -220,6 +227,8 @@ load_cpu(BytesView compressed, Table &table)
         timed(bd.parse, [&] { parser.feed(raw); });
         timed(bd.deserialize, deserialize);
     });
+    if (parser.in_quoted_field())
+        throw UdpError(kOpenQuote);
     timed(bd.parse, [&] { parser.finish(); });
     timed(bd.deserialize, deserialize);
     bd.rows = table.num_rows();
@@ -236,115 +245,167 @@ load_udp_offload(Machine &m, BytesView compressed, Table &table,
     bd.compressed_bytes = compressed.size();
     bd.io = double(compressed.size()) / kSsdBytesPerSec;
 
-    runtime::SchedulerOptions opts;
-    opts.max_jobs_per_wave = lanes;
-    runtime::Scheduler sched(m, opts);
-
-    // --- Stage 1: Snappy decompression on UDP lanes ---------------------
-    // One job per compressed frame; the scheduler waves them over the
-    // deployed lanes and charges the wave-summed machine time.
-    const runtime::KernelSpec dec_spec = kernels::snappy_decompress_spec();
-    // One arena over the whole compressed stream; every frame job is a
-    // slice of it (the caller's buffer outlives the scheduled run).
-    const runtime::ArenaSlice comp_arena =
-        runtime::ArenaSlice::borrow(compressed);
-    std::vector<runtime::JobPlan> dec_jobs;
-    for_frames(compressed, [&](BytesView frame, std::uint32_t) {
+    // A frame's Snappy block, past the varint preamble the kernel does
+    // not read, as an offset and length in `compressed`.  Every frame is
+    // checked before the first wave, so a truncated stream does no work.
+    const auto block_of = [&](BytesView frame) {
         const std::size_t at =
             static_cast<std::size_t>(frame.data() - compressed.data());
-        // Strip the varint preamble.
         std::size_t p = 0;
         while (p < frame.size() && (frame[p] & 0x80))
             ++p;
         if (p == frame.size())
             throw UdpError("etl: frame at byte " + std::to_string(at - 8) +
                            " has no complete varint preamble");
-        ++p;
-        dec_jobs.push_back(
-            dec_spec.make_job(comp_arena.subslice(at + p, frame.size() - p)));
-    });
-    runtime::ScheduleReport dec_rep = sched.run(dec_jobs);
-    std::size_t csv_size = 0;
-    for (const runtime::JobResult &r : dec_rep.jobs)
-        csv_size += kernels::snappy_decompressed(r).size();
-    std::string csv;
-    csv.reserve(csv_size);
-    for (const runtime::JobResult &r : dec_rep.jobs) {
-        const BytesView block = kernels::snappy_decompressed(r);
-        csv.append(reinterpret_cast<const char *>(block.data()),
-                   block.size());
-    }
-    bd.decompress = double(dec_rep.wall_cycles) / kClockHz;
-    bd.csv_bytes = csv.size();
-    sched.recycle(std::move(dec_rep));
+        return std::pair{at + p + 1, frame.size() - p - 1};
+    };
+    for_frames(compressed,
+               [&](BytesView frame, std::uint32_t) { block_of(frame); });
 
-    // --- Stages 2 and 3: CSV parse on UDP lanes, deserialize on the CPU --
-    // Chunk on row boundaries so every lane parses whole rows.  `csv`
-    // outlives every scheduled run, so the chunk jobs borrow it through
-    // one arena — no per-chunk copies.
-    std::vector<runtime::JobPlan> csv_jobs = runtime::chunk_jobs(
-        kernels::csv_kernel_spec(),
-        runtime::ArenaSlice::borrow(BytesView(
-            reinterpret_cast<const std::uint8_t *>(csv.data()),
-            csv.size())),
-        kFrameRaw, runtime::align_after_delim('\n'));
+    runtime::SchedulerOptions opts;
+    opts.max_jobs_per_wave = lanes;
+    runtime::Scheduler sched(m, opts);
+    const runtime::KernelSpec dec_spec = kernels::snappy_decompress_spec();
+    const runtime::KernelSpec csv_spec = kernels::csv_kernel_spec();
+    const runtime::ChunkAlign row_end = runtime::align_after_delim('\n');
+    // The frame jobs slice the caller's buffer, which outlives the load.
+    const runtime::ArenaSlice comp_arena =
+        runtime::ArenaSlice::borrow(compressed);
 
-    // The jobs run as consecutive `lanes`-sized slices.  A CSV window is
-    // two banks and lanes <= 32, so each slice is exactly one wave of a
-    // single run over all the jobs, and the slices' summed wall clock is
-    // that run's.  While slice k+1 simulates, a helper thread
-    // deserializes slice k straight from its extracts, in job order, and
-    // hands the buffers back to the scheduler's pool.  Only the helper
-    // touches `table`, `carry` and `deserialize_s` until it is joined.
-    Cycles parse_cycles = 0;
+    // The load streams one wave at a time.  Snappy runs as `lanes`-frame
+    // slices and CSV as `lanes`-chunk slices of the same Scheduler; both
+    // windows are two banks and lanes <= 32, so each slice is exactly one
+    // wave of a single run over all of its stage's jobs, and the summed
+    // wall clocks are those runs'.  A Snappy slice's output is appended
+    // to `text`, the chunks chunk_jobs would cut are cut from it as soon
+    // as they are settled (runtime::chunk_end), and every `lanes` of them
+    // run as a CSV slice, after which the text they held is dropped.
+    Cycles dec_cycles = 0, parse_cycles = 0;
     double deserialize_s = 0;
+    std::vector<runtime::JobPlan> slice; // the next wave's jobs
+    std::vector<std::size_t> cuts;       // ends in `text` of cut chunks
+    // Decompressed, not yet parsed: under `lanes` cut chunks and an uncut
+    // tail of at most a chunk, then one slice's output appended.
+    std::string text;
+    text.reserve(2 * std::size_t{lanes} * kFrameRaw);
     std::string carry; // a row the next job's stream continues
+
+    // While the lanes simulate, one helper thread deserializes the CSV
+    // slice handed to it straight from its extracts, in job order, and
+    // hands the buffers back to the scheduler's pool.  A hand-off waits
+    // until the helper is idle; until then only the helper touches
+    // `table`, `carry` and `deserialize_s`.  One thread serves the whole
+    // load so that the table grows in one malloc arena: a helper started
+    // per slice sometimes took the arena a simulation worker had just
+    // left, and two arenas then each kept a table's freed pages.  The
+    // jthread is declared after all it touches; on any exit it finishes
+    // the slice it holds, then stops.
+    std::optional<runtime::ScheduleReport> handed;
     std::exception_ptr helper_error;
-    std::thread helper;
-    const auto join_helper = [&] {
-        if (helper.joinable())
-            helper.join();
+    std::mutex mu;
+    std::condition_variable_any cv;
+    std::jthread helper([&](std::stop_token stop) {
+        std::unique_lock lock(mu);
+        while (cv.wait(lock, stop, [&] { return handed.has_value(); })) {
+            lock.unlock();
+            const auto t0 = Clock::now();
+            try {
+                for (const runtime::JobResult &r : handed->jobs) {
+                    const std::string_view stream =
+                        kernels::csv_field_stream(r);
+                    if (carry.empty()) {
+                        carry =
+                            stream.substr(table.append_field_stream(stream));
+                    } else {
+                        carry += stream;
+                        carry.erase(0, table.append_field_stream(carry));
+                    }
+                }
+            } catch (...) {
+                helper_error = std::current_exception();
+            }
+            sched.recycle(std::move(*handed));
+            deserialize_s += secs_since(t0);
+            lock.lock();
+            handed.reset();
+            cv.notify_all();
+        }
+    });
+    // Waits until the helper is idle; rethrows its error.
+    const auto wait_helper = [&] {
+        std::unique_lock lock(mu);
+        cv.wait(lock, [&] { return !handed; });
         if (helper_error)
             std::rethrow_exception(helper_error);
     };
-    const auto deserialize = [&](runtime::ScheduleReport &rep) {
-        const auto t0 = Clock::now();
+    const auto text_bytes = [&] {
+        return BytesView(reinterpret_cast<const std::uint8_t *>(text.data()),
+                         text.size());
+    };
+    const auto parse = [&] {
+        const runtime::ArenaSlice arena =
+            runtime::ArenaSlice::borrow(text_bytes());
+        for (std::size_t i = 0, begin = 0; i < cuts.size(); begin = cuts[i++])
+            slice.push_back(
+                csv_spec.make_job(arena.subslice(begin, cuts[i] - begin)));
+        runtime::ScheduleReport rep = sched.run(slice);
+        slice.clear();
+        parse_cycles += rep.wall_cycles;
+        text.erase(0, cuts.back());
+        cuts.clear();
+        wait_helper();
+        {
+            std::lock_guard lock(mu);
+            handed = std::move(rep);
+        }
+        cv.notify_all();
+    };
+    const auto cut = [&](bool at_end) {
+        for (;;) {
+            const std::size_t begin = cuts.empty() ? 0 : cuts.back();
+            const std::size_t end = runtime::chunk_end(
+                csv_spec, text_bytes(), begin, kFrameRaw, row_end, at_end);
+            if (end == begin)
+                return;
+            cuts.push_back(end);
+            if (cuts.size() == lanes)
+                parse();
+        }
+    };
+    const auto decompress = [&] {
+        runtime::ScheduleReport rep = sched.run(slice);
+        slice.clear();
+        dec_cycles += rep.wall_cycles;
         for (const runtime::JobResult &r : rep.jobs) {
-            const std::string_view stream = kernels::csv_field_stream(r);
-            if (carry.empty()) {
-                carry = stream.substr(table.append_field_stream(stream));
-            } else {
-                carry += stream;
-                carry.erase(0, table.append_field_stream(carry));
-            }
+            const BytesView block = kernels::snappy_decompressed(r);
+            text.append(reinterpret_cast<const char *>(block.data()),
+                        block.size());
+            bd.csv_bytes += block.size();
         }
         sched.recycle(std::move(rep));
-        deserialize_s += secs_since(t0);
+        cut(false);
     };
-    try {
-        for (auto first = csv_jobs.begin(); first != csv_jobs.end();) {
-            const auto last =
-                first + std::min<std::ptrdiff_t>(lanes, csv_jobs.end() - first);
-            const std::vector<runtime::JobPlan> slice(
-                std::make_move_iterator(first), std::make_move_iterator(last));
-            first = last;
-            runtime::ScheduleReport rep = sched.run(slice);
-            parse_cycles += rep.wall_cycles;
-            join_helper();
-            helper = std::thread([&, rep = std::move(rep)]() mutable {
-                try {
-                    deserialize(rep);
-                } catch (...) {
-                    helper_error = std::current_exception();
-                }
-            });
-        }
-        join_helper();
-    } catch (...) {
-        if (helper.joinable())
-            helper.join();
-        throw;
-    }
+    for_frames(compressed, [&](BytesView frame, std::uint32_t) {
+        const auto [at, n] = block_of(frame);
+        slice.push_back(dec_spec.make_job(comp_arena.subslice(at, n)));
+        if (slice.size() == lanes)
+            decompress();
+    });
+    if (!slice.empty())
+        decompress();
+    // The kernel closes a field only at ',', '\n' or '\r', so a last row
+    // without a line break gets one.  A cut chunk always leaves text
+    // behind it, so the text's last byte is still held.
+    if (!text.empty() && text.back() != '\n' && text.back() != '\r')
+        text += '\n';
+    cut(true);
+    if (!cuts.empty())
+        parse();
+    wait_helper();
+    // A '\n'-ended text leaves a row open only inside a quoted field.
+    if (!carry.empty())
+        throw UdpError(kOpenQuote);
+    bd.decompress = double(dec_cycles) / kClockHz;
     bd.parse = double(parse_cycles) / kClockHz;
     bd.deserialize = deserialize_s;
     bd.rows = table.num_rows();

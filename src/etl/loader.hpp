@@ -36,8 +36,8 @@ struct LoadBreakdown {
     double decompress = 0;
     double parse = 0;       ///< CSV parse + tokenize
     /// Typed conversion + dictionary + insert.  In load_udp_offload this
-    /// is the deserialize helper's busy time, which overlaps the parse
-    /// stage: it is CPU work, not a share of the load's wall time.
+    /// is the deserialize helper's busy time, which overlaps the lanes'
+    /// simulation: it is CPU work, not a share of the load's wall time.
     double deserialize = 0;
     std::size_t csv_bytes = 0;
     std::size_t compressed_bytes = 0;
@@ -64,10 +64,11 @@ inline constexpr double kSsdBytesPerSec = 500.0e6;
  *
  * A field holding '\n' or 0x1E, which the field stream cannot carry,
  * throws UdpError naming its row; load_udp_offload refuses such a row
- * too.  A truncated stream or a malformed field throws UdpError as
- * well.  After a throw `table` holds the rows deserialized before the
- * error, a prefix of the input's, and a row that failed deserializing
- * may have filled its first columns; discard it.
+ * too.  A truncated stream, a malformed field or a quoted field left
+ * open at the end of the text throws UdpError as well.  After a throw
+ * `table` holds the rows deserialized before the error, a prefix of the
+ * input's, and a row that failed deserializing may have filled its
+ * first columns; discard it.
  */
 LoadBreakdown load_cpu(BytesView compressed, Table &table);
 
@@ -75,11 +76,31 @@ LoadBreakdown load_cpu(BytesView compressed, Table &table);
  * UDP-offloaded load: decompression and parse/tokenize run on simulated
  * UDP lanes (cycles at 1 GHz), deserialize stays on the CPU.  Returns
  * the same breakdown with offloaded stage times replaced by simulated
- * accelerator time.  The CSV jobs run one wave at a time, and a helper
- * thread deserializes each wave's field streams in place while the next
- * wave simulates; rows still land in order, so the table is the one a
- * serial load builds.  Throws UdpError on a truncated stream, a rejected
- * or incomplete job, or a malformed field, after joining the helper.
+ * accelerator time.
+ *
+ * The load streams one wave at a time.  Each wave decompresses `lanes`
+ * frames and appends their text to a window; the CSV chunks that
+ * runtime::chunk_jobs would cut from the whole text are cut from the
+ * window as soon as it settles them (runtime::chunk_end), every `lanes`
+ * of them parse as one wave, and the text they held is dropped.  One
+ * helper thread deserializes each CSV wave's field streams in place
+ * while the next wave simulates.  Rows land in order, so the table is
+ * the one a serial load builds, and `decompress` and `parse` are the
+ * wall clocks of one Scheduler::run over each stage's jobs.  The working
+ * memory above the table is a few waves whatever the input's size: at
+ * most two waves of text and three of lane buffers (1.6-2.0 MB at 32
+ * lanes, 0.5-0.7 MB at 8).
+ *
+ * A text that lacks a final line break gets one, as load_cpu's parser
+ * ends its last row; a row still open after the last wave (a quoted
+ * field left open) throws UdpError.  Every frame's header and preamble
+ * are checked before the first wave, so a truncated stream throws,
+ * naming the frame's byte offset, before any work.  A rejected or
+ * incomplete job, a malformed field and a 12 KiB run of text with no
+ * line break throw UdpError too, once the helper has stopped.  After a
+ * throw `table` holds the rows of the waves deserialized before the
+ * error, a prefix of the input's, and a row that failed deserializing
+ * may have filled its first columns; discard it.
  */
 LoadBreakdown load_udp_offload(Machine &m, BytesView compressed,
                                Table &table, unsigned lanes = 32);

@@ -43,28 +43,35 @@ align_after_delim(std::uint8_t delim)
     };
 }
 
+std::size_t
+chunk_end(const KernelSpec &spec, BytesView data, std::size_t begin,
+          std::size_t chunk_bytes, const ChunkAlign &align, bool at_end)
+{
+    if (chunk_bytes == 0)
+        throw UdpError("chunk_jobs: zero chunk size");
+    if (spec.max_input_bytes)
+        chunk_bytes = std::min(chunk_bytes, spec.max_input_bytes);
+    if (data.size() - begin <= chunk_bytes)
+        return at_end ? data.size() : begin;
+    const std::size_t end = align ? align(data, begin, begin + chunk_bytes)
+                                  : begin + chunk_bytes;
+    if (end <= begin)
+        throw UdpError("chunk_jobs: no legal split point in '" + spec.name +
+                       "' chunk");
+    return end;
+}
+
 std::vector<JobPlan>
 chunk_jobs(const KernelSpec &spec, ArenaSlice input, std::size_t chunk_bytes,
            const ChunkAlign &align)
 {
     if (chunk_bytes == 0)
         throw UdpError("chunk_jobs: zero chunk size");
-    if (spec.max_input_bytes)
-        chunk_bytes = std::min(chunk_bytes, spec.max_input_bytes);
-
     std::vector<JobPlan> jobs;
-    std::size_t off = 0;
-    while (off < input.size()) {
-        std::size_t end = std::min(off + chunk_bytes, input.size());
-        if (align && end < input.size()) {
-            end = align(input.view(), off, end);
-            if (end <= off)
-                throw UdpError("chunk_jobs: no legal split point in '" +
-                               spec.name + "' chunk");
-        }
+    for (std::size_t off = 0, end; off < input.size(); off = end) {
+        end = chunk_end(spec, input.view(), off, chunk_bytes, align);
         // A chunk is a sub-slice of the shared arena, not a copy.
         jobs.push_back(spec.make_job(input.subslice(off, end - off)));
-        off = end;
     }
     return jobs;
 }

@@ -51,9 +51,24 @@ using ChunkAlign =
 ChunkAlign align_after_delim(std::uint8_t delim);
 
 /**
+ * The split rule of chunk_jobs: the end of the chunk that starts at
+ * `begin` of `data`.  A chunk holds at most `chunk_bytes` (clamped to
+ * the spec's per-job cap), and one that stops short of the input's end
+ * is aligned with `align` when given.  `data` may be a prefix of the
+ * input, ending it only when `at_end`: a prefix settles the chunk once
+ * more than `chunk_bytes` follow `begin`, and until then this returns
+ * `begin`.  A caller that receives the input in pieces therefore cuts
+ * the chunks chunk_jobs cuts from the whole.  Throws UdpError on a zero
+ * `chunk_bytes` and when `align` finds no legal split.
+ */
+std::size_t chunk_end(const KernelSpec &spec, BytesView data,
+                      std::size_t begin, std::size_t chunk_bytes,
+                      const ChunkAlign &align, bool at_end = true);
+
+/**
  * Split `input` into jobs of at most `chunk_bytes` each (clamped to the
- * spec's per-job cap), aligning every split with `align` when given.
- * Chunks cover the input exactly, in order.
+ * spec's per-job cap), aligning every split with `align` when given
+ * (chunk_end).  Chunks cover the input exactly, in order.
  *
  * Zero-copy: every chunk is a sub-slice pinning `input`'s arena — no
  * chunk ever copies payload bytes.  Callers with a view they do not

@@ -10,8 +10,9 @@
  * BufferPool hands back cleared buffers with their capacity intact, the
  * pooled harvest path is bit-identical between serial and threaded
  * backends, and — via a global operator-new counter — the steady-state
- * wave loop's allocation count is O(jobs), not O(bytes), and the CPU
- * ETL load's is O(frames), not O(fields).
+ * wave loop's allocation count is O(jobs), not O(bytes), the CPU ETL
+ * load's is O(frames), not O(fields), and the offload's live heap above
+ * its table is a few waves, not the text.
  *
  * This file runs under the CI AddressSanitizer, ThreadSanitizer and
  * UndefinedBehaviorSanitizer jobs (`-R "Arena\."`).
@@ -28,7 +29,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <malloc.h>
 #include <new>
 
 // --- Global allocation counter (Arena.SteadyStateAllocationBound) ----------
@@ -36,27 +39,58 @@
 // Replaces the replaceable global allocation functions for this test
 // binary so a test can snapshot the process-wide allocation count
 // around a scheduler run.  Counting happens on the non-array unaligned
-// form and its siblings alike; deallocation is not counted.
+// form and its siblings alike; deallocation is not counted.  Every form
+// also keeps the bytes live through it (malloc_usable_size, so an
+// allocation and its free count the same bytes) and their peak
+// (Arena.OffloadHoldsAWindowNotTheText).
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_calls{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_live_bytes{0};
+
+void *
+counted_alloc_nothrow(std::size_t n) noexcept
+{
+    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+    void *p = std::malloc(n ? n : 1);
+    if (p) {
+        const auto size = std::int64_t(malloc_usable_size(p));
+        const std::int64_t live =
+            g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+        std::int64_t peak = g_peak_live_bytes.load(std::memory_order_relaxed);
+        while (live > peak &&
+               !g_peak_live_bytes.compare_exchange_weak(
+                   peak, live, std::memory_order_relaxed))
+            ;
+    }
+    return p;
+}
 
 void *
 counted_alloc(std::size_t n)
 {
-    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
+    if (void *p = counted_alloc_nothrow(n))
         return p;
     throw std::bad_alloc();
+}
+
+void
+counted_free(void *p) noexcept
+{
+    if (p)
+        g_live_bytes.fetch_sub(std::int64_t(malloc_usable_size(p)),
+                               std::memory_order_relaxed);
+    std::free(p);
 }
 } // namespace
 
 void *operator new(std::size_t n) { return counted_alloc(n); }
 void *operator new[](std::size_t n) { return counted_alloc(n); }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { counted_free(p); }
+void operator delete[](void *p) noexcept { counted_free(p); }
+void operator delete(void *p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void *p, std::size_t) noexcept { counted_free(p); }
 
 // The nothrow forms must route through the same malloc/free pairing:
 // libstdc++'s temporary buffers allocate nothrow but free through plain
@@ -65,22 +99,20 @@ void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
-    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
+    return counted_alloc_nothrow(n);
 }
 void *
 operator new[](std::size_t n, const std::nothrow_t &) noexcept
 {
-    g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
+    return counted_alloc_nothrow(n);
 }
 void operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    counted_free(p);
 }
 void operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    counted_free(p);
 }
 
 namespace udp {
@@ -472,6 +504,34 @@ TEST(Arena, CpuLoadAllocatesPerFrame)
     // buffer: a copy or a string per field would exceed this by far.
     ASSERT_EQ(table.num_rows(), 6000u);
     EXPECT_LE(allocs, 4 * frames + 1000) << frames << " frames";
+}
+
+TEST(Arena, OffloadHoldsAWindowNotTheText)
+{
+    // The offload streams one wave at a time: above the finished table
+    // it holds a few waves of text and buffers, not the input's text.
+    // Measured as the peak of live heap bytes during the load minus the
+    // bytes still live after it (the table, the machine's own buffers).
+    Machine m(AddressingMode::Restricted);
+    const auto held_above_table = [&](double scale, std::size_t &text) {
+        const std::string csv = etl::lineitem_csv(scale);
+        text = csv.size();
+        const Bytes comp = etl::compress_for_load(csv);
+        etl::Table table("lineitem", etl::lineitem_schema());
+        g_peak_live_bytes.store(g_live_bytes.load());
+        etl::load_udp_offload(m, comp, table, 8);
+        EXPECT_EQ(table.num_rows(), std::size_t(scale * etl::kRowsPerScale));
+        return double(g_peak_live_bytes.load() - g_live_bytes.load());
+    };
+    std::size_t text1 = 0, text4 = 0;
+    const double sf1 = held_above_table(1.0, text1);
+    const double sf4 = held_above_table(4.0, text4);
+    // The whole text alone would be 1.0x; before streaming it was 2.14x.
+    EXPECT_LT(sf4, 0.5 * double(text4))
+        << sf4 / 1e6 << " MB over " << text4 / 1e6 << " MB of text";
+    // A wave's worth does not grow with the input.
+    EXPECT_LT(std::abs(sf4 - sf1), 0.25e6)
+        << "SF 1 " << sf1 / 1e6 << " MB, SF 4 " << sf4 / 1e6 << " MB";
 }
 
 } // namespace

@@ -135,6 +135,27 @@ TEST(Columnar, DateArithmetic)
     EXPECT_EQ(parse_date("1996-02-29"), parse_date("02/29/1996"));
 }
 
+TEST(Columnar, ParseDateRefusesImpossibleDatesAndTrailingBytes)
+{
+    // Both forms check the day against its month, leap years included.
+    EXPECT_THROW(parse_date("1995-02-30"), UdpError); // was 1995-03-02
+    EXPECT_THROW(parse_date("1995-04-31"), UdpError); // was 1995-05-01
+    EXPECT_THROW(parse_date("02/31/1995"), UdpError);
+    EXPECT_THROW(parse_date("1995-02-29"), UdpError);
+    EXPECT_THROW(parse_date("1900-02-29"), UdpError);
+    EXPECT_EQ(parse_date("2000-02-29"), parse_date("02/29/2000"));
+    EXPECT_EQ(parse_date("1995-04-30") + 1, parse_date("1995-05-01"));
+    // An ISO date is exactly 10 bytes; a US date may carry only a
+    // Crimes-style " hh:mm:ss".
+    EXPECT_THROW(parse_date("1995-01-01junk"), UdpError);
+    EXPECT_THROW(parse_date("1995-01-01 00:00:00"), UdpError);
+    EXPECT_THROW(parse_date("01/01/1995junk"), UdpError);
+    EXPECT_THROW(parse_date("01/01/1995 12:00"), UdpError);
+    EXPECT_THROW(parse_date("01/01/1995 24:00:00"), UdpError);
+    EXPECT_THROW(parse_date("01/01/1995 12:00:00 PM"), UdpError);
+    EXPECT_EQ(parse_date("01/01/1995 23:59:59"), parse_date("1995-01-01"));
+}
+
 TEST(EtlLoad, CpuPipelineLoadsLineitem)
 {
     const std::string csv = lineitem_csv(0.05); // 300 rows
@@ -310,6 +331,38 @@ TEST(EtlLoad, LoadersRefuseAFieldHoldingALineBreak)
                 << e.what();
         }
         Machine m(AddressingMode::Restricted);
+        Table udp_t("lineitem", lineitem_schema());
+        EXPECT_THROW(load_udp_offload(m, comp, udp_t, 8), UdpError);
+    }
+}
+
+TEST(EtlLoad, LoadersAgreeOnTheLastRow)
+{
+    // The CSV kernel closes a field only at ',', '\n' or '\r', so the
+    // offload ends a text that lacks a line break with one and refuses a
+    // row still open after its last slice; load_cpu refuses a quote left
+    // open at the end.
+    const std::string good = lineitem_csv(0.05); // 300 rows, '\n'-ended
+    const std::string bare = good.substr(0, good.size() - 1);
+    Machine m(AddressingMode::Restricted);
+    for (const std::string &csv : {bare, bare + '\r'}) {
+        SCOPED_TRACE(csv.size());
+        const Bytes comp = compress_for_load(csv);
+        Table cpu_t("lineitem", lineitem_schema());
+        EXPECT_EQ(load_cpu(comp, cpu_t).csv_bytes, csv.size());
+        EXPECT_EQ(cpu_t.num_rows(), 300u);
+        Table udp_t("lineitem", lineitem_schema());
+        EXPECT_EQ(load_udp_offload(m, comp, udp_t, 8).csv_bytes, csv.size());
+        expect_same_table(udp_t, cpu_t);
+    }
+    // A trailing comma makes a 17th field; an open quote never closes.
+    const std::string open_quote =
+        good.substr(0, good.rfind(',') + 1) + "\"carefully packed";
+    for (const std::string &csv : {bare + ',', open_quote}) {
+        SCOPED_TRACE(csv.substr(csv.size() - 20));
+        const Bytes comp = compress_for_load(csv);
+        Table cpu_t("lineitem", lineitem_schema());
+        EXPECT_THROW(load_cpu(comp, cpu_t), UdpError);
         Table udp_t("lineitem", lineitem_schema());
         EXPECT_THROW(load_udp_offload(m, comp, udp_t, 8), UdpError);
     }

@@ -8,6 +8,7 @@
 #include "baselines/dictionary.hpp"
 #include "baselines/histogram.hpp"
 #include "core/trace.hpp"
+#include "etl/loader.hpp"
 #include "kernels/csv.hpp"
 #include "kernels/dictionary.hpp"
 #include "kernels/histogram.hpp"
@@ -19,6 +20,8 @@
 #include "workloads/generators.hpp"
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 using namespace udp;
 using namespace udp::runtime;
@@ -317,6 +320,76 @@ TEST(Runtime, ChunkJobsCoversInputExactlyAndRejectsNoSplit)
     EXPECT_THROW(chunk_jobs(kernels::csv_kernel_spec(), solid, 64,
                             align_after_delim('\n')),
                  UdpError);
+}
+
+TEST(Runtime, StreamedCutsMatchChunkJobs)
+{
+    // A caller that receives the input in pieces (the ETL offload, one
+    // Snappy wave at a time) cuts through chunk_end exactly the chunks
+    // chunk_jobs cuts from the whole input, the final one included.
+    const auto spec = kernels::csv_kernel_spec();
+    const auto row_end = align_after_delim('\n');
+    constexpr std::size_t kChunk = 12 * 1024;
+    const auto as_bytes = [](const std::string &s) {
+        return BytesView(reinterpret_cast<const std::uint8_t *>(s.data()),
+                         s.size());
+    };
+    const auto whole_ends = [&](BytesView all) {
+        std::vector<std::size_t> ends;
+        for (const JobPlan &j : chunk_jobs(spec, ArenaSlice::borrow(all),
+                                           kChunk, row_end))
+            ends.push_back(std::size_t(j.input.data() - all.data()) +
+                           j.input.size());
+        return ends;
+    };
+    // Feeds `all` in seeded random pieces of 1 byte to 40 KiB.
+    const auto streamed_ends = [&](BytesView all, unsigned seed) {
+        std::mt19937 rng(seed);
+        std::vector<std::size_t> ends;
+        std::size_t have = 0, begin = 0;
+        const auto cut = [&](bool at_end) {
+            for (std::size_t end;
+                 (end = chunk_end(spec, all.first(have), begin, kChunk,
+                                  row_end, at_end)) != begin;
+                 begin = end)
+                ends.push_back(end);
+        };
+        while (have < all.size()) {
+            have = std::min<std::size_t>(all.size(),
+                                         have + 1 + rng() % (40 * 1024));
+            cut(false);
+        }
+        cut(true);
+        return ends;
+    };
+    const std::string text = etl::lineitem_csv(0.5);
+    const auto ends = whole_ends(as_bytes(text));
+    ASSERT_GT(ends.size(), 10u);
+    EXPECT_EQ(ends.back(), text.size());
+    for (const unsigned seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(seed);
+        EXPECT_EQ(streamed_ends(as_bytes(text), seed), ends);
+    }
+
+    // A 12 KiB window with no '\n' is refused with the same error.
+    const std::string solid =
+        text.substr(0, 30'000) + std::string(kChunk, 'a') + text;
+    const auto error_of = [](const auto &cut) {
+        try {
+            cut();
+        } catch (const UdpError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    const std::string whole_error =
+        error_of([&] { whole_ends(as_bytes(solid)); });
+    EXPECT_NE(whole_error.find("no legal split point"), std::string::npos)
+        << whole_error;
+    for (const unsigned seed : {1u, 2u}) {
+        EXPECT_EQ(error_of([&] { streamed_ends(as_bytes(solid), seed); }),
+                  whole_error);
+    }
 }
 
 TEST(Runtime, SchedulerRejectsOversizedWindowsAndBadWaveCap)
