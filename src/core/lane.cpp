@@ -27,6 +27,7 @@ Lane::Lane(unsigned id, LocalMemory &mem) : id_(id), mem_(mem)
 {
     if (id >= kNumLanes)
         throw UdpError("Lane: lane id out of range");
+    refresh_window();
 }
 
 void
@@ -38,6 +39,7 @@ Lane::load(const Program &prog,
         compiled_ = compiled ? std::move(compiled) : shared_compiled(prog);
     else
         compiled_ = nullptr;
+    refresh_window(); // fast_path() may have changed
     reset();
 }
 
@@ -175,20 +177,14 @@ Lane::set_window_base(ByteAddr base, std::size_t bytes)
                              : std::min<std::uint64_t>(
                                    std::uint64_t{base} + bytes,
                                    kLocalMemBytes);
+    refresh_window();
 }
 
-ByteAddr
-Lane::mem_translate(Word lane_addr, unsigned len) const
+void
+Lane::refresh_window()
 {
-    return mem_.translate(id_, lane_addr, window_base_, window_end_, len);
-}
-
-std::uint8_t *
-Lane::mem_span(Word lane_addr, Word n)
-{
-    if (!fast_path() || arbiter_)
-        return nullptr;
-    return mem_.span(id_, lane_addr, n, window_base_, window_end_);
+    win_ = mem_.window(id_, window_base_, window_end_);
+    direct_limit_ = fast_path() && !arbiter_ ? win_.limit : -1;
 }
 
 void
@@ -215,36 +211,23 @@ Lane::charge_mem(ByteAddr phys, bool is_write)
     }
 }
 
-std::uint8_t
-Lane::mem_read8(Word lane_addr)
-{
-    const ByteAddr phys = mem_translate(lane_addr);
-    charge_mem(phys, false);
-    return mem_.read8(phys);
-}
-
-void
-Lane::mem_write8(Word lane_addr, std::uint8_t v)
-{
-    const ByteAddr phys = mem_translate(lane_addr);
-    charge_mem(phys, true);
-    mem_.write8(phys, v);
-}
-
 Word
-Lane::mem_read32(Word lane_addr)
+Lane::mem_read_slow(Word lane_addr, unsigned len)
 {
-    const ByteAddr phys = mem_translate(lane_addr, 4);
+    const ByteAddr phys = mem_translate(lane_addr, len);
     charge_mem(phys, false);
-    return mem_.read32(phys);
+    return len == 4 ? mem_.read32(phys) : mem_.read8(phys);
 }
 
 void
-Lane::mem_write32(Word lane_addr, Word v)
+Lane::mem_write_slow(Word lane_addr, Word v, unsigned len)
 {
-    const ByteAddr phys = mem_translate(lane_addr, 4);
+    const ByteAddr phys = mem_translate(lane_addr, len);
     charge_mem(phys, true);
-    mem_.write32(phys, v);
+    if (len == 4)
+        mem_.write32(phys, v);
+    else
+        mem_.write8(phys, static_cast<std::uint8_t>(v));
 }
 
 // ---------------------------------------------------------------------------

@@ -27,10 +27,11 @@
  *     and for every lane with a tracer attached.
  * Both call the same op handlers, and simulated counters never depend
  * on the interpreter taken.  Their data paths differ in one place: on
- * the threaded engine with no bank arbiter, Loopcpy moves an in-range
- * span in one block, while the reference moves every byte through the
- * memory path, so the cross-interpreter suites check one against the
- * other.
+ * the threaded engine with no bank arbiter, an access that fits the
+ * lane's window bound is made inline (and Loopcpy moves an in-range
+ * span in one block), while the reference sends every byte through
+ * LocalMemory::translate and charge_mem, so the cross-interpreter
+ * suites check one against the other.
  */
 #pragma once
 
@@ -99,9 +100,9 @@ class Lane
 
     /// Whether the run entries take ThreadedEngine: a compiled image is
     /// bound and no tracer is attached.  Otherwise they run the
-    /// reference interpreter.  It also gates the block data path (with
-    /// no bank arbiter attached): off the fast path, every byte goes
-    /// through the per-byte memory path.
+    /// reference interpreter.  It also gates the direct memory path
+    /// (with no bank arbiter attached): off the fast path, every access
+    /// goes through LocalMemory::translate and charge_mem.
     bool fast_path() const { return compiled_ && !tracer_; }
 
     /// Attach the input stream (not copied).
@@ -179,12 +180,18 @@ class Lane
 
     /// Bank arbiter charged for every memory reference (nullptr = none,
     /// the default); Machine::run_lockstep attaches one for its run.
-    void set_arbiter(BankArbiter *arbiter) { arbiter_ = arbiter; }
+    void set_arbiter(BankArbiter *arbiter) {
+        arbiter_ = arbiter;
+        refresh_window();
+    }
 
     /// Attach the lane observer: its events and per-state/per-opcode
     /// profile land in this lane's entry of `t` (nullptr = off, the
     /// default; survives reset()/load() — it is run configuration).
-    void set_tracer(Tracer *t) { tracer_ = t; }
+    void set_tracer(Tracer *t) {
+        tracer_ = t;
+        refresh_window();
+    }
     Tracer *tracer() const { return tracer_; }
 
   private:
@@ -228,18 +235,72 @@ class Lane
     Word fetch_symbol_bits(unsigned width);
     Word dispatch_word(std::size_t word_addr);
 
+    // Memory access.  On the threaded engine with no bank arbiter, an
+    // access that fits the lane's window takes the inline direct path:
+    // one compare against `direct_limit_`, the access, and the
+    // mem_reads/mem_writes charge.  Every other access (the reference,
+    // observed lanes, arbiters, faults) goes through mem_translate() and
+    // charge_mem(), out of line.
+
+    /// Recompute the window bound and the direct path's limit; called
+    /// whenever the window or the fast_path()/arbiter gate changes.
+    void refresh_window();
+    /// Whether an access of `len` bytes at `lane_addr` takes the direct
+    /// path (then it lands at mem_.raw()[win_.offset + lane_addr]).
+    bool direct(Word lane_addr, std::uint64_t len) const {
+        return static_cast<std::int64_t>(std::uint64_t{lane_addr} + len) <=
+               direct_limit_;
+    }
+    std::uint8_t *direct_ptr(Word lane_addr) {
+        return mem_.raw().data() + win_.offset + lane_addr;
+    }
+
     /// Physical address of the `len` bytes at `lane_addr`; faults
     /// unless all of them lie in the lane's range.
-    ByteAddr mem_translate(Word lane_addr, unsigned len = 1) const;
+    ByteAddr mem_translate(Word lane_addr, unsigned len = 1) const {
+        return mem_.translate(win_, lane_addr, len);
+    }
     /// Host pointer to the `n` bytes at `lane_addr` for a block move, or
     /// null when the move must take the per-byte path: off fast_path(),
     /// with a bank arbiter attached, or when the span leaves the lane's
-    /// addressable range (LocalMemory::span).
-    std::uint8_t *mem_span(Word lane_addr, Word n);
-    std::uint8_t mem_read8(Word lane_addr);
-    void mem_write8(Word lane_addr, std::uint8_t v);
-    Word mem_read32(Word lane_addr);
-    void mem_write32(Word lane_addr, Word v);
+    /// window.
+    std::uint8_t *mem_span(Word lane_addr, Word n) {
+        return direct(lane_addr, n) ? direct_ptr(lane_addr) : nullptr;
+    }
+    std::uint8_t mem_read8(Word lane_addr) {
+        if (!direct(lane_addr, 1))
+            return static_cast<std::uint8_t>(mem_read_slow(lane_addr, 1));
+        ++stats_.mem_reads;
+        return *direct_ptr(lane_addr);
+    }
+    void mem_write8(Word lane_addr, std::uint8_t v) {
+        if (!direct(lane_addr, 1))
+            return mem_write_slow(lane_addr, v, 1);
+        ++stats_.mem_writes;
+        *direct_ptr(lane_addr) = v;
+    }
+    Word mem_read32(Word lane_addr) { // little-endian
+        if (!direct(lane_addr, 4))
+            return mem_read_slow(lane_addr, 4);
+        ++stats_.mem_reads;
+        const std::uint8_t *p = direct_ptr(lane_addr);
+        return Word{p[0]} | (Word{p[1]} << 8) | (Word{p[2]} << 16) |
+               (Word{p[3]} << 24);
+    }
+    void mem_write32(Word lane_addr, Word v) {
+        if (!direct(lane_addr, 4))
+            return mem_write_slow(lane_addr, v, 4);
+        ++stats_.mem_writes;
+        std::uint8_t *p = direct_ptr(lane_addr);
+        p[0] = static_cast<std::uint8_t>(v);
+        p[1] = static_cast<std::uint8_t>(v >> 8);
+        p[2] = static_cast<std::uint8_t>(v >> 16);
+        p[3] = static_cast<std::uint8_t>(v >> 24);
+    }
+    /// The checked path of a `len`-byte (1 or 4) access: translate,
+    /// charge_mem, then the access.
+    Word mem_read_slow(Word lane_addr, unsigned len);
+    void mem_write_slow(Word lane_addr, Word v, unsigned len);
     void charge_mem(ByteAddr phys, bool is_write);
 
     void out_byte(std::uint8_t b);
@@ -257,6 +318,10 @@ class Lane
     ByteAddr window_base_ = 0;     ///< data window (restricted addressing)
     ByteAddr window_start_ = 0;    ///< lowest base Setbase may set
     std::uint64_t window_end_ = kLocalMemBytes; ///< one past the window
+    LaneWindow win_;               ///< the addressable range's bound
+    /// win_.limit when fast_path() holds and no arbiter is attached,
+    /// else -1, so that no access takes the direct path.
+    std::int64_t direct_limit_ = -1;
     std::size_t dispatch_base_ = 0;///< dispatch window (words)
     ByteAddr action_base_ = 0;     ///< scaled-offset action window (words)
     unsigned action_scale_ = 0;

@@ -6,6 +6,8 @@
 
 #include "fault.hpp"
 
+#include <algorithm>
+
 namespace udp {
 
 std::string_view
@@ -38,66 +40,46 @@ LocalMemory::clear()
     std::fill(mem_.begin(), mem_.end(), 0);
 }
 
-ByteAddr
-LocalMemory::translate(unsigned lane, ByteAddr addr, ByteAddr base,
-                       std::uint64_t window_end, unsigned len) const
+LaneWindow
+LocalMemory::window(unsigned lane, ByteAddr base,
+                    std::uint64_t window_end) const
 {
-    // One compare per mode, against the end of the access's last byte.
-    const std::uint64_t end = std::uint64_t{addr} + len;
     switch (mode_) {
-      case AddressingMode::Local:
-        // Lane-private bank; an address past the 16 KiB bank faults.
-        if (end > kBankBytes)
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
-                            "LocalMemory: local-mode address exceeds bank");
-        return static_cast<ByteAddr>(lane * kBankBytes + addr);
+      case AddressingMode::Local: // the lane's private 16 KiB bank
+        return {std::uint64_t{lane} * kBankBytes, kBankBytes};
       case AddressingMode::Global:
-        if (end > kLocalMemBytes)
-            throw UdpFaultError(FaultCode::FetchOutOfRange,
-                            "LocalMemory: global address out of range");
-        return addr;
-      case AddressingMode::Restricted:
-        if (base + end > window_end)
-            throw UdpFaultError(
-                FaultCode::FetchOutOfRange,
-                base + end > kLocalMemBytes
-                    ? "LocalMemory: restricted address out of range"
-                    : "LocalMemory: restricted address past the lane's "
-                      "window");
-        return base + addr;
+        return {0, kLocalMemBytes};
+      case AddressingMode::Restricted: {
+        const std::uint64_t end =
+            std::min<std::uint64_t>(window_end, mem_.size());
+        return {base, static_cast<std::int64_t>(end) -
+                          static_cast<std::int64_t>(base)};
+      }
     }
     throw UdpError("LocalMemory: bad addressing mode");
 }
 
-std::uint8_t *
-LocalMemory::span(unsigned lane, ByteAddr addr, std::size_t n, ByteAddr base,
-                  std::uint64_t window_end)
+ByteAddr
+LocalMemory::translate(const LaneWindow &w, Word addr,
+                       std::uint64_t len) const
 {
-    // translate()'s rule applied to the span's last byte, in 64 bits.
-    const std::uint64_t end = std::uint64_t{addr} + n;
-    std::uint64_t phys = 0;
+    if (w.admits(addr, len))
+        return static_cast<ByteAddr>(w.offset + addr);
+    const char *detail = "LocalMemory: restricted address past the lane's "
+                         "window";
     switch (mode_) {
       case AddressingMode::Local:
-        if (end > kBankBytes)
-            return nullptr;
-        phys = std::uint64_t{lane} * kBankBytes + addr;
+        detail = "LocalMemory: local-mode address exceeds bank";
         break;
       case AddressingMode::Global:
-        if (end > kLocalMemBytes)
-            return nullptr;
-        phys = addr;
+        detail = "LocalMemory: global address out of range";
         break;
       case AddressingMode::Restricted:
-        if (std::uint64_t{base} + end > window_end)
-            return nullptr;
-        phys = std::uint64_t{base} + addr;
+        if (w.offset + addr + len > kLocalMemBytes)
+            detail = "LocalMemory: restricted address out of range";
         break;
-      default:
-        return nullptr;
     }
-    if (phys + n > mem_.size())
-        return nullptr;
-    return mem_.data() + phys;
+    throw UdpFaultError(FaultCode::FetchOutOfRange, detail);
 }
 
 void

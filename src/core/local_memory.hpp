@@ -35,6 +35,23 @@ std::string_view addressing_mode_name(AddressingMode m);
 double memory_ref_energy_pj(AddressingMode m);
 
 /**
+ * A lane's addressable range as one bound, the same rule in every mode:
+ * an access of `len` bytes at lane address `a` is in range iff
+ * `a + len <= limit` (in 64 bits, so no lane address wraps into range),
+ * and it lands at physical byte `offset + a`.  LocalMemory::window()
+ * computes it once per window; a negative limit admits nothing.
+ */
+struct LaneWindow {
+    std::uint64_t offset = 0; ///< physical byte of lane address 0
+    std::int64_t limit = 0;   ///< one past the last in-range lane address
+
+    bool admits(Word addr, std::uint64_t len) const {
+        return static_cast<std::int64_t>(std::uint64_t{addr} + len) <=
+               limit;
+    }
+};
+
+/**
  * The shared 1 MiB local memory.
  *
  * Lanes access it through lane-relative addresses that are translated per
@@ -58,32 +75,48 @@ class LocalMemory
     void clear();
 
     /**
-     * Translate a lane-relative byte address to a physical byte address,
-     * faulting unless all `len` bytes from it lie in the lane's range.
-     *
-     * @param lane       issuing lane id
-     * @param addr       lane-relative byte address
-     * @param base       lane's window base register (Restricted mode only)
-     * @param window_end one past the window's last physical byte
-     *                   (Restricted mode only; at most the memory size,
-     *                   which is the default)
-     * @param len        bytes the access touches
+     * The bound of lane `lane`'s addressable range: its bank in Local
+     * mode, the whole memory in Global mode, and in Restricted mode the
+     * bytes from its window base register `base` up to `window_end`
+     * (one past the window's last physical byte; clamped to the memory's
+     * end, which is the default).
      */
+    LaneWindow window(unsigned lane, ByteAddr base,
+                      std::uint64_t window_end = kLocalMemBytes) const;
+
+    /**
+     * Translate a lane-relative byte address to a physical byte address,
+     * faulting unless all `len` bytes from it lie in the window `w`.  The
+     * fault's detail names the mode's range, and in Restricted mode
+     * whether the access left the memory or only the lane's window.
+     */
+    ByteAddr translate(const LaneWindow &w, Word addr,
+                       std::uint64_t len = 1) const;
+
+    /// translate() over window(lane, base, window_end).
     ByteAddr translate(unsigned lane, ByteAddr addr, ByteAddr base,
                        std::uint64_t window_end = kLocalMemBytes,
-                       unsigned len = 1) const;
+                       unsigned len = 1) const {
+        return translate(window(lane, base, window_end), addr, len);
+    }
 
     /**
      * Host pointer to the `n` bytes at lane-relative `addr` (the first
-     * at translate(lane, addr, base, window_end)), or null unless every
-     * one of them would pass translate() and the physical bounds check;
-     * a span that wraps past 2^32 is null.  Never throws.  Block
-     * datapaths use it; on null they take the per-byte path, which
-     * faults where translate() does.
+     * at translate(w, addr)), or null unless every one of them would
+     * pass translate(); a span that wraps past 2^32 is null.  Never
+     * throws.  Block datapaths use it; on null they take the per-byte
+     * path, which faults where translate() does.
      */
+    std::uint8_t *span(const LaneWindow &w, Word addr, std::size_t n) {
+        return w.admits(addr, n) ? mem_.data() + w.offset + addr : nullptr;
+    }
+
+    /// span() over window(lane, base, window_end).
     std::uint8_t *span(unsigned lane, ByteAddr addr, std::size_t n,
                        ByteAddr base,
-                       std::uint64_t window_end = kLocalMemBytes);
+                       std::uint64_t window_end = kLocalMemBytes) {
+        return span(window(lane, base, window_end), addr, n);
+    }
 
     /// Bank holding a physical byte address.
     static unsigned bank_of(ByteAddr phys) {

@@ -17,7 +17,7 @@ StreamBuffer::attach(BytesView data)
 }
 
 Word
-StreamBuffer::read(unsigned width)
+StreamBuffer::read_bits(unsigned width)
 {
     const Word v = peek(width);
     pos_bits_ += width;
@@ -72,12 +72,10 @@ StreamBuffer::refill(std::uint64_t nbits)
 }
 
 void
-StreamBuffer::seek_bits(std::uint64_t bit_pos)
+StreamBuffer::seek_past_end()
 {
-    if (bit_pos > size_bits_)
-        throw UdpFaultError(FaultCode::FetchOutOfRange,
-                            "StreamBuffer: seek past end of stream");
-    pos_bits_ = bit_pos;
+    throw UdpFaultError(FaultCode::FetchOutOfRange,
+                        "StreamBuffer: seek past end of stream");
 }
 
 } // namespace udp

@@ -43,8 +43,19 @@ class StreamBuffer
     /**
      * Consume `width` bits (1..32) and return them right-aligned.
      * Bits are taken MSB-first. Throws UdpError past end of stream.
+     * A byte-aligned 8-bit read, the common symbol, is one byte load
+     * inline; every other read gathers bits out of line.
      */
-    Word read(unsigned width);
+    Word read(unsigned width) {
+        // size_bits_ is a multiple of 8, so an aligned cursor below it
+        // has a whole byte left.
+        if (width == 8 && (pos_bits_ & 7) == 0 && pos_bits_ < size_bits_) {
+            const Word v = data_[static_cast<std::size_t>(pos_bits_ >> 3)];
+            pos_bits_ += 8;
+            return v;
+        }
+        return read_bits(width);
+    }
 
     /// Read without consuming.
     Word peek(unsigned width) const;
@@ -55,16 +66,20 @@ class StreamBuffer
     /// Push back `nbits` previously consumed bits (refill transition).
     void refill(std::uint64_t nbits);
 
-    /// Absolute reposition (Setstream action), in bits.
-    void seek_bits(std::uint64_t bit_pos);
+    /// Absolute reposition (Setstream action, r15 writes), in bits.
+    void seek_bits(std::uint64_t bit_pos) {
+        if (bit_pos > size_bits_)
+            seek_past_end();
+        pos_bits_ = bit_pos;
+    }
 
     /// Byte at absolute byte offset (loop-compare/copy source view).
     BytesView data() const { return data_; }
 
   private:
-    /// The threaded-code backend reads byte-aligned whole-byte symbols
-    /// directly (core/threaded_program.hpp) — same values as read(8).
-    friend class ThreadedEngine;
+    Word read_bits(unsigned width); ///< read()'s general case
+    [[noreturn]] static void seek_past_end();
+
     BytesView data_{};
     std::uint64_t size_bits_ = 0;
     std::uint64_t pos_bits_ = 0;

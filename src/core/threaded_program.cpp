@@ -62,7 +62,7 @@ hash_mix(Word v, unsigned table_log2)
 // stream and the reference action unit (Lane::exec_actions), and named
 // after its Opcode enumerator: table() is generated from UDP_OPCODES.
 // They are members of a struct nested in ThreadedEngine so they inherit
-// its friend access to Lane and StreamBuffer.
+// its friend access to Lane.
 // ---------------------------------------------------------------------------
 
 #define UDP_THREADED_OP(name)                                              \
@@ -216,8 +216,10 @@ struct ThreadedEngine::Ops {
         else if (base < ln.window_start_) // onto an earlier job's window
             throw UdpFaultError(FaultCode::FetchOutOfRange,
                                 "Lane: setbase below the lane's window");
-        else
+        else {
             ln.window_base_ = base;
+            ln.refresh_window();
+        }
         return OpExit::Next;
     }
     UDP_THREADED_OP(Setab) {
@@ -744,39 +746,39 @@ ThreadedEngine::flush(Lane &ln, ThreadedCtx &c)
     c.stream_bits = 0;
 }
 
-Word
-ThreadedEngine::read_sym(StreamBuffer &sb, unsigned width)
-{
-    // Byte-aligned whole-byte symbols (the overwhelmingly common case)
-    // skip the MSB-first bit-gather loop.  The caller already checked
-    // exhausted(width).
-    if (width == 8 && (sb.pos_bits_ & 7) == 0) {
-        const Word v = sb.data_[static_cast<std::size_t>(sb.pos_bits_ >> 3)];
-        sb.pos_bits_ += 8;
-        return v;
-    }
-    return sb.read(width);
-}
-
 LaneStatus
 ThreadedEngine::exec_chain(Lane &ln, ThreadedCtx &c, std::uint32_t ix)
 {
     const CompiledOp *const ops = c.ops;
-    for (;;) {
-        const CompiledOp &o = ops[ix];
-        // Fetch charges, unconditional: the trap ops undo what the
-        // reference would not have charged.
-        ++c.dispatch_reads;
-        ++c.actions;
-        ++c.cycles;
-        const OpExit e = o.fn(ln, c, o);
-        if (e == OpExit::Next) {
-            if (o.last)
+    // Every op's fetch charges one dispatch read, one action and one
+    // cycle; they are counted here and added once when the chain ends,
+    // or before an exception escapes.  The op that threw counts too, so
+    // the trap ops' undo of what the reference would not have charged
+    // stays exact.
+    std::uint64_t n = 0;
+    const auto charge = [&c, &n] {
+        c.dispatch_reads += n;
+        c.actions += n;
+        c.cycles += n;
+    };
+    try {
+        for (;;) {
+            const CompiledOp &o = ops[ix];
+            ++n;
+            const OpExit e = o.fn(ln, c, o);
+            if (e == OpExit::Next && !o.last) {
+                ix = o.next;
+                continue;
+            }
+            charge();
+            if (e == OpExit::Next)
                 return LaneStatus::Running;
-            ix = o.next;
-            continue;
+            return e == OpExit::Done ? LaneStatus::Done
+                                     : LaneStatus::Reject;
         }
-        return e == OpExit::Done ? LaneStatus::Done : LaneStatus::Reject;
+    } catch (...) {
+        charge();
+        throw;
     }
 }
 
@@ -822,7 +824,7 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
                         break;
                     }
                     c.stream_bits += width;
-                    ln.last_symbol_ = read_sym(ln.sb_, width);
+                    ln.last_symbol_ = ln.sb_.read(width);
                 }
                 ++c.dispatches;
                 ++c.cycles;
@@ -845,7 +847,7 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
                         break;
                     }
                     c.stream_bits += width;
-                    sym = ln.last_symbol_ = read_sym(ln.sb_, width);
+                    sym = ln.last_symbol_ = ln.sb_.read(width);
                 }
                 ++c.dispatches;
                 ++c.cycles;
@@ -995,7 +997,7 @@ ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
             if (ln.sb_.exhausted(width))
                 return LaneStatus::Done;
             st.stream_bits += width;
-            const Word sym = ln.last_symbol_ = read_sym(ln.sb_, width);
+            const Word sym = ln.last_symbol_ = ln.sb_.read(width);
 
             next.clear();
             ++generation;

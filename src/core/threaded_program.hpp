@@ -246,8 +246,8 @@ std::shared_ptr<const CompiledProgram> shared_compiled(const Program &prog);
 std::string disassemble_compiled(const CompiledProgram &cp);
 
 /**
- * The threaded-code interpreter.  A friend of Lane/StreamBuffer: it
- * *is* the lane's inner loop whenever Lane::fast_path() holds, entered
+ * The threaded-code interpreter.  A friend of Lane: it *is* the
+ * lane's inner loop whenever Lane::fast_path() holds, entered
  * from Lane::run_steps (and so Lane::run and Lane::step_once) or
  * Lane::run_nfa.
  */
@@ -287,9 +287,10 @@ class ThreadedEngine
   private:
     struct Ops; // the op handler table (threaded_program.cpp)
 
+    /// Run the action chain at ops index `ix`, charging its fetches
+    /// once at the chain's end (or before an exception escapes).
     static LaneStatus exec_chain(Lane &ln, ThreadedCtx &c,
                                  std::uint32_t ix);
-    static Word read_sym(StreamBuffer &sb, unsigned width);
 };
 
 } // namespace udp

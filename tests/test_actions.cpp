@@ -368,29 +368,32 @@ seeded_memory()
 struct CopySetup {
     AddressingMode mode;
     unsigned lane;
-    ByteAddr base; ///< window base (Restricted mode)
+    ByteAddr base;      ///< window base (Restricted mode)
+    Word window_bytes;  ///< the window's size (0: up to the memory's end)
 
     Word limit() const {
         switch (mode) {
           case AddressingMode::Local: return kBankBytes;
           case AddressingMode::Global: return kLocalMemBytes;
-          case AddressingMode::Restricted: return kLocalMemBytes - base;
+          case AddressingMode::Restricted:
+            return window_bytes ? window_bytes : kLocalMemBytes - base;
         }
         return 0;
     }
 };
 
 const CopySetup kCopySetups[] = {
-    {AddressingMode::Local, 5, 0},
-    {AddressingMode::Global, 3, 0},
-    {AddressingMode::Restricted, 2, 0x30000},
+    {AddressingMode::Local, 5, 0, 0},
+    {AddressingMode::Global, 3, 0, 0},
+    {AddressingMode::Restricted, 2, 0x30000, 0},
 };
 
 /// One lane over its own memory: bare (the block path) or profiled
 /// (the per-byte path).
 struct CopyLane {
     CopyLane(const CopySetup &cfg, bool profiled)
-        : mem(cfg.mode), lane(cfg.lane, mem), id(cfg.lane), base(cfg.base) {
+        : mem(cfg.mode), lane(cfg.lane, mem), id(cfg.lane), base(cfg.base),
+          window_bytes(cfg.window_bytes) {
         if (profiled)
             lane.set_tracer(&tracer);
     }
@@ -398,7 +401,7 @@ struct CopyLane {
     LaneStatus run(const Program &prog, Word src, Word dst, Word n) {
         mem.raw() = seeded_memory();
         lane.load(prog);
-        lane.set_window_base(base);
+        lane.set_window_base(base, window_bytes);
         lane.set_input(input);
         lane.set_reg(1, src);
         lane.set_reg(2, dst);
@@ -416,6 +419,7 @@ struct CopyLane {
     Lane lane;
     unsigned id;
     ByteAddr base;
+    Word window_bytes;
     Bytes input{'x'};
 };
 
@@ -584,6 +588,272 @@ TEST_F(ActionsFixture, LoopcpyChargesOneCyclePerEightBytes)
             EXPECT_EQ(l->lane.stats().mem_writes, n);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The inline memory and stream paths.
+//
+// On a bare lane an access that fits the lane's window is one compare
+// against a bound the lane computes when its window changes; every other
+// access, and every access of a traced lane, goes through translate and
+// charge_mem.  A chain's fetch charges are added once at its end.  Each
+// case runs both lanes from identical memory (CopyPair).
+// ---------------------------------------------------------------------------
+
+/// `actions` then halt, on every input byte.
+Program
+block_program(std::vector<Action> actions)
+{
+    actions.push_back(act_imm(Opcode::Halt, 0, 0, 0, true));
+    ProgramBuilder b;
+    const StateId s = b.add_state();
+    b.on_any(s, s, b.add_block(std::move(actions)));
+    b.set_entry(s);
+    return b.build();
+}
+
+/// The four scalar memory ops: loads read [r1] into r4, stores write r3
+/// to [r2].
+struct MemOp {
+    const char *name;
+    unsigned len;
+    bool load;
+    Program prog;
+};
+
+std::vector<MemOp>
+scalar_mem_ops()
+{
+    std::vector<MemOp> ops;
+    ops.push_back(
+        {"ldb", 1, true, block_program({act_imm(Opcode::Ldb, 4, 1, 0)})});
+    ops.push_back(
+        {"stb", 1, false, block_program({act_imm(Opcode::Stb, 3, 2, 0)})});
+    ops.push_back(
+        {"ldw", 4, true, block_program({act_imm(Opcode::Ldw, 4, 1, 0)})});
+    ops.push_back(
+        {"stw", 4, false, block_program({act_imm(Opcode::Stw, 3, 2, 0)})});
+    return ops;
+}
+
+const CopySetup kWindowedSetup = {AddressingMode::Restricted, 2, 0x30000,
+                                  0x8000};
+
+TEST_F(ActionsFixture, InlineLoadsAndStoresMatchTheReference)
+{
+    const std::vector<MemOp> ops = scalar_mem_ops();
+    std::vector<CopySetup> setups(std::begin(kCopySetups),
+                                  std::end(kCopySetups));
+    setups.push_back(kWindowedSetup);
+    for (const CopySetup &cfg : setups) {
+        SCOPED_TRACE(testing::Message() << addressing_mode_name(cfg.mode)
+                                        << " window " << cfg.window_bytes);
+        CopyPair pair(cfg);
+        const Word end = cfg.limit();
+        for (const MemOp &op : ops) {
+            SCOPED_TRACE(op.name);
+            // The range's start, an exact fit at its end, one byte past
+            // it, a word straddling it, and addresses within 4 bytes of
+            // 2^32, which must not wrap into range.
+            const Word addrs[] = {0,           1,           end - op.len,
+                                  end - op.len + 1,         end - 2,
+                                  end - 1,     end,         0xFFFFFFFCu,
+                                  0xFFFFFFFDu, 0xFFFFFFFEu, 0xFFFFFFFFu};
+            for (const Word a : addrs) {
+                const bool fits = std::uint64_t{a} + op.len <= end;
+                const LaneStatus st = pair.run(a, a, 0xA1B2C3D4u, op.prog);
+                EXPECT_EQ(st, fits ? LaneStatus::Done : LaneStatus::Faulted)
+                    << "addr " << a;
+                const Lane &ln = pair.block.lane;
+                EXPECT_EQ(ln.stats().mem_reads, fits && op.load ? 1u : 0u);
+                EXPECT_EQ(ln.stats().mem_writes, fits && !op.load ? 1u : 0u);
+                if (fits && op.load) {
+                    const std::uint8_t *p = pair.block.at(a);
+                    Word want = 0;
+                    for (unsigned i = op.len; i-- > 0;)
+                        want = (want << 8) | p[i];
+                    EXPECT_EQ(ln.reg(4), want) << "addr " << a;
+                } else if (fits) {
+                    EXPECT_EQ(pair.block.at(a)[0], 0xD4u) << "addr " << a;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(ActionsFixture, InlineFaultsKeepTheirModeText)
+{
+    const MemOp stb = scalar_mem_ops()[1];
+    const std::pair<CopySetup, const char *> cases[] = {
+        {kCopySetups[0], "LocalMemory: local-mode address exceeds bank"},
+        {kCopySetups[1], "LocalMemory: global address out of range"},
+        {kCopySetups[2], "LocalMemory: restricted address out of range"},
+        {kWindowedSetup,
+         "LocalMemory: restricted address past the lane's window"},
+    };
+    for (const auto &[cfg, detail] : cases) {
+        CopyPair pair(cfg);
+        EXPECT_EQ(pair.run(0, cfg.limit(), 7, stb.prog), LaneStatus::Faulted);
+        EXPECT_EQ(pair.block.lane.fault().code, FaultCode::FetchOutOfRange);
+        EXPECT_EQ(pair.block.lane.fault().detail, detail);
+    }
+}
+
+TEST_F(ActionsFixture, TracerAttachedAfterLoadSeesEveryAccess)
+{
+    // Attaching an observer to a loaded lane moves it to the reference,
+    // so every access is charged through charge_mem and recorded.
+    LocalMemory mem(AddressingMode::Restricted);
+    Lane ln(0, mem);
+    const Program prog = block_program({act_imm(Opcode::Ldb, 4, 1, 0),
+                                        act_imm(Opcode::Stb, 4, 1, 1),
+                                        act_imm(Opcode::Ldw, 5, 1, 4),
+                                        act_imm(Opcode::Stw, 5, 1, 8)});
+    ln.load(prog);
+    ASSERT_TRUE(ln.fast_path());
+    Tracer tracer;
+    ln.set_tracer(&tracer);
+    ASSERT_FALSE(ln.fast_path());
+    ln.set_input(input);
+    ln.set_reg(1, 0x40);
+    EXPECT_EQ(ln.run(), LaneStatus::Done);
+    EXPECT_EQ(tracer.count(0, TraceEventKind::MemRead), 2u);
+    EXPECT_EQ(tracer.count(0, TraceEventKind::MemWrite), 2u);
+    EXPECT_EQ(ln.stats().mem_reads, 2u);
+    EXPECT_EQ(ln.stats().mem_writes, 2u);
+}
+
+TEST_F(ActionsFixture, InlinePathFollowsSetbase)
+{
+    // setbase r1; ldb r4 <- [r2]; stb [r2+1] <- r3; ldw r5 <- [r2+4];
+    // stw [r2+8] <- r3: a byte pair and a word pair at r2 in the window
+    // the Setbase opened.
+    const Program prog = block_program({
+        act_imm(Opcode::Setbase, 0, 1, 0),
+        act_imm(Opcode::Ldb, 4, 2, 0),
+        act_imm(Opcode::Stb, 3, 2, 1),
+        act_imm(Opcode::Ldw, 5, 2, 4),
+        act_imm(Opcode::Stw, 3, 2, 8),
+    });
+    for (const CopySetup &cfg : {kCopySetups[2], kWindowedSetup}) {
+        SCOPED_TRACE(testing::Message() << "window " << cfg.window_bytes);
+        CopyPair pair(cfg);
+        const std::uint64_t window_end =
+            cfg.window_bytes ? cfg.base + cfg.window_bytes : kLocalMemBytes;
+        for (const Word up : {Word{0}, Word{0x1000}, Word{0x4321}}) {
+            const Word base = cfg.base + up;
+            const Word end = static_cast<Word>(window_end - base);
+            // The whole group at the new start, ending exactly at the new
+            // end, and one byte past it.
+            for (const Word at : {Word{0}, end - 12, end - 11}) {
+                const LaneStatus st = pair.run(base, at, 0x5A5A1234u, prog);
+                EXPECT_EQ(st, at + 12 <= end ? LaneStatus::Done
+                                             : LaneStatus::Faulted)
+                    << "base " << base << " at " << at;
+                if (st == LaneStatus::Done) {
+                    EXPECT_EQ(pair.block.lane.reg(4),
+                              seeded_memory()[base + at]);
+                    EXPECT_EQ(pair.block.lane.stats().mem_writes, 2u);
+                }
+            }
+        }
+        // A base at the window's end, past it and past the memory: every
+        // access faults.
+        for (const std::uint64_t base :
+             {window_end, window_end + 0x100, std::uint64_t{0xFFFFFF00u}}) {
+            EXPECT_EQ(pair.run(static_cast<Word>(base), 0, 1, prog),
+                      LaneStatus::Faulted);
+            EXPECT_EQ(pair.block.lane.stats().mem_reads, 0u);
+        }
+    }
+    // A base below the window's start faults at the Setbase.
+    CopyPair pair(kWindowedSetup);
+    EXPECT_EQ(pair.run(kWindowedSetup.base - 1, 0, 1, prog),
+              LaneStatus::Faulted);
+    EXPECT_EQ(pair.block.lane.fault().detail,
+              "Lane: setbase below the lane's window");
+    EXPECT_EQ(pair.block.lane.fault().cycle, 2u);
+}
+
+TEST_F(ActionsFixture, InlineByteReadsMatchTheReference)
+{
+    CopyPair pair(kCopySetups[2]);
+    const Bytes text{'x', 'y', 'z', 'w'};
+    pair.block.input = pair.bytewise.input = text;
+    // Aligned: the two bytes after the dispatch's 'x'.
+    EXPECT_EQ(pair.run(0, 0, 0,
+                       block_program({act_imm(Opcode::Read, 4, 0, 8),
+                                      act_imm(Opcode::Read, 5, 0, 8)})),
+              LaneStatus::Done);
+    EXPECT_EQ(pair.block.lane.reg(4), Word{'y'});
+    EXPECT_EQ(pair.block.lane.reg(5), Word{'z'});
+    // Unaligned: 8 bits from bit 11, across the 'y'/'z' boundary.
+    EXPECT_EQ(pair.run(0, 0, 0,
+                       block_program({act_imm(Opcode::Skip, 0, 0, 3),
+                                      act_imm(Opcode::Read, 4, 0, 8)})),
+              LaneStatus::Done);
+    EXPECT_EQ(pair.block.lane.reg(4), Word{(('y' << 3) | ('z' >> 5)) & 0xFF});
+    // The stream's last byte, then a read past its end.
+    EXPECT_EQ(pair.run(0, 0, 0,
+                       block_program({act_imm(Opcode::Skip, 0, 0, 16),
+                                      act_imm(Opcode::Read, 4, 0, 8),
+                                      act_imm(Opcode::Read, 5, 0, 8)})),
+              LaneStatus::Faulted);
+    EXPECT_EQ(pair.block.lane.reg(4), Word{'w'});
+    EXPECT_EQ(pair.block.lane.fault().detail,
+              "StreamBuffer: read past end of stream");
+    // Seeks (Setstream and r15 writes) to the stream's end, then past it.
+    EXPECT_EQ(pair.run(32, 0, 0,
+                       block_program({act_imm(Opcode::Setstream, 0, 1, 0),
+                                      act_imm(Opcode::Movi, 15, 0, 4),
+                                      act_imm(Opcode::Setstream, 0, 1, 1)})),
+              LaneStatus::Faulted);
+    EXPECT_EQ(pair.block.lane.fault().detail,
+              "StreamBuffer: seek past end of stream");
+    EXPECT_EQ(pair.block.lane.fault().cycle, 4u);
+}
+
+TEST_F(ActionsFixture, ChainChargesIncludeTheFaultingOp)
+{
+    // A chain whose third op faults is charged three fetches: the
+    // dispatch's cycle and three action cycles put the fault at cycle 4.
+    CopyPair pair(kCopySetups[2]);
+    const Action head[] = {act_imm(Opcode::Movi, 4, 0, 1),
+                           act_imm(Opcode::Addi, 4, 4, 1)};
+    const Action third[] = {
+        act_imm(Opcode::Ldw, 5, 1, 0),   // r1 past the window
+        act_imm(Opcode::Read, 5, 0, 16), // past the stream's end
+        act_imm(Opcode::Setss, 0, 0, 0), // a bad symbol width
+    };
+    for (const Action &a : third) {
+        SCOPED_TRACE(opcode_name(a.op));
+        const Program prog = block_program({head[0], head[1], a});
+        EXPECT_EQ(pair.run(0xFFFFFFF0u, 0, 0, prog), LaneStatus::Faulted);
+        const Lane &ln = pair.block.lane;
+        EXPECT_EQ(ln.fault().cycle, 4u);
+        EXPECT_EQ(ln.stats().actions, 3u);
+        EXPECT_EQ(ln.stats().cycles, 4u);
+        EXPECT_EQ(ln.reg(4), 2u);
+    }
+
+    // The trap ops undo what the reference does not charge: a third
+    // fetch past the image charges nothing, an undecodable third word
+    // only its dispatch read.
+    Program past = block_program(
+        {head[0], act_imm(Opcode::Gotoact, 0, 0, 1000)});
+    EXPECT_EQ(pair.run(0, 0, 0, past), LaneStatus::Faulted);
+    EXPECT_EQ(pair.block.lane.fault().detail,
+              "Lane: action fetch out of range");
+    EXPECT_EQ(pair.block.lane.fault().cycle, 3u);
+    EXPECT_EQ(pair.block.lane.stats().actions, 2u);
+
+    Program bad = block_program({head[0], head[1], head[1]});
+    bad.actions[2] = 0xFE000000u; // opcode 127 is undefined
+    ASSERT_FALSE(opcode_valid(bits(bad.actions[2], 25, 7)));
+    EXPECT_EQ(pair.run(0, 0, 0, bad), LaneStatus::Faulted);
+    EXPECT_EQ(pair.block.lane.fault().code, FaultCode::BadAction);
+    EXPECT_EQ(pair.block.lane.fault().cycle, 3u);
+    EXPECT_EQ(pair.block.lane.stats().actions, 2u);
 }
 
 } // namespace

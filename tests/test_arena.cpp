@@ -529,9 +529,35 @@ TEST(Arena, OffloadHoldsAWindowNotTheText)
     // The whole text alone would be 1.0x; before streaming it was 2.14x.
     EXPECT_LT(sf4, 0.5 * double(text4))
         << sf4 / 1e6 << " MB over " << text4 / 1e6 << " MB of text";
-    // A wave's worth does not grow with the input.
-    EXPECT_LT(std::abs(sf4 - sf1), 0.25e6)
-        << "SF 1 " << sf1 / 1e6 << " MB, SF 4 " << sf4 / 1e6 << " MB";
+
+    // A wave's worth does not grow with the input.  One term depends on
+    // the deserialize helper's timing: the pool's buffers keep their
+    // capacity, a job's result takes two of them (its output and its
+    // extract), and the slice the helper still holds when the next wave
+    // harvests decides which capacities go where and how many the pool
+    // allocates.  So either load may pin up to two extract-sized buffers
+    // per lane more than the other: twice the bytes one 8-chunk CSV
+    // wave's results hold, measured here, on top of the fixed 0.25 MB.
+    const double wave = [&] {
+        const std::string csv = etl::lineitem_csv(1.0);
+        auto jobs = runtime::chunk_jobs(
+            kernels::csv_kernel_spec(),
+            ArenaSlice::borrow(BytesView(
+                reinterpret_cast<const std::uint8_t *>(csv.data()),
+                csv.size())),
+            12 * 1024, runtime::align_after_delim('\n'));
+        jobs.resize(8);
+        runtime::SchedulerOptions opts;
+        opts.max_jobs_per_wave = 8;
+        runtime::Scheduler sched(m, opts);
+        const std::int64_t before = g_live_bytes.load();
+        const runtime::ScheduleReport rep = sched.run(jobs);
+        return double(g_live_bytes.load() - before);
+    }();
+    EXPECT_LT(wave, 0.25e6);
+    EXPECT_LT(std::abs(sf4 - sf1), 0.25e6 + 2 * wave)
+        << "SF 1 " << sf1 / 1e6 << " MB, SF 4 " << sf4 / 1e6
+        << " MB, one wave " << wave / 1e6 << " MB";
 }
 
 } // namespace

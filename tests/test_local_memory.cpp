@@ -5,7 +5,11 @@
  */
 #include "core/local_memory.hpp"
 
+#include "core/fault.hpp"
+
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace udp {
 namespace {
@@ -107,6 +111,88 @@ TEST(LocalMemory, SpanIsTranslateOverEveryByte)
                             }
                         }
                     }
+    }
+}
+
+TEST(LocalMemory, WindowBoundAdmitsExactlyWhatTranslateAdmits)
+{
+    // The per-mode range rules, written out: the bound must admit an
+    // access exactly when its last byte lies in the lane's range, land
+    // it at the same physical byte, fault with the mode's detail text,
+    // and never reach past the memory.
+    struct Rule {
+        bool in_range;
+        std::uint64_t phys;
+        const char *detail;
+    };
+    auto rule = [](AddressingMode mode, unsigned lane, Word addr,
+                   std::uint64_t len, ByteAddr base,
+                   std::uint64_t window_end) -> Rule {
+        const std::uint64_t end = std::uint64_t{addr} + len;
+        switch (mode) {
+          case AddressingMode::Local:
+            return {end <= kBankBytes, std::uint64_t{lane} * kBankBytes + addr,
+                    "LocalMemory: local-mode address exceeds bank"};
+          case AddressingMode::Global:
+            return {end <= kLocalMemBytes, addr,
+                    "LocalMemory: global address out of range"};
+          case AddressingMode::Restricted:
+            return {base + end <= window_end, std::uint64_t{base} + addr,
+                    base + end > kLocalMemBytes
+                        ? "LocalMemory: restricted address out of range"
+                        : "LocalMemory: restricted address past the lane's "
+                          "window"};
+        }
+        return {};
+    };
+    const Word addrs[] = {0, 1, 3, kBankBytes - 4, kBankBytes - 1, kBankBytes,
+                          2 * kBankBytes - 1, kLocalMemBytes - 4,
+                          kLocalMemBytes - 1, kLocalMemBytes, 0xFFFFFFFCu,
+                          0xFFFFFFFDu, 0xFFFFFFFFu};
+    const ByteAddr bases[] = {0, 3 * kBankBytes, kLocalMemBytes - 8,
+                              kLocalMemBytes, kLocalMemBytes + 100,
+                              0xFFFFFFF0u};
+    for (const AddressingMode mode :
+         {AddressingMode::Local, AddressingMode::Global,
+          AddressingMode::Restricted}) {
+        LocalMemory mem(mode);
+        for (const unsigned lane : {0u, 5u, 63u})
+            for (const ByteAddr base : bases)
+                // The memory's end, a two-bank window's, and one that
+                // ends below the base.
+                for (const std::uint64_t window_end :
+                     {std::uint64_t{kLocalMemBytes},
+                      std::min<std::uint64_t>(base + 2 * kBankBytes,
+                                              kLocalMemBytes),
+                      std::uint64_t{kBankBytes}}) {
+                    const LaneWindow w = mem.window(lane, base, window_end);
+                    if (w.limit >= 0) {
+                        EXPECT_LE(w.offset + std::uint64_t(w.limit),
+                                  kLocalMemBytes);
+                    }
+                    for (const Word addr : addrs)
+                        for (const std::uint64_t len : {1u, 2u, 4u, 9u}) {
+                            SCOPED_TRACE(testing::Message()
+                                         << addressing_mode_name(mode)
+                                         << " lane " << lane << " base "
+                                         << base << " end " << window_end
+                                         << " addr " << addr << " len "
+                                         << len);
+                            const Rule r = rule(mode, lane, addr, len, base,
+                                                window_end);
+                            ASSERT_EQ(w.admits(addr, len), r.in_range);
+                            try {
+                                EXPECT_EQ(mem.translate(w, addr, len),
+                                          r.phys);
+                                EXPECT_TRUE(r.in_range);
+                            } catch (const UdpFaultError &e) {
+                                EXPECT_FALSE(r.in_range);
+                                EXPECT_EQ(e.code(),
+                                          FaultCode::FetchOutOfRange);
+                                EXPECT_STREQ(e.what(), r.detail);
+                            }
+                        }
+                }
     }
 }
 

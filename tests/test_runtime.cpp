@@ -190,13 +190,13 @@ TEST(Runtime, TracerIsNeutralUnderThreads)
         histogram_fleet(spec, kernels::pack_fp_stream(xs), 64);
 
     Machine bare(AddressingMode::Restricted);
-    Scheduler plain(bare, {.threads = 1});
+    Scheduler plain(bare, {.threads = 1, .retry = {}});
     const ScheduleReport ref = plain.run(jobs);
 
     Machine instrumented(AddressingMode::Restricted);
     Tracer tracer;
     instrumented.set_tracer(&tracer);
-    Scheduler traced(instrumented, {.threads = 4});
+    Scheduler traced(instrumented, {.threads = 4, .retry = {}});
     const ScheduleReport rep = traced.run(jobs);
 
     EXPECT_EQ(rep.sim_threads, 4u);
@@ -221,13 +221,13 @@ TEST(Runtime, ProfiledRunUsesThreadsAndStaysNeutral)
     Machine serial(AddressingMode::Restricted);
     Tracer serial_tracer;
     serial.set_tracer(&serial_tracer);
-    Scheduler plain(serial, {.threads = 1});
+    Scheduler plain(serial, {.threads = 1, .retry = {}});
     const ScheduleReport ref = plain.run(jobs);
 
     Machine pooled(AddressingMode::Restricted);
     Tracer pooled_tracer;
     pooled.set_tracer(&pooled_tracer);
-    Scheduler sched(pooled, {.threads = 8});
+    Scheduler sched(pooled, {.threads = 8, .retry = {}});
     EXPECT_EQ(pooled.resolved_sim_threads(), 8u);
     const ScheduleReport rep = sched.run(jobs);
     EXPECT_EQ(rep.sim_threads, 8u);

@@ -260,8 +260,9 @@ TEST(SpanTrace, SpanServiceSumMatchesTelemetryHistogram)
             EXPECT_EQ(snap.sum, service_sum);
             EXPECT_EQ(snap.count, spans.attempts().size());
         }
-        if (name == "job.e2e_cycles")
+        if (name == "job.e2e_cycles") {
             EXPECT_EQ(snap.count, e2e_final);
+        }
     }
     EXPECT_EQ(e2e_final, jobs.size());
 }
