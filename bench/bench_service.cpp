@@ -160,8 +160,7 @@ run_scenario(const std::vector<runtime::JobPlan> &corpus,
         clients.push_back(svc.client(svc.register_tenant(topt)));
     }
 
-    runtime::Histogram good_e2e_us;
-    std::mutex hist_mu; // Histogram::record is lock-free; merge isn't needed
+    runtime::Histogram good_e2e_us; // record is lock-free across clients
 
     std::vector<std::thread> workers;
     for (unsigned i = 0; i <= n_good; ++i) {

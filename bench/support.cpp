@@ -24,6 +24,7 @@
 #include "runtime/kernel_spec.hpp"
 #include "workloads/generators.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -197,10 +198,14 @@ MetricsRecorder::MetricsRecorder(std::string bench, int argc, char **argv)
                              bench_.c_str());
                 std::exit(2);
             }
-            const long n = std::strtol(argv[++i], nullptr, 10);
-            if (n < 1 || n > 256) {
-                std::fprintf(stderr, "%s: --threads wants 1..256\n",
-                             bench_.c_str());
+            const char *arg = argv[++i];
+            char *end = nullptr;
+            const long n = std::strtol(arg, &end, 10);
+            if (end == arg || *end != '\0' || n < 1 || n > 256) {
+                std::fprintf(stderr,
+                             "%s: --threads wants an integer in 1..256, "
+                             "got '%s'\n",
+                             bench_.c_str(), arg);
                 std::exit(2);
             }
             set_sim_threads(static_cast<unsigned>(n));
@@ -499,6 +504,20 @@ measure_huffman_decode()
     return p;
 }
 
+namespace {
+
+unsigned
+jobs_not_done(const runtime::ScheduleReport &rep)
+{
+    return static_cast<unsigned>(
+        std::count_if(rep.jobs.begin(), rep.jobs.end(),
+                      [](const runtime::JobResult &j) {
+                          return j.status != LaneStatus::Done;
+                      }));
+}
+
+} // namespace
+
 WorkloadPerf
 measure_pattern_matching(bool complex_set)
 {
@@ -551,7 +570,9 @@ measure_pattern_matching(bool complex_set)
         for (const auto &s : specs)
             jobs.push_back(s.make_job(payload_arena.subslice(off, n)));
     }
-    attach_schedule(p, sched.run(jobs), payload.size());
+    const auto rep = sched.run(jobs);
+    attach_schedule(p, rep, payload.size());
+    p.jobs_not_done = jobs_not_done(set_rep) + jobs_not_done(rep);
     return p;
 }
 

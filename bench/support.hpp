@@ -49,6 +49,9 @@ struct WorkloadPerf {
     unsigned faulted_runs = 0; ///< job runs ending Faulted/TimedOut
     unsigned retries = 0;      ///< faulted runs requeued per RetryPolicy
     unsigned quarantined = 0;  ///< jobs given up on after max_attempts
+    /// Jobs of measure_pattern_matching's two scheduled runs that
+    /// ended other than Done (a Reject included).
+    unsigned jobs_not_done = 0;
 
     // Per-job latency distributions of the scheduled run (simulated
     // cycles; docs/OBSERVABILITY.md "latency" block).  Empty (count 0)
@@ -118,7 +121,8 @@ void attach_sim(WorkloadPerf &p, const LaneStats &total, Cycles wall,
  * documented in docs/OBSERVABILITY.md.
  *
  * Also parses `--threads N` (host simulation threads, see
- * set_sim_threads) — the resolved count lands in the JSON as the
+ * set_sim_threads; a value that is not an integer in 1..256 in full
+ * exits 2) — the resolved count lands in the JSON as the
  * top-level `sim_threads` field — and the observer flags, each of
  * which adds to the `SchedulerOptions::sinks` of every Scheduler the
  * bench runs through sched_options():

@@ -36,9 +36,11 @@ std::uint64_t program_fingerprint(const Program &prog);
  * only in host speed:
  *  - Legacy: the decode-per-step reference interpreter;
  *  - Threaded: the flat threaded-code op stream and arc tables
- *    (core/threaded_program.hpp).
- * A lane with a tracer attached runs the reference under either
- * setting.
+ *    (core/threaded_program.hpp) for DFA mode.
+ * NFA mode (Lane::run_nfa), and a lane with a tracer attached, run the
+ * reference under either setting; a bare NFA lane under Threaded still
+ * binds the compiled image, so its arc actions take the inline memory
+ * path.
  */
 enum class SimBackend : std::uint8_t {
     Legacy = 0,

@@ -4,14 +4,14 @@
  * prefetch unit, action unit) and the run entries.
  *
  * The reference decodes every packed word at dispatch time
- * (`step`, `run_steps_legacy`, `run_nfa_legacy`).  Its action unit
- * lowers each decoded word with the compiler's helper and calls the
- * same op handler the threaded engine's op stream calls, so every
- * opcode's semantics are written once (core/threaded_program.cpp).
- * The tracer hooks live only here: a lane with a tracer attached always
- * runs the reference, and a bare lane with a compiled image runs
- * `ThreadedEngine`.  Simulated results are bit-identical either way
- * (tests/test_threaded.cpp).
+ * (`step`, `run_steps_legacy`, `run_nfa`).  Its action unit lowers each
+ * decoded word with the compiler's helper and calls the same op handler
+ * the threaded engine's op stream calls, so every opcode's semantics
+ * are written once (core/threaded_program.cpp).  The tracer hooks live
+ * only here: a lane with a tracer attached always runs the reference,
+ * and a bare DFA lane with a compiled image runs `ThreadedEngine`.
+ * Every NFA lane runs `run_nfa` here.  Simulated results are
+ * bit-identical either way (tests/test_threaded.cpp).
  */
 #include "lane.hpp"
 
@@ -612,15 +612,7 @@ Lane::run_nfa(std::uint64_t max_cycles)
 {
     if (!prog_)
         throw UdpError("Lane: no program loaded");
-    return run_guarded([&] {
-        return fast_path() ? ThreadedEngine::run_nfa(*this, max_cycles)
-                           : run_nfa_legacy(max_cycles);
-    });
-}
 
-LaneStatus
-Lane::run_nfa_legacy(std::uint64_t max_cycles)
-{
     // Active-state set with epsilon closure on activation. Frontier order
     // is deterministic; duplicates are suppressed with a stamp array.
     // Active entries are full word addresses.
@@ -677,105 +669,107 @@ Lane::run_nfa_legacy(std::uint64_t max_cycles)
         }
     };
 
-    close(active);
-    const unsigned width = symbol_bits_;
+    return run_guarded([&] {
+        close(active);
+        const unsigned width = symbol_bits_;
 
-    while (!active.empty() && stats_.cycles < max_cycles) {
-        if (trap_cycle_ != 0 && stats_.cycles >= trap_cycle_)
-            return trap(FaultCode::ForcedTrap,
-                        "Lane: forced trap (fault injection)");
-        if (sb_.exhausted(width))
-            return LaneStatus::Done;
-        const Word sym = fetch_symbol_bits(width);
+        while (!active.empty() && stats_.cycles < max_cycles) {
+            if (trap_cycle_ != 0 && stats_.cycles >= trap_cycle_)
+                return trap(FaultCode::ForcedTrap,
+                            "Lane: forced trap (fault injection)");
+            if (sb_.exhausted(width))
+                return LaneStatus::Done;
+            const Word sym = fetch_symbol_bits(width);
 
-        next.clear();
-        ++generation;
-        for (const auto cur : active) {
-            const StateMeta *meta = prog_->find_state(cur);
-            if (!meta)
-                throw UdpFaultError(
-                    FaultCode::BadDispatch,
-                    "Lane: NFA dispatch into unknown state");
-            const std::size_t base = meta->base;
-            const std::uint8_t sig = state_signature(meta->base);
+            next.clear();
+            ++generation;
+            for (const auto cur : active) {
+                const StateMeta *meta = prog_->find_state(cur);
+                if (!meta)
+                    throw UdpFaultError(
+                        FaultCode::BadDispatch,
+                        "Lane: NFA dispatch into unknown state");
+                const std::size_t base = meta->base;
+                const std::uint8_t sig = state_signature(meta->base);
 
-            const Cycles prof_c0 = stats_.cycles;
-            const std::uint64_t prof_m0 = stats_.sig_misses;
-            const std::uint64_t prof_s0 = stats_.stall_cycles;
+                const Cycles prof_c0 = stats_.cycles;
+                const std::uint64_t prof_m0 = stats_.sig_misses;
+                const std::uint64_t prof_s0 = stats_.stall_cycles;
 
-            ++stats_.dispatches;
-            ++stats_.cycles;
-            if (tracer_)
-                tracer_->record(id_, TraceEventKind::Dispatch,
-                                stats_.cycles,
-                                static_cast<std::uint32_t>(base), sym);
-
-            Transition taken;
-            bool have = false;
-            const std::size_t slot = base + sym;
-            if (slot < prog_->dispatch.size() && sym <= meta->max_symbol) {
-                const Transition t = decode_transition(dispatch_word(slot));
-                if (t.signature == sig &&
-                    (t.type == TransitionType::Labeled ||
-                     t.type == TransitionType::Refill)) {
-                    taken = t;
-                    have = true;
-                }
-            }
-            if (!have) {
-                ++stats_.sig_misses;
+                ++stats_.dispatches;
                 ++stats_.cycles;
                 if (tracer_)
-                    tracer_->record(id_, TraceEventKind::SigMiss,
+                    tracer_->record(id_, TraceEventKind::Dispatch,
                                     stats_.cycles,
-                                    static_cast<std::uint32_t>(base),
-                                    sym);
-                for (unsigned k = 1; k <= meta->aux_count; ++k) {
-                    const Transition t =
-                        decode_transition(dispatch_word(base - k));
-                    if (t.signature != sig)
-                        break;
-                    if (t.type == TransitionType::Majority ||
-                        t.type == TransitionType::Default ||
-                        t.type == TransitionType::Common) {
+                                    static_cast<std::uint32_t>(base), sym);
+
+                Transition taken;
+                bool have = false;
+                const std::size_t slot = base + sym;
+                if (slot < prog_->dispatch.size() && sym <= meta->max_symbol) {
+                    const Transition t = decode_transition(dispatch_word(slot));
+                    if (t.signature == sig &&
+                        (t.type == TransitionType::Labeled ||
+                         t.type == TransitionType::Refill)) {
                         taken = t;
                         have = true;
-                        break;
                     }
                 }
-            }
-            if (have) {
-                const std::size_t tgt = dispatch_base_ + taken.target;
-                if (!seen(tgt)) {
-                    stamp[tgt] = generation;
-                    next.push_back(tgt);
-                    // Activation happens once per step; arc actions fire
-                    // with the first arc that activates the target.
-                    std::size_t act;
-                    if (attach_addr(taken, act))
-                        exec_actions(act);
+                if (!have) {
+                    ++stats_.sig_misses;
+                    ++stats_.cycles;
+                    if (tracer_)
+                        tracer_->record(id_, TraceEventKind::SigMiss,
+                                        stats_.cycles,
+                                        static_cast<std::uint32_t>(base),
+                                        sym);
+                    for (unsigned k = 1; k <= meta->aux_count; ++k) {
+                        const Transition t =
+                            decode_transition(dispatch_word(base - k));
+                        if (t.signature != sig)
+                            break;
+                        if (t.type == TransitionType::Majority ||
+                            t.type == TransitionType::Default ||
+                            t.type == TransitionType::Common) {
+                            taken = t;
+                            have = true;
+                            break;
+                        }
+                    }
                 }
+                if (have) {
+                    const std::size_t tgt = dispatch_base_ + taken.target;
+                    if (!seen(tgt)) {
+                        stamp[tgt] = generation;
+                        next.push_back(tgt);
+                        // Activation happens once per step; arc actions fire
+                        // with the first arc that activates the target.
+                        std::size_t act;
+                        if (attach_addr(taken, act))
+                            exec_actions(act);
+                    }
+                }
+                // `have == false`: this activation dies, after charging the
+                // dispatch + miss cycles profiled below.
+                if (tracer_)
+                    tracer_->record_state(
+                        id_, static_cast<std::uint32_t>(base),
+                        stats_.cycles - prof_c0, stats_.sig_misses - prof_m0,
+                        stats_.stall_cycles - prof_s0);
             }
-            // `have == false`: this activation dies, after charging the
-            // dispatch + miss cycles profiled below.
-            if (tracer_)
-                tracer_->record_state(
-                    id_, static_cast<std::uint32_t>(base),
-                    stats_.cycles - prof_c0, stats_.sig_misses - prof_m0,
-                    stats_.stall_cycles - prof_s0);
+            close(next);
+            // close() bumps the generation; re-stamp for the swap below is
+            // unnecessary since `next` is already duplicate-free.
+            active.swap(next);
         }
-        close(next);
-        // close() bumps the generation; re-stamp for the swap below is
-        // unnecessary since `next` is already duplicate-free.
-        active.swap(next);
-    }
-    if (active.empty())
-        return LaneStatus::Reject;
-    // Loop exit with live activations means the watchdog fired, not a
-    // clean end of stream.
-    return trip_watchdog("Lane: NFA cycle budget (" +
-                         std::to_string(max_cycles) +
-                         ") exhausted before completion");
+        if (active.empty())
+            return LaneStatus::Reject;
+        // Loop exit with live activations means the watchdog fired, not a
+        // clean end of stream.
+        return trip_watchdog("Lane: NFA cycle budget (" +
+                             std::to_string(max_cycles) +
+                             ") exhausted before completion");
+    });
 }
 
 } // namespace udp

@@ -22,14 +22,16 @@
  * Host-side interpretation runs on one of two interpreters
  * (docs/PERFORMANCE.md):
  *   - `ThreadedEngine` over a shared compiled image (the default), for
- *     any lane with no tracer attached;
- *   - the decode-per-step reference in lane.cpp, for the Legacy backend
- *     and for every lane with a tracer attached.
+ *     the DFA run entries of any lane with no tracer attached;
+ *   - the decode-per-step reference in lane.cpp, for the Legacy backend,
+ *     for every lane with a tracer attached, and for NFA mode on every
+ *     lane (`run_nfa` is the one NFA interpreter).
  * Both call the same op handlers, and simulated counters never depend
  * on the interpreter taken.  Their data paths differ in one place: on
- * the threaded engine with no bank arbiter, an access that fits the
- * lane's window bound is made inline (and Loopcpy moves an in-range
- * span in one block), while the reference sends every byte through
+ * a bare lane with a compiled image (fast_path()) and no bank arbiter,
+ * an access that fits the lane's window bound is made inline (and
+ * Loopcpy moves an in-range span in one block), NFA arc actions
+ * included; every other access goes byte by byte through
  * LocalMemory::translate and charge_mem, so the cross-interpreter
  * suites check one against the other.
  */
@@ -98,11 +100,12 @@ class Lane
     /// backend was active at load()).
     const CompiledProgram *compiled() const { return compiled_.get(); }
 
-    /// Whether the run entries take ThreadedEngine: a compiled image is
-    /// bound and no tracer is attached.  Otherwise they run the
-    /// reference interpreter.  It also gates the direct memory path
-    /// (with no bank arbiter attached): off the fast path, every access
-    /// goes through LocalMemory::translate and charge_mem.
+    /// Whether the DFA run entries take ThreadedEngine: a compiled
+    /// image is bound and no tracer is attached.  Otherwise they run the
+    /// reference interpreter (run_nfa always does).  It also gates the
+    /// direct memory path (with no bank arbiter attached), in both
+    /// modes: off the fast path, every access goes through
+    /// LocalMemory::translate and charge_mem.
     bool fast_path() const { return compiled_ && !tracer_; }
 
     /// Attach the input stream (not copied).
@@ -132,7 +135,8 @@ class Lane
     /// `run_steps(1)`.
     LaneStatus step_once();
 
-    /// Execute in NFA mode (multi-state activation via epsilon).
+    /// Execute in NFA mode (multi-state activation via epsilon) on the
+    /// reference interpreter, whatever the backend.
     LaneStatus run_nfa(std::uint64_t max_cycles = ~std::uint64_t{0});
 
     const LaneStats &stats() const { return stats_; }
@@ -195,7 +199,7 @@ class Lane
     Tracer *tracer() const { return tracer_; }
 
   private:
-    /// The threaded-code engine is the lane's inner loop whenever
+    /// The threaded-code engine is the lane's DFA inner loop whenever
     /// fast_path() holds, and its op handlers are every opcode's
     /// semantics on both interpreters (core/threaded_program.hpp).
     friend class ThreadedEngine;
@@ -213,7 +217,6 @@ class Lane
     StepResult step(const StateMeta &meta);
 
     LaneStatus run_steps_legacy(std::uint64_t n);
-    LaneStatus run_nfa_legacy(std::uint64_t max_cycles);
 
     /// Reference action unit: execute the action chain at action-memory
     /// word address `addr`, decoding one word at a time and running the
@@ -235,12 +238,13 @@ class Lane
     Word fetch_symbol_bits(unsigned width);
     Word dispatch_word(std::size_t word_addr);
 
-    // Memory access.  On the threaded engine with no bank arbiter, an
-    // access that fits the lane's window takes the inline direct path:
-    // one compare against `direct_limit_`, the access, and the
-    // mem_reads/mem_writes charge.  Every other access (the reference,
-    // observed lanes, arbiters, faults) goes through mem_translate() and
-    // charge_mem(), out of line.
+    // Memory access.  On a bare lane (fast_path()) with no bank arbiter,
+    // an access that fits the lane's window takes the inline direct
+    // path, from the threaded engine and from the reference action unit
+    // of an NFA lane alike: one compare against `direct_limit_`, the
+    // access, and the mem_reads/mem_writes charge.  Every other access
+    // (the Legacy backend, observed lanes, arbiters, faults) goes
+    // through mem_translate() and charge_mem(), out of line.
 
     /// Recompute the window bound and the direct path's limit; called
     /// whenever the window or the fast_path()/arbiter gate changes.

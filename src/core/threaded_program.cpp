@@ -2,12 +2,12 @@
  * @file
  * Threaded-code backend: the op handlers (the ISA's one semantic
  * definition, tabled from UDP_OPCODES), the CompiledProgram lowering
- * pass, the single-lane DFA step loop and the NFA executor.
+ * pass and the single-lane DFA step loop.
  *
  * Equivalence discipline: every dispatch charge, fault message and
  * side-effect order in the engine is transcribed from the reference
- * interpreter in lane.cpp (`step`, `run_nfa_legacy`), whose action unit
- * runs these same handlers.  The chain walker charges the fetch costs
+ * interpreter in lane.cpp (`step`), whose action unit runs these same
+ * handlers.  The chain walker charges the fetch costs
  * unconditionally and the two trap ops (undecodable word, out-of-range
  * fetch) *undo* the charges the reference would not have made before
  * throwing the identical error — keeping the hot loop free of per-op
@@ -538,9 +538,10 @@ CompiledProgram::CompiledProgram(const Program &prog)
       init_action_base_(prog.init_action_base),
       init_action_scale_(prog.init_action_scale)
 {
-    transitions_.reserve(prog.dispatch.size());
+    std::vector<Transition> transitions; // one per dispatch word
+    transitions.reserve(prog.dispatch.size());
     for (const Word w : prog.dispatch)
-        transitions_.push_back(decode_transition_lenient(w));
+        transitions.push_back(decode_transition_lenient(w));
 
     // Lower every action word into the flat op stream; one extra trap
     // sentinel terminates it so the chain walker needs no bounds check.
@@ -571,80 +572,59 @@ CompiledProgram::CompiledProgram(const Program &prog)
         slot_state_[base] = static_cast<std::int32_t>(i);
     }
 
-    // Pass 2: per-state arc tables and NFA records (forward next-state
-    // links resolve against the complete map).
+    // Pass 2: per-state arc tables (forward next-state links resolve
+    // against the complete map).
     states_.reserve(prog.states.size());
-    nfa_.reserve(prog.states.size());
     for (const StateMeta &sm : prog.states) {
         const std::uint8_t sig = state_signature(sm.base);
         // An aux chain longer than its base can only occur in a program
         // that never passed Program::validate(); clamp it to the image.
         const unsigned aux = std::min<unsigned>(sm.aux_count, sm.base);
         const auto chain = [&](unsigned k) -> const Transition & {
-            return transitions_[sm.base - k];
+            return transitions[sm.base - k];
         };
 
         CompiledState cs;
         cs.base = sm.base;
         cs.max_symbol = sm.max_symbol;
         cs.reg_source = sm.reg_source ? 1 : 0;
-        CompiledNfaState ns;
-        ns.signature = sig;
 
-        // The chain in decode order.  A DFA step's `common` scan stops
-        // at the first signature-matching common and does not skip
-        // signature mismatches; an NFA activation decodes every word,
-        // activating the signature-matching epsilons.  Either faults on
-        // the first undecodable word it reaches.
-        ns.eps_begin = static_cast<std::uint32_t>(epsilons_.size());
+        // The chain in decode order, as a DFA step's `common` scan reads
+        // it: it skips signature mismatches, stops at the first
+        // signature-matching common, and faults on the first undecodable
+        // word it reaches before that.
         for (unsigned k = 1; k <= aux; ++k) {
             const Transition &t = chain(k);
             if (t.type == kInvalidTransitionType) {
-                ns.trap_slot = static_cast<std::int32_t>(sm.base - k);
-                if (cs.head == CompiledState::Labeled) {
-                    cs.head = CompiledState::Trap;
-                    cs.common_arc.kind = ResolvedArc::Invalid;
-                    cs.common_arc.raw_slot = sm.base - k;
-                }
+                cs.head = CompiledState::Trap;
+                cs.common_arc.kind = ResolvedArc::Invalid;
+                cs.common_arc.raw_slot = sm.base - k;
                 break;
             }
-            if (t.signature != sig)
-                continue;
-            if (t.type == TransitionType::Common &&
-                cs.head == CompiledState::Labeled) {
+            if (t.signature == sig && t.type == TransitionType::Common) {
                 cs.head = CompiledState::Common;
                 cs.common_arc = resolve_take(t, 0, 0);
-            } else if (t.type == TransitionType::Epsilon) {
-                epsilons_.push_back(t);
+                break;
             }
         }
-        ns.eps_end = static_cast<std::uint32_t>(epsilons_.size());
 
-        // Signature-miss walks: charge one dispatch read per word
-        // examined, stop at the first signature mismatch or fallback
-        // hit; NFA mode also falls back to `common`.  Only states whose
-        // chain decodes in full ever walk it.
-        const auto walk = [&](bool nfa, Transition &hit,
-                              std::uint8_t &reads) {
-            for (unsigned k = 1; k <= aux; ++k) {
-                const Transition &t = chain(k);
-                ++reads;
-                if (t.signature != sig)
-                    return false;
-                if (t.type == TransitionType::Majority ||
-                    t.type == TransitionType::Default ||
-                    (nfa && t.type == TransitionType::Common)) {
-                    hit = t;
-                    return true;
-                }
-            }
-            return false;
-        };
-        ns.has_miss = walk(true, ns.miss, ns.miss_reads) ? 1 : 0;
-        Transition miss;
-        std::uint8_t miss_reads = 0;
-        if (walk(false, miss, miss_reads)) {
-            cs.miss_arc = resolve_take(miss, 1, miss_reads);
+        // The signature-miss walk: one dispatch read per word examined,
+        // stopping at the first signature mismatch or majority/default
+        // hit.  Only a Labeled head ever walks it, and its chain decodes
+        // in full.
+        std::uint16_t miss_reads = 0;
+        const Transition *miss = nullptr;
+        for (unsigned k = 1; k <= aux && !miss; ++k) {
+            const Transition &t = chain(k);
+            ++miss_reads;
+            if (t.signature != sig)
+                break;
+            if (t.type == TransitionType::Majority ||
+                t.type == TransitionType::Default)
+                miss = &t;
+        }
+        if (miss) {
+            cs.miss_arc = resolve_take(*miss, 1, miss_reads);
         } else {
             cs.miss_arc.kind = ResolvedArc::Reject;
             cs.miss_arc.miss = 1;
@@ -659,8 +639,8 @@ CompiledProgram::CompiledProgram(const Program &prog)
             for (std::uint32_t sym = 0; sym <= cs.max_symbol; ++sym) {
                 const std::size_t slot = std::size_t{cs.base} + sym;
                 ResolvedArc arc = cs.miss_arc;
-                if (slot < transitions_.size()) {
-                    const Transition &t = transitions_[slot];
+                if (slot < transitions.size()) {
+                    const Transition &t = transitions[slot];
                     if (t.type == kInvalidTransitionType) {
                         arc = ResolvedArc{};
                         arc.kind = ResolvedArc::Invalid;
@@ -679,7 +659,6 @@ CompiledProgram::CompiledProgram(const Program &prog)
             }
         }
         states_.push_back(cs);
-        nfa_.push_back(ns);
     }
 }
 
@@ -910,151 +889,6 @@ ThreadedEngine::run_steps_body(Lane &ln, std::uint64_t n)
     }
     flush(ln, c);
     return out;
-}
-
-LaneStatus
-ThreadedEngine::run_nfa(Lane &ln, std::uint64_t max_cycles)
-{
-    const CompiledProgram &cp = *ln.compiled_;
-    const Program &prog = *ln.prog_;
-    LaneStats &st = ln.stats_;
-    ThreadedCtx c;
-    c.ops = cp.ops();
-    c.nops = cp.op_count();
-
-    // Arc actions run on the op stream; their counters are flushed
-    // once per input symbol, so the watchdog and trap checks at the top
-    // of the step loop always read complete stats.
-    const auto fire = [&](const Transition &t) {
-        std::size_t act;
-        if (ln.attach_addr(t, act))
-            exec_chain(ln, c,
-                       act < c.nops ? static_cast<std::uint32_t>(act)
-                                    : c.nops);
-    };
-
-    // The compiled index of the active state at `base`.
-    const auto index_of = [&](std::size_t base, const char *unknown) {
-        const std::int32_t ix = cp.state_index(base);
-        if (ix < 0)
-            throw UdpFaultError(FaultCode::BadDispatch, unknown);
-        return static_cast<std::size_t>(ix);
-    };
-
-    // Active-state set with epsilon closure on activation. Frontier order
-    // is deterministic; duplicates are suppressed with a stamp array.
-    // Active entries are full word addresses.
-    std::vector<std::size_t> active{prog.entry};
-    std::vector<std::size_t> next;
-    std::vector<std::uint32_t> stamp(cp.dispatch_words(), 0);
-    std::uint32_t generation = 0;
-
-    // Whether `tgt` is already active this generation.  A target past
-    // the image is no state's base: fault before indexing the stamps.
-    const auto seen = [&](std::size_t tgt) {
-        if (tgt >= stamp.size())
-            throw UdpFaultError(FaultCode::BadDispatch,
-                                "Lane: NFA activation of unknown state");
-        return stamp[tgt] == generation;
-    };
-
-    const auto close = [&](std::vector<std::size_t> &set) {
-        ++generation;
-        for (auto b : set)
-            stamp[b] = generation;
-        for (std::size_t i = 0; i < set.size(); ++i) {
-            const CompiledNfaState &ns = cp.nfa_state(
-                index_of(set[i], "Lane: NFA activation of unknown state"));
-            for (const Transition *t = cp.eps_begin(ns),
-                                  *e = cp.eps_end(ns);
-                 t != e; ++t) {
-                const std::size_t tgt = ln.dispatch_base_ + t->target;
-                if (seen(tgt))
-                    continue;
-                // Epsilon activation costs one dispatch cycle.
-                ++st.cycles;
-                ++st.dispatches;
-                ++st.dispatch_reads;
-                stamp[tgt] = generation;
-                set.push_back(tgt);
-                fire(*t);
-            }
-            if (ns.trap_slot >= 0)
-                decode_transition(prog.dispatch[static_cast<std::size_t>(
-                    ns.trap_slot)]); // throws
-        }
-    };
-
-    try {
-        close(active);
-        flush(ln, c);
-        const unsigned width = ln.symbol_bits_;
-
-        while (!active.empty() && st.cycles < max_cycles) {
-            if (ln.trap_cycle_ != 0 && st.cycles >= ln.trap_cycle_)
-                return ln.trap(FaultCode::ForcedTrap,
-                               "Lane: forced trap (fault injection)");
-            if (ln.sb_.exhausted(width))
-                return LaneStatus::Done;
-            st.stream_bits += width;
-            const Word sym = ln.last_symbol_ = ln.sb_.read(width);
-
-            next.clear();
-            ++generation;
-            for (const auto cur : active) {
-                const std::size_t ix =
-                    index_of(cur, "Lane: NFA dispatch into unknown state");
-                const CompiledState &cs = cp.state(ix);
-                const CompiledNfaState &ns = cp.nfa_state(ix);
-                ++st.dispatches;
-                ++st.cycles;
-
-                const Transition *taken = nullptr;
-                const std::size_t slot = std::size_t{cs.base} + sym;
-                if (slot < cp.dispatch_words() && sym <= cs.max_symbol) {
-                    ++st.dispatch_reads;
-                    const Transition &t = cp.transition(slot);
-                    if (t.type == kInvalidTransitionType)
-                        decode_transition(prog.dispatch[slot]); // throws
-                    if (t.signature == ns.signature &&
-                        (t.type == TransitionType::Labeled ||
-                         t.type == TransitionType::Refill))
-                        taken = &t;
-                }
-                if (!taken) {
-                    ++st.sig_misses;
-                    ++st.cycles;
-                    st.dispatch_reads += ns.miss_reads;
-                    if (ns.has_miss)
-                        taken = &ns.miss;
-                }
-                // No arc: this activation dies after its charges.
-                if (!taken)
-                    continue;
-                const std::size_t tgt = ln.dispatch_base_ + taken->target;
-                if (!seen(tgt)) {
-                    stamp[tgt] = generation;
-                    next.push_back(tgt);
-                    // Activation happens once per step; arc actions fire
-                    // with the first arc that activates the target.
-                    fire(*taken);
-                }
-            }
-            close(next);
-            flush(ln, c);
-            active.swap(next);
-        }
-    } catch (...) {
-        flush(ln, c); // the fault record reads stats_.cycles at trap time
-        throw;
-    }
-    if (active.empty())
-        return LaneStatus::Reject;
-    // Loop exit with live activations means the watchdog fired, not a
-    // clean end of stream.
-    return ln.trip_watchdog("Lane: NFA cycle budget (" +
-                            std::to_string(max_cycles) +
-                            ") exhausted before completion");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
  * Threaded-code execution backend: compile once, dispatch flat.
  *
  * A `CompiledProgram` decodes a program's packed words once and lowers
- * them into:
+ * them into what the DFA step loop reads:
  *
  *  - a flat op stream: every action word becomes a `CompiledOp`, a
  *    function-pointer handler plus pre-extracted operands and a
@@ -14,14 +14,12 @@
  *    `ResolvedArc`, where the labeled slot probe, signature check,
  *    auxiliary miss walk and attach resolution collapse into one entry
  *    holding the exact counter charges and the *compiled index* of the
- *    next state;
- *  - for NFA mode, the decoded dispatch words plus each state's
- *    signature-miss fallback and epsilon list (`CompiledNfaState`).
+ *    next state.
  *
  * Words that do not decode become sentinels, and an undecodable aux
- * word is recorded where the reference decodes it (a DFA step's
- * `common` scan, an NFA activation), so every fault lands on the
- * reference's cycle with the reference's error.
+ * word is recorded where a DFA step's `common` scan decodes it, so
+ * every fault lands on the reference's cycle with the reference's
+ * error.
  *
  * The op handlers are the ISA's only semantic definition: the reference
  * interpreter's action unit (Lane::exec_actions) lowers each word it
@@ -33,9 +31,10 @@
  * resolves it at `Lane::load` unless handed one (the runtime's
  * `JobPlan::compiled`).
  *
- * `ThreadedEngine` interprets the compiled image one lane at a time:
- * in DFA mode a resumable step loop (`run_steps_body`), and in NFA mode
- * over the per-state epsilon and miss tables (`run_nfa`).
+ * `ThreadedEngine` interprets the compiled image one lane at a time in
+ * DFA mode, with a resumable step loop (`run_steps_body`).  NFA mode
+ * has one interpreter, the reference loop in `Lane::run_nfa`; on a bare
+ * lane its arc actions still take the inline memory path.
  *
  * This tier is purely host-performance: simulated counters, outputs,
  * accepts, faults and trap cycles are bit-identical to the reference
@@ -142,26 +141,6 @@ struct CompiledState {
     ResolvedArc miss_arc;   ///< sym > max_symbol (no labeled-slot read)
 };
 
-/// The NFA-only metadata of a state, indexed like CompiledProgram::state()
-/// (which holds the state's base and symbol range).
-struct CompiledNfaState {
-    std::uint8_t signature = 0;   ///< expected slot signature
-    /// Signature-miss fallback: the first majority/default/common hit of
-    /// the chain walk.  `miss_reads` is the exact number of dispatch-word
-    /// reads the reference walk charges (including the terminating
-    /// word).
-    std::uint8_t has_miss = 0;
-    std::uint8_t miss_reads = 0;
-    Transition miss{};
-    /// Epsilon activations in chain order, [eps_begin, eps_end) into
-    /// CompiledProgram's epsilon pool: those before `trap_slot`.
-    std::uint32_t eps_begin = 0;
-    std::uint32_t eps_end = 0;
-    /// First undecodable aux word (a dispatch slot), or -1.  Activating
-    /// the state runs the epsilons before it, then re-decodes it.
-    std::int32_t trap_slot = -1;
-};
-
 /**
  * The threaded-code image.  Built once per program; immutable after, so
  * one instance is safely shared read-only across lanes, waves and host
@@ -177,28 +156,12 @@ class CompiledProgram
     std::uint32_t op_count() const { return nops_; }
 
     const CompiledState &state(std::size_t ix) const { return states_[ix]; }
-    const CompiledNfaState &nfa_state(std::size_t ix) const {
-        return nfa_[ix];
-    }
     std::size_t num_states() const { return states_.size(); }
     const ResolvedArc *arcs() const { return arcs_.data(); }
 
     /// Compiled state index for a full dispatch base; -1 when unknown.
     std::int32_t state_index(std::size_t full_base) const {
         return full_base < slot_state_.size() ? slot_state_[full_base] : -1;
-    }
-
-    /// The decoded dispatch words (undecodable ones are
-    /// kInvalidTransitionType sentinels).
-    std::size_t dispatch_words() const { return transitions_.size(); }
-    const Transition &transition(std::size_t slot) const {
-        return transitions_[slot];
-    }
-    const Transition *eps_begin(const CompiledNfaState &s) const {
-        return epsilons_.data() + s.eps_begin;
-    }
-    const Transition *eps_end(const CompiledNfaState &s) const {
-        return epsilons_.data() + s.eps_end;
     }
 
     /// True when any action rewrites the dispatch window base (Setbase
@@ -218,11 +181,8 @@ class CompiledProgram
 
     std::vector<CompiledOp> ops_;
     std::vector<CompiledState> states_;
-    std::vector<CompiledNfaState> nfa_;
     std::vector<ResolvedArc> arcs_;
     std::vector<std::int32_t> slot_state_; ///< base -> index into states_
-    std::vector<Transition> transitions_;  ///< one per dispatch word
-    std::vector<Transition> epsilons_;     ///< flattened per-state lists
     std::uint64_t fingerprint_ = 0;
     std::uint32_t nops_ = 0;
     std::uint32_t init_dispatch_base_ = 0;
@@ -247,9 +207,8 @@ std::string disassemble_compiled(const CompiledProgram &cp);
 
 /**
  * The threaded-code interpreter.  A friend of Lane: it *is* the
- * lane's inner loop whenever Lane::fast_path() holds, entered
- * from Lane::run_steps (and so Lane::run and Lane::step_once) or
- * Lane::run_nfa.
+ * lane's DFA inner loop whenever Lane::fast_path() holds, entered
+ * from Lane::run_steps (and so Lane::run and Lane::step_once).
  */
 class ThreadedEngine
 {
@@ -259,11 +218,6 @@ class ThreadedEngine
     /// stats before returning or rethrowing.  Call inside
     /// Lane::run_guarded.
     static LaneStatus run_steps_body(Lane &ln, std::uint64_t n);
-
-    /// NFA mode (Lane::run_nfa) over the per-state epsilon and miss
-    /// tables, arc actions running on the op stream.  Call inside
-    /// Lane::run_guarded.
-    static LaneStatus run_nfa(Lane &ln, std::uint64_t max_cycles);
 
     /// Lower the action word `raw` (decoded as `a`) at address `addr` of
     /// an `nops`-word action image into its op: handler, operands and

@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry implementation: histogram bucket math, registry
- * snapshots/merge, JSON and Prometheus-style expositions, and the
+ * snapshots, JSON and Prometheus-style expositions, and the
  * registry-backed lifecycle sink.
  */
 #include "telemetry.hpp"
@@ -149,39 +149,6 @@ MetricRegistry::histogram(const std::string &name)
     if (!slot)
         slot = std::make_unique<Histogram>();
     return *slot;
-}
-
-void
-Histogram::merge(const HistogramSnapshot &s)
-{
-    if (s.count == 0)
-        return;
-    count_.fetch_add(s.count, std::memory_order_relaxed);
-    sum_.fetch_add(s.sum, std::memory_order_relaxed);
-    // A bucket's upper bound maps back to the same bucket index, so
-    // bucket counts transfer exactly.
-    for (const auto &[upper, n] : s.buckets)
-        buckets_[bucket_index(upper)].fetch_add(n,
-                                                std::memory_order_relaxed);
-    std::uint64_t cur = min_.load(std::memory_order_relaxed);
-    while (s.min < cur && !min_.compare_exchange_weak(
-                              cur, s.min, std::memory_order_relaxed))
-        ;
-    cur = max_.load(std::memory_order_relaxed);
-    while (s.max > cur && !max_.compare_exchange_weak(
-                              cur, s.max, std::memory_order_relaxed))
-        ;
-}
-
-void
-MetricRegistry::merge(const MetricRegistry &other)
-{
-    for (const auto &[name, v] : other.counters())
-        counter(name).add(v);
-    for (const auto &[name, v] : other.gauges())
-        gauge(name).set(v);
-    for (const auto &[name, snap] : other.histograms())
-        histogram(name).merge(snap);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>

@@ -4,11 +4,11 @@
  * lifecycle events (docs/OBSERVABILITY.md).
  *
  * The core simulator's Tracer answers "what did one lane do?".
- * This layer answers the service-level question the ROADMAP's `udpd`
- * front-end and rack-scale items need: "what did thousands of jobs
- * flowing through the Scheduler look like?" — p50/p99/p999 queue-wait
- * and service latency, wave occupancy, per-FaultCode retry/quarantine
- * rates, per-kernel throughput.
+ * This layer answers the service-level question the `udpd` front-end
+ * needs: "what did thousands of jobs flowing through the Scheduler
+ * look like?" — p50/p99/p999 queue-wait and service latency, wave
+ * occupancy, per-FaultCode retry/quarantine rates, per-kernel
+ * throughput.
  *
  * Three pieces, all dependency-free:
  *
@@ -20,8 +20,7 @@
  *  - `MetricRegistry`: named metrics, created on first use, stable
  *    references (hot paths look up once and keep the reference).
  *    Snapshotable to JSON (via `JsonWriter`) and to a Prometheus-style
- *    text exposition; `merge()` folds one registry into another — the
- *    scale-out primitive for per-shard registries.
+ *    text exposition.
  *  - Lifecycle events: the Scheduler sends `JobRunEvent` / `WaveEvent`
  *    records to every `TelemetrySink` in `SchedulerOptions::sinks`.
  *    An event points at the run it describes (the job's plan and
@@ -135,10 +134,6 @@ class Histogram
     /// (quiesce writers for a perfectly consistent snapshot).
     HistogramSnapshot snapshot() const;
 
-    /// Fold a snapshot in: bucket counts and sum add exactly, min/max
-    /// widen.  The merge primitive for per-shard registries.
-    void merge(const HistogramSnapshot &s);
-
     /// Bucket index a value lands in (exposed for boundary tests).
     static unsigned bucket_index(std::uint64_t v);
     /// Largest value mapping to `index` (inverse of bucket_index).
@@ -172,14 +167,6 @@ class MetricRegistry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
-
-    /**
-     * Fold `other` into this registry (the scale-out primitive: one
-     * registry per shard/machine, merged for the fleet view).
-     * Counters and histogram buckets add; min/max widen; a gauge takes
-     * `other`'s latest value (last-writer-wins).
-     */
-    void merge(const MetricRegistry &other);
 
     /**
      * Emit the registry as one JSON object under the writer's current

@@ -398,7 +398,8 @@ struct CopyLane {
             lane.set_tracer(&tracer);
     }
 
-    LaneStatus run(const Program &prog, Word src, Word dst, Word n) {
+    LaneStatus run(const Program &prog, Word src, Word dst, Word n,
+                   bool nfa) {
         mem.raw() = seeded_memory();
         lane.load(prog);
         lane.set_window_base(base, window_bytes);
@@ -406,7 +407,7 @@ struct CopyLane {
         lane.set_reg(1, src);
         lane.set_reg(2, dst);
         lane.set_reg(3, n);
-        return lane.run();
+        return nfa ? lane.run_nfa() : lane.run();
     }
 
     /// Host bytes at lane address `addr` (which must be in range).
@@ -428,15 +429,17 @@ struct CopyPair {
     explicit CopyPair(const CopySetup &cfg)
         : cfg(cfg), block(cfg, false), bytewise(cfg, true) {}
 
-    /// Run the copy on both lanes and require identical status, stats,
-    /// registers, fault record and memory.  Returns the status.
+    /// Run the copy (run, or run_nfa when `nfa`) on both lanes and
+    /// require identical status, stats, registers, accepts, fault record
+    /// and memory.  Returns the status.
     LaneStatus run(Word src, Word dst, Word n,
-                   const Program &prog = loopcpy_program()) {
+                   const Program &prog = loopcpy_program(),
+                   bool nfa = false) {
         SCOPED_TRACE(testing::Message()
                      << addressing_mode_name(cfg.mode) << " src " << src
                      << " dst " << dst << " n " << n);
-        const LaneStatus st = block.run(prog, src, dst, n);
-        EXPECT_EQ(bytewise.run(prog, src, dst, n), st);
+        const LaneStatus st = block.run(prog, src, dst, n, nfa);
+        EXPECT_EQ(bytewise.run(prog, src, dst, n, nfa), st);
         EXPECT_TRUE(block.lane.fast_path());
         EXPECT_FALSE(bytewise.lane.fast_path());
         const Lane &a = block.lane;
@@ -444,6 +447,13 @@ struct CopyPair {
         EXPECT_EQ(a.stats(), b.stats());
         for (unsigned r = 0; r < kNumScalarRegs; ++r)
             EXPECT_EQ(a.reg(r), b.reg(r)) << "r" << r;
+        EXPECT_EQ(a.accepts().size(), b.accepts().size());
+        for (std::size_t i = 0;
+             i < std::min(a.accepts().size(), b.accepts().size()); ++i) {
+            EXPECT_EQ(a.accepts()[i].stream_bit_pos,
+                      b.accepts()[i].stream_bit_pos);
+            EXPECT_EQ(a.accepts()[i].id, b.accepts()[i].id);
+        }
         EXPECT_EQ(a.fault().code, b.fault().code);
         EXPECT_EQ(a.fault().cycle, b.fault().cycle);
         EXPECT_EQ(a.fault().detail, b.fault().detail);
@@ -696,6 +706,78 @@ TEST_F(ActionsFixture, InlineFaultsKeepTheirModeText)
         EXPECT_EQ(pair.run(0, cfg.limit(), 7, stb.prog), LaneStatus::Faulted);
         EXPECT_EQ(pair.block.lane.fault().code, FaultCode::FetchOutOfRange);
         EXPECT_EQ(pair.block.lane.fault().detail, detail);
+    }
+}
+
+TEST_F(ActionsFixture, NfaArcActionsTakeTheInlinePathLikeTheReference)
+{
+    // NFA mode has one interpreter, but a bare lane keeps its compiled
+    // image, so its arc actions take the inline memory path.  An epsilon
+    // split keeps two states active per symbol: the epsilon into A loads
+    // a word from [r1] and stores it to [r2] before the first symbol;
+    // then, per symbol, A's labeled arc does the same with a byte, and
+    // B's common arc with a word before it copies r3 bytes from [r1]
+    // to [r2].
+    ProgramBuilder b;
+    const StateId split = b.add_state();
+    const StateId qa = b.add_state();
+    const StateId qb = b.add_state();
+    b.on_epsilon(split, qa,
+                 b.add_block({act_imm(Opcode::Ldw, 6, 1, 0),
+                              act_imm(Opcode::Stw, 6, 2, 0)}));
+    b.on_epsilon(split, qb);
+    const BlockId bytes = b.add_block({act_imm(Opcode::Ldb, 4, 1, 0),
+                                       act_imm(Opcode::Stb, 4, 2, 0),
+                                       act_imm(Opcode::Accept, 0, 0, 1)});
+    for (const char c : {'a', 'b', 'c'})
+        b.on_symbol(qa, Word(c), qa, bytes);
+    b.on_any(qb, qb,
+             b.add_block({act_imm(Opcode::Ldw, 5, 1, 0),
+                          act_imm(Opcode::Stw, 5, 2, 0),
+                          act_reg(Opcode::Loopcpy, 3, 2, 1),
+                          act_imm(Opcode::Accept, 0, 0, 2)}));
+    b.set_entry(split);
+    const Program prog = b.build();
+
+    for (const CopySetup &cfg : kCopySetups) {
+        SCOPED_TRACE(addressing_mode_name(cfg.mode));
+        CopyPair pair(cfg);
+        pair.block.input = pair.bytewise.input = Bytes{'a', 'b', 'c'};
+        const Word end = cfg.limit();
+        const auto init_at = [&](Word addr) {
+            return seeded_memory()[pair.block.mem.translate(cfg.lane, addr,
+                                                            cfg.base)];
+        };
+
+        // In range: both states fire on every symbol.  Two epsilon
+        // activations, then the split (which dies), A and B dispatch on
+        // the first symbol, and A and B on the other two.
+        EXPECT_EQ(pair.run(0x100, 0x900, 40, prog, true), LaneStatus::Done);
+        const Lane &ln = pair.block.lane;
+        EXPECT_EQ(ln.accepts().size(), 6u);
+        EXPECT_EQ(ln.stats().dispatches, 2u + 3u + 2u + 2u);
+        EXPECT_EQ(ln.stats().mem_writes, 1u + 3u * (1 + 1 + 40));
+        for (Word i = 0; i < 40; ++i)
+            ASSERT_EQ(pair.block.at(0x900)[i], init_at(0x100 + i)) << i;
+
+        // A copy that ends exactly at the range end (8 bytes ahead of its
+        // source, so it replicates), and word accesses that fit exactly.
+        EXPECT_EQ(pair.run(end - 48, end - 40, 40, prog, true),
+                  LaneStatus::Done);
+        EXPECT_EQ(pair.run(end - 4, end - 4, 0, prog, true),
+                  LaneStatus::Done);
+
+        // A word load one byte past the end faults in the epsilon's
+        // actions, before any symbol; a copy whose last byte is past the
+        // end faults after 39 bytes.
+        EXPECT_EQ(pair.run(end - 3, 0x100, 0, prog, true),
+                  LaneStatus::Faulted);
+        EXPECT_EQ(ln.fault().code, FaultCode::FetchOutOfRange);
+        EXPECT_EQ(ln.stats().mem_reads, 0u);
+        EXPECT_EQ(pair.run(0x100, end - 39, 40, prog, true),
+                  LaneStatus::Faulted);
+        EXPECT_EQ(ln.fault().code, FaultCode::FetchOutOfRange);
+        EXPECT_EQ(ln.stats().mem_writes, 1u + 1 + 1 + 39);
     }
 }
 

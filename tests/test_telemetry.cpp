@@ -1,7 +1,7 @@
 /**
  * @file
  * Telemetry tests: metric primitives, log-bucketed histograms, registry
- * snapshots/merge/expositions, concurrent recording, and the scheduler
+ * snapshots/expositions, concurrent recording, and the scheduler
  * lifecycle instrumentation (docs/OBSERVABILITY.md).
  */
 #include "assembler/builder.hpp"
@@ -160,7 +160,7 @@ TEST(Telemetry, HistogramBucketBoundaries)
         ASSERT_LT(idx, kHistogramBuckets) << "v=" << v;
         const std::uint64_t upper = Histogram::bucket_upper(idx);
         // v lands inside its bucket, and the bucket's bound round-trips
-        // to the same bucket (the property registry merge relies on).
+        // to the same bucket (a snapshot reports each bucket by it).
         EXPECT_LE(v, upper) << "v=" << v;
         EXPECT_EQ(Histogram::bucket_index(upper), idx) << "v=" << v;
         if (idx > 0) {
@@ -209,42 +209,6 @@ TEST(Telemetry, HistogramPercentilesMonotoneAndExact)
     // (generous bounds — this checks rank math, not the RNG).
     EXPECT_GT(p50, 350'000u);
     EXPECT_LT(p50, 650'000u);
-}
-
-TEST(Telemetry, RegistryMergeFoldsExactly)
-{
-    MetricRegistry a, b;
-    a.counter("shared").add(10);
-    b.counter("shared").add(32);
-    b.counter("only_b").add(7);
-    a.gauge("g").set(1.0);
-    b.gauge("g").set(2.0);
-
-    a.histogram("lat").record(10);
-    a.histogram("lat").record(1000);
-    b.histogram("lat").record(5);
-    b.histogram("lat").record(500'000);
-    b.histogram("only_b_h").record(3);
-
-    a.merge(b);
-    EXPECT_EQ(counter_value(a, "shared"), 42u);
-    EXPECT_EQ(counter_value(a, "only_b"), 7u);
-    EXPECT_DOUBLE_EQ(a.gauges()[0].second, 2.0); // last-writer-wins
-
-    const HistogramSnapshot lat = histogram_snap(a, "lat");
-    EXPECT_EQ(lat.count, 4u);
-    EXPECT_EQ(lat.sum, 10u + 1000u + 5u + 500'000u);
-    EXPECT_EQ(lat.min, 5u);
-    EXPECT_EQ(lat.max, 500'000u);
-    EXPECT_EQ(histogram_snap(a, "only_b_h").count, 1u);
-    // b is untouched by the merge.
-    EXPECT_EQ(counter_value(b, "shared"), 32u);
-    EXPECT_EQ(histogram_snap(b, "lat").count, 2u);
-
-    // Merging via snapshots loses no samples: merged quantiles stay
-    // inside the widened range and monotone.
-    EXPECT_GE(lat.percentile(0.5), lat.min);
-    EXPECT_LE(lat.percentile(0.999), lat.max);
 }
 
 // --- Expositions ----------------------------------------------------------
@@ -356,17 +320,17 @@ TEST(Telemetry, ConcurrentRecordingIsExact)
     EXPECT_EQ(s.max, n - 1);
 }
 
-TEST(Telemetry, ConcurrentSinksMergeToFleetView)
+TEST(Telemetry, ConcurrentSinksCountExactlyInOneRegistry)
 {
-    // One registry per "shard", merged into a fleet registry — the
-    // scale-out pattern for the ROADMAP's rack-scale direction.
-    constexpr unsigned kShards = 4, kPer = 1'000;
-    std::vector<MetricRegistry> shards(kShards);
+    // Four sinks on four threads share one registry: every event counts
+    // once, with no lost updates.
+    constexpr unsigned kSinks = 4, kPer = 1'000;
+    MetricRegistry reg;
     {
         std::vector<std::jthread> pool;
-        for (unsigned t = 0; t < kShards; ++t)
-            pool.emplace_back([&shards, t] {
-                RegistryTelemetry sink(shards[t]);
+        for (unsigned t = 0; t < kSinks; ++t)
+            pool.emplace_back([&reg] {
+                RegistryTelemetry sink(reg);
                 JobPlan plan;
                 plan.name = "csv";
                 for (unsigned i = 0; i < kPer; ++i) {
@@ -377,16 +341,15 @@ TEST(Telemetry, ConcurrentSinksMergeToFleetView)
                 }
             });
     }
-    MetricRegistry fleet;
-    for (const MetricRegistry &s : shards)
-        fleet.merge(s);
-    EXPECT_EQ(counter_value(fleet, "scheduler.runs"),
-              std::uint64_t{kShards} * kPer);
-    EXPECT_EQ(counter_value(fleet, "kernel.csv.runs"),
-              std::uint64_t{kShards} * kPer);
-    EXPECT_EQ(histogram_snap(fleet, "job.service_cycles").count,
-              std::uint64_t{kShards} * kPer);
-    EXPECT_EQ(histogram_snap(fleet, "job.e2e_cycles").min, 150u);
+    EXPECT_EQ(counter_value(reg, "scheduler.runs"),
+              std::uint64_t{kSinks} * kPer);
+    EXPECT_EQ(counter_value(reg, "kernel.csv.runs"),
+              std::uint64_t{kSinks} * kPer);
+    EXPECT_EQ(histogram_snap(reg, "job.service_cycles").count,
+              std::uint64_t{kSinks} * kPer);
+    EXPECT_EQ(histogram_snap(reg, "job.service_cycles").sum,
+              std::uint64_t{kSinks} * (100 * kPer + kPer * (kPer - 1) / 2));
+    EXPECT_EQ(histogram_snap(reg, "job.e2e_cycles").min, 150u);
 }
 
 // --- Scheduler lifecycle instrumentation ----------------------------------

@@ -22,6 +22,11 @@
  * 1-3 random bits flipped anywhere in their dispatch and action images
  * must run identically on both interpreters.
  *
+ * NFA mode has one interpreter (Lane::run_nfa) on either backend, so
+ * its cases compare a bare lane's inline memory path with the Legacy
+ * backend's per-byte path, and run as robustness cases under the
+ * sanitizers.
+ *
  * Also pinned here: the `step_once` entry, also on a lane that switches
  * interpreter between steps, run_lockstep, also with lanes on different
  * interpreters, the `set_sim_backend` toggle across every run entry
@@ -731,11 +736,12 @@ TEST(ThreadedCode, SerialWavesMatchPooledAndLegacy)
 
 TEST(ThreadedCode, ThreadedWavesShareOneDecodedImage)
 {
-    // NFA lanes never batch: each runs ThreadedEngine::run_nfa over the
-    // epsilon and miss tables of its CompiledProgram.  Every lane binds
-    // the same image at load, so a thread pool reads one set of tables
-    // from many lanes at once (TSan in CI proves it race-free); the
-    // totals must match a serial run and the reference bit for bit.
+    // NFA lanes never batch: each runs the one NFA loop, Lane::run_nfa.
+    // Under the threaded backend every lane still binds the same image
+    // at load (its arc actions take the inline memory path), so a thread
+    // pool shares one image across many lanes at once (TSan in CI proves
+    // it race-free); the totals must match a serial run and the Legacy
+    // backend bit for bit.
     BackendGuard guard;
     const auto pats = workloads::nids_patterns(8, false);
     const Bytes payload = workloads::packet_payloads(16 * 1024, pats, 0.01);

@@ -197,6 +197,28 @@ number_after(int argc, char **argv, const char *flag, double def,
     return v;
 }
 
+/// The unsigned 64-bit value after `flag` (`def` when the flag is
+/// absent), in any base strtoull's base 0 reads (`0x2a`, `052`, `42`).
+/// A value that does not parse in full ends the process with exit
+/// status 2 and a message naming the flag.
+std::uint64_t
+u64_after(int argc, char **argv, const char *flag, std::uint64_t def)
+{
+    const char *s = arg_after(argc, argv, flag);
+    if (!s)
+        return def;
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(s, &end, 0);
+    if (end == s || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr,
+                     "udpd: %s wants an unsigned integer, got '%s'\n",
+                     flag, s);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
@@ -218,10 +240,7 @@ main(int argc, char **argv)
     const unsigned batch = count("--batch", kNumLanes, 1, 4096);
     // Absent: 0, the machine's own default (UDP_SIM_THREADS, else 1).
     const unsigned threads = count("--threads", 0, 1, 256);
-    const std::uint64_t seed =
-        arg_after(argc, argv, "--seed")
-            ? std::strtoull(arg_after(argc, argv, "--seed"), nullptr, 0)
-            : 42;
+    const std::uint64_t seed = u64_after(argc, argv, "--seed", 42);
     service::OverflowPolicy policy = service::OverflowPolicy::Shed;
     if (const char *p = arg_after(argc, argv, "--policy")) {
         if (std::strcmp(p, "block") == 0) {
